@@ -40,14 +40,10 @@ from .tables import (
 from .variance import (
     BinomialParams,
     IndicatorEstimate,
-    SkmComponents,
-    SkmStratumComponents,
     VarianceMethod,
     confidence_interval,
-    dataset_skm_components,
     estimate_indicator,
     katz_var_log_rr,
-    skm_components,
     var_bh_log_mhq,
     var_bh_log_mhq_true,
     var_gr_log_mhcr,
@@ -80,8 +76,6 @@ __all__ = [
     "NoInformativeStrataError",
     "ParseError",
     "SimulationDesign",
-    "SkmComponents",
-    "SkmStratumComponents",
     "StratifiedDataset",
     "StratumRatios",
     "StratumTable",
@@ -92,7 +86,6 @@ __all__ = [
     "confidence_interval",
     "convergence_check",
     "coverage_study",
-    "dataset_skm_components",
     "draw_p1",
     "estimate_indicator",
     "filter_informative",
@@ -108,7 +101,6 @@ __all__ = [
     "parse_json",
     "serialize_csv",
     "serialize_json",
-    "skm_components",
     "stratum_ratios",
     "stratum_weights",
     "to_cross_table",

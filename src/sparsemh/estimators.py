@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .tables import StratifiedDataset, StratumTable
 
 
@@ -39,59 +41,89 @@ class StratumRatios:
     odds_ratio: float | None
 
 
-def _ratio(num_top: int, num_bot: int, den_top: int, den_bot: int) -> float | None:
-    # (num_top/num_bot) / (den_top/den_bot); undefined when either inner
-    # denominator is zero or the divisor fraction is zero.
-    if num_bot == 0 or den_bot == 0 or den_top == 0:
-        return None
-    return (num_top / num_bot) / (den_top / den_bot)
+def _weighted_sums(kind: IndicatorKind, a, b, c, d):
+    """Per-stratum numerator and denominator terms (R_i, S_i) of an MH indicator.
+
+    The indicator is sum(R_i) / sum(S_i); S_i is the stratum's raw weight.
+    Cells may be integer or float arrays (last axis indexes strata). Integer
+    counts within the parse-time bound give products that are exact in
+    float64, so every division is correctly rounded.
+    """
+    n = a + b + c + d
+    if kind is IndicatorKind.MHRR:
+        return a * (c + d) / n, c * (a + b) / n
+    if kind is IndicatorKind.MHCR:
+        return a * (b + d) / n, b * (a + c) / n
+    if kind is IndicatorKind.MHOR:
+        return a * d / n, b * c / n
+    return _mhq_terms(a, b, a + c, b + d, a + b + n)
+
+
+def _mhq_terms(a, b, col1, col2, m):
+    """MHq's (R_i, S_i) for kernels that already hold a+c, b+d and m = a+b+n."""
+    return a * col2 / m, b * col1 / m
+
+
+def _ratio(num_top, num_bot, den_top, den_bot, undefined=False) -> list[float | None]:
+    """(num_top/num_bot) / (den_top/den_bot) per stratum.
+
+    ``None`` where either inner denominator is zero, the divisor fraction is
+    zero, or ``undefined`` is set.
+    """
+    undefined = undefined | (num_bot == 0) | (den_bot == 0) | (den_top == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = ((num_top / num_bot) / (den_top / den_bot)).astype(object)
+    value[undefined] = None
+    return value.tolist()
+
+
+def ratio_columns(counts: np.ndarray) -> dict[str, list[float | None]]:
+    """Row and column risk ratios, odds ratio and world comparison of every stratum.
+
+    ``counts`` is a (k, 4) array of a, b, c, d per stratum. A value is
+    ``None`` where it is undefined; the world comparison is defined exactly
+    where the row risk ratio is (a+b > 0 and c > 0).
+    """
+    a, b, c, d = counts.T
+    return {
+        "row_rr": _ratio(a, a + b, c, c + d),
+        "col_rr": _ratio(a, a + c, b, b + d),
+        "odds_ratio": _ratio(a, b, c, d),
+        "world_row": _ratio(a, a + b, a + c, a + b + c + d, undefined=c == 0),
+    }
+
+
+def _table_columns(t: StratumTable) -> dict[str, float | None]:
+    return {name: col[0] for name, col in ratio_columns(np.array([t.cells()], dtype=np.int64)).items()}
 
 
 def stratum_ratios(t: StratumTable) -> StratumRatios:
     """Compute the three association measures for a single stratum."""
-    return StratumRatios(
-        row_rr=_ratio(t.a, t.a + t.b, t.c, t.c + t.d),
-        col_rr=_ratio(t.a, t.a + t.c, t.b, t.b + t.d),
-        odds_ratio=_ratio(t.a, t.b, t.c, t.d),
-    )
+    cols = _table_columns(t)
+    return StratumRatios(row_rr=cols["row_rr"], col_rr=cols["col_rr"], odds_ratio=cols["odds_ratio"])
 
 
-def _sum_ratio(ds: StratifiedDataset, num: Callable, den: Callable, name: str) -> float:
-    total_num = math.fsum(num(t) for t in ds.strata)
-    total_den = math.fsum(den(t) for t in ds.strata)
+def _sum_ratio(ds: StratifiedDataset, kind: IndicatorKind) -> float:
+    num, den = _weighted_sums(kind, *ds.counts.T)
+    total_den = math.fsum(den.tolist())
     if total_den == 0.0:
-        raise UndefinedIndicatorError(f"{name} undefined: its denominator sum over all strata is zero")
-    return total_num / total_den
+        raise UndefinedIndicatorError(f"{kind.value} undefined: its denominator sum over all strata is zero")
+    return math.fsum(num.tolist()) / total_den
 
 
 def mh_row_risk_ratio(ds: StratifiedDataset) -> float:
     """Pooled row risk ratio: how much more likely group members are mentioned."""
-    return _sum_ratio(
-        ds,
-        lambda t: t.a * (t.c + t.d) / t.n,
-        lambda t: t.c * (t.a + t.b) / t.n,
-        "MHRR",
-    )
+    return _sum_ratio(ds, IndicatorKind.MHRR)
 
 
 def mh_col_risk_ratio(ds: StratifiedDataset) -> float:
     """Pooled column risk ratio: how much more likely mentioned articles are in the group."""
-    return _sum_ratio(
-        ds,
-        lambda t: t.a * (t.b + t.d) / t.n,
-        lambda t: t.b * (t.a + t.c) / t.n,
-        "MHCR",
-    )
+    return _sum_ratio(ds, IndicatorKind.MHCR)
 
 
 def mh_odds_ratio(ds: StratifiedDataset) -> float:
     """Pooled odds ratio of being mentioned for group members versus the rest."""
-    return _sum_ratio(
-        ds,
-        lambda t: t.a * t.d / t.n,
-        lambda t: t.b * t.c / t.n,
-        "MHOR",
-    )
+    return _sum_ratio(ds, IndicatorKind.MHOR)
 
 
 def mhq(ds: StratifiedDataset) -> float:
@@ -101,20 +133,8 @@ def mhq(ds: StratifiedDataset) -> float:
     weights b*(a+c)/(a+b+n); for a single stratum it equals the column risk
     ratio exactly.
     """
-    return _sum_ratio(
-        ds,
-        lambda t: t.a * (t.b + t.d) / (t.a + t.b + t.n),
-        lambda t: t.b * (t.a + t.c) / (t.a + t.b + t.n),
-        "MHq",
-    )
+    return _sum_ratio(ds, IndicatorKind.MHQ)
 
-
-_RAW_WEIGHT: dict[IndicatorKind, Callable[[StratumTable], float]] = {
-    IndicatorKind.MHRR: lambda t: t.c * (t.a + t.b) / t.n,
-    IndicatorKind.MHCR: lambda t: t.b * (t.a + t.c) / t.n,
-    IndicatorKind.MHOR: lambda t: t.b * t.c / t.n,
-    IndicatorKind.MHQ: lambda t: t.b * (t.a + t.c) / (t.a + t.b + t.n),
-}
 
 _STRATUM_RATIO: dict[IndicatorKind, str] = {
     IndicatorKind.MHRR: "row_rr",
@@ -137,11 +157,11 @@ def stratum_weights(ds: StratifiedDataset, kind: IndicatorKind) -> tuple[float, 
     The indicator equals the weighted average of the matching stratum ratios
     (see :func:`stratum_ratio_field`) whenever all those ratios are defined.
     """
-    raw = [_RAW_WEIGHT[kind](t) for t in ds.strata]
-    total = math.fsum(raw)
+    _, raw = _weighted_sums(kind, *ds.counts.T)
+    total = math.fsum(raw.tolist())
     if total == 0.0:
         raise UndefinedIndicatorError(f"{kind.value} weights undefined: every raw stratum weight is zero")
-    return tuple(w / total for w in raw)
+    return tuple((raw / total).tolist())
 
 
 def stratum_ratio_field(kind: IndicatorKind) -> str:
@@ -157,12 +177,12 @@ def world_comparison_row(t: StratumTable) -> float:
     when row_rr < 1). Requires a defined row risk ratio; that already implies
     at least one mentioned article.
     """
-    ratios = stratum_ratios(t)
-    if ratios.row_rr is None:
+    value = _table_columns(t)["world_row"]
+    if value is None:
         raise UndefinedIndicatorError(
             f"world comparison undefined for stratum {t.label!r}: the row risk ratio is undefined"
         )
-    return (t.a / (t.a + t.b)) / (t.n_mentioned / t.n)
+    return value
 
 
 def transpose(ds: StratifiedDataset) -> StratifiedDataset:
@@ -171,7 +191,8 @@ def transpose(ds: StratifiedDataset) -> StratifiedDataset:
     Exclusion diagnostics are carried along with their tables transposed;
     the recorded reasons still describe the original orientation.
     """
-    return StratifiedDataset(
-        tuple(t.transposed() for t in ds.strata),
+    return StratifiedDataset._from_counts(
+        ds.labels,
+        ds.counts[:, [0, 2, 1, 3]],
         tuple((t.transposed(), reason) for t, reason in ds.excluded),
     )

@@ -7,13 +7,9 @@ import json
 from dataclasses import dataclass
 
 from . import __version__
-from .estimators import (
-    IndicatorKind,
-    StratumRatios,
-    stratum_ratios,
-    stratum_weights,
-    world_comparison_row,
-)
+from .estimators import IndicatorKind, ratio_columns, stratum_weights
+# not called here; kept importable because perfbench/spans.py wraps them here
+from .estimators import stratum_ratios, world_comparison_row  # noqa: F401
 from .tables import StratifiedDataset, filter_informative
 from .variance import IndicatorEstimate, VarianceMethod, estimate_indicator
 
@@ -28,15 +24,15 @@ class AnalysisReport:
 
     Per-stratum rows cover the dataset in input order, including strata that
     were excluded from estimation; estimates and weights are computed on the
-    retained strata only.
+    retained strata only. ``ratios`` maps each per-stratum column (row_rr,
+    col_rr, odds_ratio, world_row) to its values, ``None`` where undefined.
     """
 
     source: str
     level: float
     dataset: StratifiedDataset
     filtered: StratifiedDataset
-    ratios: tuple[StratumRatios, ...]
-    world_row: tuple[float | None, ...]
+    ratios: dict[str, list[float | None]]
     weights: dict[IndicatorKind, tuple[float, ...]]
     estimates: tuple[IndicatorEstimate, ...]
 
@@ -58,10 +54,7 @@ def build_report(
             raise ValueError(f"unknown MHq variance method {method!r}: choose from skm, bh")
     filtered = filter_informative(ds)
 
-    ratios = tuple(stratum_ratios(t) for t in ds.strata)
-    world = []
-    for t, r in zip(ds.strata, ratios):
-        world.append(None if r.row_rr is None else world_comparison_row(t))
+    ratios = ratio_columns(ds.counts)
 
     weights = {kind: stratum_weights(filtered, kind) for kind in _REPORT_ORDER}
 
@@ -77,10 +70,14 @@ def build_report(
         dataset=ds,
         filtered=filtered,
         ratios=ratios,
-        world_row=tuple(world),
         weights=weights,
         estimates=tuple(estimates),
     )
+
+
+def _stratum_rows(report: AnalysisReport):
+    """(label, cells, row_rr, col_rr, odds_ratio, world_row) per stratum, in input order."""
+    return zip(report.dataset.labels, report.dataset.counts.tolist(), *report.ratios.values())
 
 
 def _fmt(value: float | None, digits: int = 2) -> str:
@@ -100,10 +97,10 @@ def render_text(report: AnalysisReport) -> str:
     header = f"{'stratum':<12} {'a':>6} {'b':>6} {'c':>6} {'d':>6} {'n':>7} " \
              f"{'row_rr':>10} {'col_rr':>10} {'odds_ratio':>10} {'world_row':>10}"
     lines.append(header)
-    for t, r, w in zip(report.dataset.strata, report.ratios, report.world_row):
+    for label, (a, b, c, d), *ratios in _stratum_rows(report):
         lines.append(
-            f"{t.label:<12} {t.a:>6} {t.b:>6} {t.c:>6} {t.d:>6} {t.n:>7} "
-            f"{_fmt(r.row_rr):>10} {_fmt(r.col_rr):>10} {_fmt(r.odds_ratio):>10} {_fmt(w):>10}"
+            f"{label:<12} {a:>6} {b:>6} {c:>6} {d:>6} {a + b + c + d:>7} "
+            + " ".join(f"{_fmt(r):>10}" for r in ratios)
         )
     if excluded_reasons:
         lines.append("")
@@ -121,7 +118,7 @@ def render_text(report: AnalysisReport) -> str:
     lines += ["", "normalized stratum weights:"]
     for kind in _REPORT_ORDER:
         pairs = ", ".join(
-            f"{t.label}={w:.3f}" for t, w in zip(report.filtered.strata, report.weights[kind])
+            f"{label}={w:.3f}" for label, w in zip(report.filtered.labels, report.weights[kind])
         )
         lines.append(f"{kind.value:<5} {pairs}")
     return "\n".join(lines) + "\n"
@@ -131,21 +128,21 @@ def report_dict(report: AnalysisReport) -> dict:
     """JSON-ready structure with full double precision."""
     excluded_reasons = {t.label: reason for t, reason in report.filtered.excluded}
     strata = []
-    for t, r, w in zip(report.dataset.strata, report.ratios, report.world_row):
+    for label, (a, b, c, d), row_rr, col_rr, odds_ratio, world_row in _stratum_rows(report):
         strata.append(
             {
-                "stratum": t.label,
-                "a": t.a,
-                "b": t.b,
-                "c": t.c,
-                "d": t.d,
-                "n": t.n,
-                "row_rr": r.row_rr,
-                "col_rr": r.col_rr,
-                "odds_ratio": r.odds_ratio,
-                "world_row": w,
-                "excluded": t.label in excluded_reasons,
-                "exclusion_reason": excluded_reasons.get(t.label),
+                "stratum": label,
+                "a": a,
+                "b": b,
+                "c": c,
+                "d": d,
+                "n": a + b + c + d,
+                "row_rr": row_rr,
+                "col_rr": col_rr,
+                "odds_ratio": odds_ratio,
+                "world_row": world_row,
+                "excluded": label in excluded_reasons,
+                "exclusion_reason": excluded_reasons.get(label),
             }
         )
     indicators = []
@@ -170,9 +167,7 @@ def report_dict(report: AnalysisReport) -> dict:
             {"stratum": label, "reason": reason} for label, reason in excluded_reasons.items()
         ],
         "weights": {
-            kind.value: {
-                t.label: w for t, w in zip(report.filtered.strata, report.weights[kind])
-            }
+            kind.value: dict(zip(report.filtered.labels, report.weights[kind]))
             for kind in _REPORT_ORDER
         },
         "indicators": indicators,

@@ -27,6 +27,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +37,6 @@ from .variance import (
     BinomialParams,
     _rbg_log_variance,
     _skm_log_variance,
-    normal_quantile,
     var_bh_log_mhq_true,
     var_skm_log_mhq_true,
 )
@@ -178,13 +178,20 @@ def _draw_count_matrices_streamed(
     )
 
 
+def _mhq_sums(a: np.ndarray, b: np.ndarray, n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """MHq numerator and denominator sums per dataset of (count, k) group-count matrices.
+
+    The MHq terms with the column totals a+c = n1 and b+d = n2 held fixed.
+    """
+    m = a + b + float(n1 + n2)
+    return (a * n2 / m).sum(axis=1), (b * n1 / m).sum(axis=1)
+
+
 def _ln_mhq_from_counts(
     a: np.ndarray, b: np.ndarray, n1: int, n2: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """ln(MHq) per dataset, the defined-replicate mask, and the dropped count."""
-    m = a + b + float(n1 + n2)
-    r = (a * n2 / m).sum(axis=1)
-    s = (b * n1 / m).sum(axis=1)
+    r, s = _mhq_sums(a, b, n1, n2)
     defined = (r > 0.0) & (s > 0.0)
     dropped = int(defined.size - defined.sum())
     return np.log(r[defined] / s[defined]), defined, dropped
@@ -349,7 +356,7 @@ def _coverage_rep(design: SimulationDesign, rep: int) -> tuple[CoverageRecord, i
     b = b[defined]
     c = design.n_mentioned - a
     d = design.n_not_mentioned - b
-    z = normal_quantile(0.975)
+    z = NormalDist().inv_cdf(0.975)
     log_psi = math.log(design.psi)
 
     skm_half = z * np.sqrt(_skm_log_variance(a, b, c, d))
@@ -440,9 +447,7 @@ def convergence_check(
         n1 = n_mentioned * scale
         n2 = n_not_mentioned * scale
         a, b = _draw_counts(p1s, p2s, n1, n2, replicates, lambda i: rng)
-        m = a + b + float(n1 + n2)
-        r = (a * n2 / m).sum(axis=1)
-        s = (b * n1 / m).sum(axis=1)
+        r, s = _mhq_sums(a, b, n1, n2)
         defined = (r > 0.0) & (s > 0.0)
         dropped = int(defined.size - defined.sum())
         _check_drop_rate(dropped, replicates)

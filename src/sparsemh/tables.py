@@ -7,20 +7,32 @@ group G / not in G) with mention status (mentioned / not mentioned):
     in G         a             b
     not in G     c             d
 
-Counts are non-negative integers; a dataset is an ordered collection of
-labelled strata plus diagnostics for strata excluded from estimation.
+Counts are non-negative integers of at most :data:`MAX_COUNT`; a dataset is
+an ordered collection of labelled strata, held as one (k, 4) count array,
+plus diagnostics for strata excluded from estimation.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, replace
+from itertools import compress
+from typing import Iterable
+
+import numpy as np
 
 EXCLUDED_NO_MENTIONED = "no mentioned articles"
 EXCLUDED_NO_NOT_MENTIONED = "no unmentioned articles"
 
+# Every product the point estimates form is a count times the sum of two
+# counts; at most 2**26 * 2**27 = 2**53, it is exact in float64, so array
+# arithmetic on the counts gives the same bits as Python integers.
+MAX_COUNT = 2**26
+
 _CSV_HEADER = ("stratum", "a", "b", "c", "d")
+_CELLS = ("a", "b", "c", "d")
 
 
 class ParseError(ValueError):
@@ -31,13 +43,24 @@ class NoInformativeStrataError(ValueError):
     """Every stratum has an empty mentioned or not-mentioned column."""
 
 
-def _check_count(owner: str, name: str, value: object) -> int:
+def _range_problem(value: int) -> str:
+    """Why a count outside 0..MAX_COUNT is rejected."""
+    if value < 0:
+        return f"must be non-negative, got {value}"
+    return f"must be at most 2**26 = {MAX_COUNT}, got {value}"
+
+
+def _check_count(owner: str, name: str, value: object, maximum: float = MAX_COUNT) -> int:
     # numpy integer scalars are welcome; bools and floats are not
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{owner}: count {name!r} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{owner}: count {name!r} must be non-negative, got {value}")
+    if not 0 <= value <= maximum:
+        raise ValueError(f"{owner}: count {name!r} {_range_problem(value)}")
     return int(value)
+
+
+def _empty_stratum(label: str) -> str:
+    return f"stratum {label!r} is empty (all four counts are zero)"
 
 
 @dataclass(frozen=True)
@@ -53,10 +76,10 @@ class StratumTable:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str) or not self.label:
             raise ValueError(f"stratum label must be a non-empty string, got {self.label!r}")
-        for name in ("a", "b", "c", "d"):
+        for name in _CELLS:
             object.__setattr__(self, name, _check_count(f"stratum {self.label!r}", name, getattr(self, name)))
         if self.n == 0:
-            raise ValueError(f"stratum {self.label!r} is empty (all four counts are zero)")
+            raise ValueError(_empty_stratum(self.label))
 
     @property
     def n(self) -> int:
@@ -78,37 +101,66 @@ class StratumTable:
         return replace(self, b=self.c, c=self.b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class StratifiedDataset:
-    """Ordered strata plus (table, reason) diagnostics for excluded strata."""
+    """Ordered strata plus (table, reason) diagnostics for excluded strata.
 
-    strata: tuple[StratumTable, ...]
-    excluded: tuple[tuple[StratumTable, str], ...] = ()
+    The strata are held as their ``labels`` and one read-only (k, 4) int64
+    ``counts`` array whose columns are a, b, c, d.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "strata", tuple(self.strata))
-        object.__setattr__(self, "excluded", tuple(self.excluded))
-        if not self.strata:
+    labels: tuple[str, ...]
+    counts: np.ndarray
+    excluded: tuple[tuple[StratumTable, str], ...]
+
+    def __init__(self, strata: Iterable[StratumTable], excluded: Iterable[tuple[StratumTable, str]] = ()) -> None:
+        strata = tuple(strata)
+        if not strata:
             raise ValueError("a dataset needs at least one stratum")
+        counts = np.array([t.cells() for t in strata], dtype=np.int64)
+        self._fill(tuple(t.label for t in strata), counts, tuple(excluded))
         seen: set[str] = set()
-        for table in list(self.strata) + [t for t, _ in self.excluded]:
-            if table.label in seen:
-                raise ValueError(f"duplicate stratum label {table.label!r}")
-            seen.add(table.label)
+        for label in self.labels + tuple(t.label for t, _ in self.excluded):
+            if label in seen:
+                raise ValueError(f"duplicate stratum label {label!r}")
+            seen.add(label)
+
+    @classmethod
+    def _from_counts(cls, labels: tuple[str, ...], counts: np.ndarray, excluded=()) -> "StratifiedDataset":
+        """Wrap counts that are already valid: unique labels, at least one row, no row all zero."""
+        ds = cls.__new__(cls)
+        ds._fill(labels, counts, tuple(excluded))
+        return ds
+
+    def _fill(self, labels: tuple[str, ...], counts: np.ndarray, excluded: tuple) -> None:
+        counts.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "excluded", excluded)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StratifiedDataset):
+            return NotImplemented
+        return (
+            self.labels == other.labels
+            and np.array_equal(self.counts, other.counts)
+            and self.excluded == other.excluded
+        )
+
+    @property
+    def strata(self) -> tuple[StratumTable, ...]:
+        """The retained strata as tables, built on each access."""
+        return tuple(StratumTable(label, *cells) for label, cells in zip(self.labels, self.counts.tolist()))
 
     @property
     def k(self) -> int:
-        return len(self.strata)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(t.label for t in self.strata)
+        return len(self.labels)
 
     def __iter__(self):
         return iter(self.strata)
 
     def __len__(self) -> int:
-        return len(self.strata)
+        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -127,9 +179,11 @@ class CrossTableRow:
     world_not_mentioned: int
 
     def __post_init__(self) -> None:
+        # world totals are sums of two counts; the table built by
+        # from_cross_table enforces the count bound
         for name in ("g_mentioned", "g_not_mentioned", "world_mentioned", "world_not_mentioned"):
             object.__setattr__(
-                self, name, _check_count(f"cross-table row {self.label!r}", name, getattr(self, name))
+                self, name, _check_count(f"cross-table row {self.label!r}", name, getattr(self, name), math.inf)
             )
         if self.world_mentioned < self.g_mentioned:
             raise ValueError(
@@ -168,13 +222,14 @@ def to_cross_table(table: StratumTable) -> CrossTableRow:
 def parse_csv(text: str | bytes) -> StratifiedDataset:
     """Parse ``stratum,a,b,c,d`` CSV text into a dataset, in file order.
 
-    No filtering is applied. Raises :class:`ParseError` naming the line (and
-    field, where applicable) for malformed rows, duplicate labels, or an
-    empty body.
+    A leading UTF-8 byte-order mark is ignored. No filtering is applied.
+    Raises :class:`ParseError` naming the line (and field, where applicable)
+    for malformed rows, out-of-range counts, duplicate labels, or an empty
+    body.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
     rows: list[tuple[int, str]] = [(i, line) for i, line in enumerate(lines, start=1) if line.strip()]
     if not rows:
@@ -186,8 +241,7 @@ def parse_csv(text: str | bytes) -> StratifiedDataset:
     if len(rows) == 1:
         raise ParseError("empty body: no data rows after the header")
 
-    strata: list[StratumTable] = []
-    seen: set[str] = set()
+    strata: dict[str, list[int]] = {}  # label -> cells, in input order
     for lineno, line in rows[1:]:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 5:
@@ -195,25 +249,23 @@ def parse_csv(text: str | bytes) -> StratifiedDataset:
         label = parts[0]
         if not label:
             raise ParseError(f"line {lineno}: empty stratum label")
-        if label in seen:
+        if label in strata:
             raise ParseError(f"line {lineno}: duplicate stratum label {label!r}")
-        seen.add(label)
-        counts = {}
-        for name, field in zip(("a", "b", "c", "d"), parts[1:]):
+        cells = []
+        for name, field in zip(_CELLS, parts[1:]):
             try:
                 value = int(field, 10)
             except ValueError:
                 raise ParseError(
                     f"line {lineno}: field {name!r} must be a non-negative integer, got {field!r}"
                 ) from None
-            if value < 0:
-                raise ParseError(f"line {lineno}: field {name!r} must be non-negative, got {value}")
-            counts[name] = value
-        try:
-            strata.append(StratumTable(label=label, **counts))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-    return StratifiedDataset(tuple(strata))
+            if not 0 <= value <= MAX_COUNT:
+                raise ParseError(f"line {lineno}: field {name!r} {_range_problem(value)}")
+            cells.append(value)
+        if not any(cells):
+            raise ParseError(f"line {lineno}: {_empty_stratum(label)}")
+        strata[label] = cells
+    return StratifiedDataset._from_counts(tuple(strata), np.array(list(strata.values()), dtype=np.int64))
 
 
 def parse_json(text: str | bytes) -> StratifiedDataset:
@@ -221,60 +273,57 @@ def parse_json(text: str | bytes) -> StratifiedDataset:
 
     Yields the same dataset as the equivalent CSV. Raises
     :class:`ParseError` naming the entry and offending key on schema
-    violations.
+    violations and out-of-range counts.
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(data, list):
         raise ParseError(f"expected a JSON array of stratum objects, got {type(data).__name__}")
     if not data:
         raise ParseError("empty body: the JSON array has no entries")
 
-    strata: list[StratumTable] = []
-    seen: set[str] = set()
+    strata: dict[str, list[int]] = {}  # label -> cells, in input order
     for i, item in enumerate(data, start=1):
         if not isinstance(item, dict):
             raise ParseError(f"entry {i}: expected an object, got {type(item).__name__}")
-        for key in ("stratum", "a", "b", "c", "d"):
+        for key in _CSV_HEADER:
             if key not in item:
                 raise ParseError(f"entry {i}: missing key {key!r}")
         label = item["stratum"]
         if not isinstance(label, str) or not label:
             raise ParseError(f"entry {i}: key 'stratum' must be a non-empty string, got {label!r}")
-        if label in seen:
+        if label in strata:
             raise ParseError(f"entry {i}: duplicate stratum label {label!r}")
-        seen.add(label)
-        counts = {}
-        for name in ("a", "b", "c", "d"):
+        cells = []
+        for name in _CELLS:
             value = item[name]
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ParseError(f"entry {i}: key {name!r} must be an integer count, got {value!r}")
-            if value < 0:
-                raise ParseError(f"entry {i}: key {name!r} must be non-negative, got {value}")
-            counts[name] = value
-        try:
-            strata.append(StratumTable(label=label, **counts))
-        except ValueError as exc:
-            raise ParseError(f"entry {i}: {exc}") from None
-    return StratifiedDataset(tuple(strata))
+            if not 0 <= value <= MAX_COUNT:
+                raise ParseError(f"entry {i}: key {name!r} {_range_problem(value)}")
+            cells.append(value)
+        if not any(cells):
+            raise ParseError(f"entry {i}: {_empty_stratum(label)}")
+        strata[label] = cells
+    return StratifiedDataset._from_counts(tuple(strata), np.array(list(strata.values()), dtype=np.int64))
 
 
 def serialize_csv(ds: StratifiedDataset) -> str:
     """Render the retained strata as canonical CSV (exclusions are not kept)."""
     lines = [",".join(_CSV_HEADER)]
-    for t in ds.strata:
-        if "," in t.label or "\n" in t.label:
-            raise ValueError(f"label {t.label!r} cannot be serialized to unquoted CSV")
-        lines.append(f"{t.label},{t.a},{t.b},{t.c},{t.d}")
+    for label, (a, b, c, d) in zip(ds.labels, ds.counts.tolist()):
+        if "," in label or "\n" in label:
+            raise ValueError(f"label {label!r} cannot be serialized to unquoted CSV")
+        lines.append(f"{label},{a},{b},{c},{d}")
     return "\n".join(lines) + "\n"
 
 
 def serialize_json(ds: StratifiedDataset) -> str:
     """Render the retained strata as a JSON array."""
     return json.dumps(
-        [{"stratum": t.label, "a": t.a, "b": t.b, "c": t.c, "d": t.d} for t in ds.strata],
+        [{"stratum": label, **dict(zip(_CELLS, cells))} for label, cells in zip(ds.labels, ds.counts.tolist())],
         indent=2,
     )
 
@@ -284,21 +333,25 @@ def filter_informative(ds: StratifiedDataset) -> StratifiedDataset:
 
     Such strata carry no information about the association and would put 0/0
     terms into the variance components, so they are excluded before any
-    estimation; the point estimators are insensitive to the removal. Strata
-    with an empty *row* (a+b = 0 or c+d = 0) are retained: they simply
-    contribute zero weight. Idempotent.
+    estimation. MHCR, MHOR and MHq are insensitive to the removal, and so is
+    MHRR for strata with no mentioned articles; a stratum with no
+    unmentioned articles adds a*c/n to both MHRR sums. Strata with an empty
+    *row* (a+b = 0 or c+d = 0) are retained: they simply contribute zero
+    weight. Idempotent.
     """
-    kept: list[StratumTable] = []
-    dropped: list[tuple[StratumTable, str]] = []
-    for t in ds.strata:
-        if t.n_mentioned == 0:
-            dropped.append((t, EXCLUDED_NO_MENTIONED))
-        elif t.n_not_mentioned == 0:
-            dropped.append((t, EXCLUDED_NO_NOT_MENTIONED))
-        else:
-            kept.append(t)
-    if not kept:
+    a, b, c, d = ds.counts.T
+    no_mentioned = a + c == 0
+    keep = ~no_mentioned & (b + d > 0)
+    if not keep.any():
         raise NoInformativeStrataError(
             "no informative strata: every stratum has an empty mentioned or not-mentioned column"
         )
-    return StratifiedDataset(tuple(kept), ds.excluded + tuple(dropped))
+    dropped = tuple(
+        (
+            StratumTable(ds.labels[i], *ds.counts[i].tolist()),
+            EXCLUDED_NO_MENTIONED if no_mentioned[i] else EXCLUDED_NO_NOT_MENTIONED,
+        )
+        for i in np.flatnonzero(~keep).tolist()
+    )
+    labels = tuple(compress(ds.labels, keep.tolist()))
+    return StratifiedDataset._from_counts(labels, ds.counts[keep], ds.excluded + dropped)

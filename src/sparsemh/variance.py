@@ -29,7 +29,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .estimators import INDICATOR_FN, IndicatorKind, UndefinedIndicatorError, transpose
+from .estimators import INDICATOR_FN, IndicatorKind, UndefinedIndicatorError, _mhq_terms, _weighted_sums, transpose
 from .tables import StratifiedDataset, StratumTable
 
 
@@ -41,13 +41,6 @@ class VarianceMethod(enum.Enum):
     KATZ = "KATZ"
 
 
-def normal_quantile(p: float) -> float:
-    """Standard-normal inverse CDF (accurate to ~1e-15)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile argument must lie in (0, 1), got {p}")
-    return NormalDist().inv_cdf(p)
-
-
 def confidence_interval(value: float, log_variance: float, level: float = 0.95) -> tuple[float, float]:
     """Two-sided normal interval on the log scale: exp(ln value +- z*sqrt(var))."""
     if not 0.0 < level < 1.0:
@@ -56,7 +49,7 @@ def confidence_interval(value: float, log_variance: float, level: float = 0.95) 
         raise ValueError(f"point value must be positive for a log-scale interval, got {value}")
     if log_variance < 0.0:
         raise ValueError(f"log-scale variance must be non-negative, got {log_variance}")
-    half = normal_quantile(0.5 + level / 2.0) * math.sqrt(log_variance)
+    half = NormalDist().inv_cdf(0.5 + level / 2.0) * math.sqrt(log_variance)
     return (value * math.exp(-half), value * math.exp(half))
 
 
@@ -109,11 +102,10 @@ def _skm_terms(a, b, c, d):
     m = a + b + n
     col1 = a + c
     col2 = b + d
+    r, s = _mhq_terms(a, b, col1, col2, m)
     m4 = m**4
     var_a = a * c / col1
     var_b = b * d / col2
-    r = a * col2 / m
-    s = b * col1 / m
     v = col2**2 * ((n + b) ** 2 * var_a + a**2 * var_b) / m4
     w = col1**2 * (b**2 * var_a + (n + a) ** 2 * var_b) / m4
     q = -(col1 * col2 / m4) * (a * b * c * (b + n) / col1 + a * b * d * (a + n) / col2)
@@ -143,8 +135,7 @@ def _rbg_log_variance(a, b, c, d):
     t = a + b + c + d
     p = (a + d) / t
     q = (b + c) / t
-    r = a * d / t
-    s = b * c / t
+    r, s = _weighted_sums(IndicatorKind.MHOR, a, b, c, d)
     rt = r.sum(axis=-1)
     st = s.sum(axis=-1)
     return (
@@ -157,62 +148,30 @@ def _rbg_log_variance(a, b, c, d):
 # --------------------------------------------------------------------------
 # data forms
 
-@dataclass(frozen=True)
-class SkmStratumComponents:
-    """One stratum's contribution to the corrected MHq variance.
+def _mh_sums(ds: StratifiedDataset, kind: IndicatorKind, op: str):
+    """Float cells of an informative dataset and the totals R, S of ``kind``'s MH sums.
 
-    ``p`` is the stratum column risk ratio (``None`` when b = 0 leaves it
-    undefined); ``v``/``w``/``q`` estimate the variance of ``r``, the
-    variance of ``s``, and their covariance.
+    Raises naming the first stratum with an empty column (a+c = 0 or
+    b+d = 0), then if either total is zero.
     """
-
-    r: float
-    s: float
-    p: float | None
-    v: float
-    w: float
-    q: float
-
-
-@dataclass(frozen=True)
-class SkmComponents:
-    """Per-stratum components plus the totals R and S (MHq = R/S)."""
-
-    per_stratum: tuple[SkmStratumComponents, ...]
-
-    @property
-    def r_total(self) -> float:
-        return math.fsum(e.r for e in self.per_stratum)
-
-    @property
-    def s_total(self) -> float:
-        return math.fsum(e.s for e in self.per_stratum)
-
-
-def _require_informative(t: StratumTable, op: str) -> None:
-    if t.n_mentioned == 0 or t.n_not_mentioned == 0:
+    counts = ds.counts
+    col1 = counts[:, 0] + counts[:, 2]
+    col2 = counts[:, 1] + counts[:, 3]
+    empty = (col1 == 0) | (col2 == 0)
+    if empty.any():
+        i = int(empty.argmax())
         raise ValueError(
-            f"{op}: stratum {t.label!r} has an empty column "
-            f"(a+c={t.n_mentioned}, b+d={t.n_not_mentioned}); apply filter_informative() first"
+            f"{op}: stratum {ds.labels[i]!r} has an empty column "
+            f"(a+c={int(col1[i])}, b+d={int(col2[i])}); apply filter_informative() first"
         )
-
-
-def skm_components(t: StratumTable) -> SkmStratumComponents:
-    """Variance components of one stratum; both column totals must be positive."""
-    _require_informative(t, "skm_components")
-    cells = [np.array([x], dtype=float) for x in t.cells()]
-    r, s, v, w, q = _skm_terms(*cells)
-    p = t.a * t.n_not_mentioned / (t.b * t.n_mentioned) if t.b > 0 else None
-    return SkmStratumComponents(r=float(r[0]), s=float(s[0]), p=p, v=float(v[0]), w=float(w[0]), q=float(q[0]))
-
-
-def dataset_skm_components(ds: StratifiedDataset) -> SkmComponents:
-    return SkmComponents(tuple(skm_components(t) for t in ds.strata))
-
-
-def _cells(ds: StratifiedDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    arr = np.array([t.cells() for t in ds.strata], dtype=float)
-    return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
+    a, b, c, d = counts.T.astype(float)
+    r, s = _weighted_sums(kind, a, b, c, d)
+    rt = float(r.sum())
+    st = float(s.sum())
+    if rt == 0.0 or st == 0.0:
+        side = "numerator" if rt == 0.0 else "denominator"
+        raise UndefinedIndicatorError(f"{op} undefined: the {kind.value} {side} sum is zero")
+    return (a, b, c, d), rt, st
 
 
 def var_skm_log_mhq(ds: StratifiedDataset) -> float:
@@ -221,15 +180,8 @@ def var_skm_log_mhq(ds: StratifiedDataset) -> float:
     Strata with an empty column must be filtered out beforehand; strata with
     b = 0 are tolerated (they contribute only R-side terms).
     """
-    for t in ds.strata:
-        _require_informative(t, "var_skm_log_mhq")
-    a, b, c, d = _cells(ds)
-    r, s, v, w, q = _skm_terms(a, b, c, d)
-    rt = float(r.sum())
-    st = float(s.sum())
-    if rt == 0.0 or st == 0.0:
-        side = "numerator" if rt == 0.0 else "denominator"
-        raise UndefinedIndicatorError(f"var_skm_log_mhq undefined: the MHq {side} sum is zero")
+    cells, rt, st = _mh_sums(ds, IndicatorKind.MHQ, "var_skm_log_mhq")
+    _, _, v, w, q = _skm_terms(*cells)
     return float(v.sum() / rt**2 + w.sum() / st**2 - 2.0 * q.sum() / (rt * st))
 
 
@@ -240,29 +192,15 @@ def var_bh_log_mhq(ds: StratifiedDataset) -> float:
     of each stratum (rows a, b and a+c, b+d). Kept for comparison studies;
     prefer :func:`var_skm_log_mhq` for inference.
     """
-    for t in ds.strata:
-        _require_informative(t, "var_bh_log_mhq")
-    a, b, c, d = _cells(ds)
-    rt = float((a * (b + d) / (a + b + (a + b + c + d))).sum())
-    st = float((b * (a + c) / (a + b + (a + b + c + d))).sum())
-    if rt == 0.0 or st == 0.0:
-        side = "numerator" if rt == 0.0 else "denominator"
-        raise UndefinedIndicatorError(f"var_bh_log_mhq undefined: the MHq {side} sum is zero")
+    (a, b, c, d), _, _ = _mh_sums(ds, IndicatorKind.MHQ, "var_bh_log_mhq")
     return float(_rbg_log_variance(a, b, a + c, b + d))
 
 
 def var_gr_log_mhrr(ds: StratifiedDataset) -> float:
     """Sparse-data variance estimate of ln(MHRR)."""
-    for t in ds.strata:
-        _require_informative(t, "var_gr_log_mhrr")
-    a, b, c, d = _cells(ds)
+    (a, b, c, d), rt, st = _mh_sums(ds, IndicatorKind.MHRR, "var_gr_log_mhrr")
     n = a + b + c + d
     num = float((((a + b) * (c + d) * (a + c) - a * c * n) / n**2).sum())
-    rt = float((a * (c + d) / n).sum())
-    st = float((c * (a + b) / n).sum())
-    if rt == 0.0 or st == 0.0:
-        side = "numerator" if rt == 0.0 else "denominator"
-        raise UndefinedIndicatorError(f"var_gr_log_mhrr undefined: the MHRR {side} sum is zero")
     return num / (rt * st)
 
 
@@ -273,16 +211,8 @@ def var_gr_log_mhcr(ds: StratifiedDataset) -> float:
 
 def var_rbg_log_mhor(ds: StratifiedDataset) -> float:
     """Three-term variance estimate of ln(MHOR)."""
-    for t in ds.strata:
-        _require_informative(t, "var_rbg_log_mhor")
-    a, b, c, d = _cells(ds)
-    n = a + b + c + d
-    rt = float((a * d / n).sum())
-    st = float((b * c / n).sum())
-    if rt == 0.0 or st == 0.0:
-        side = "numerator" if rt == 0.0 else "denominator"
-        raise UndefinedIndicatorError(f"var_rbg_log_mhor undefined: the MHOR {side} sum is zero")
-    return float(_rbg_log_variance(a, b, c, d))
+    cells, _, _ = _mh_sums(ds, IndicatorKind.MHOR, "var_rbg_log_mhor")
+    return float(_rbg_log_variance(*cells))
 
 
 def katz_var_log_rr(t: StratumTable, orientation: Literal["row", "column"]) -> float:

@@ -132,6 +132,30 @@ def test_analyze_parse_error_exit_code(capsys, tmp_path):
     assert "line 2" in err and "'c'" in err
 
 
+def test_analyze_huge_count_is_a_parse_error(capsys, tmp_path):
+    # a count too large for a float used to escape as an OverflowError traceback
+    path = tmp_path / "huge.csv"
+    path.write_text(f"stratum,a,b,c,d\ncat1,{10**400},7,1,13\n", encoding="utf-8")
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert "line 2: field 'a' must be at most 2**26" in err
+
+
+def test_analyze_bom_csv_matches_plain_file(capsys, tmp_path):
+    plain = write_smallworld(tmp_path)
+    bom = tmp_path / "smallworld_bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    reports = []
+    for path in (plain, bom):
+        code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        report.pop("meta")
+        report.pop("source")
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_analyze_missing_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(tmp_path / "nope.csv"))
     assert code == 5

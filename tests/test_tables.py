@@ -17,7 +17,7 @@ from sparsemh import (
     serialize_json,
     to_cross_table,
 )
-from sparsemh.tables import EXCLUDED_NO_MENTIONED, EXCLUDED_NO_NOT_MENTIONED
+from sparsemh.tables import EXCLUDED_NO_MENTIONED, EXCLUDED_NO_NOT_MENTIONED, MAX_COUNT
 
 from conftest import make_dataset
 
@@ -66,6 +66,13 @@ def test_table_rejects_bad_counts():
         StratumTable("", 1, 2, 3, 4)
 
 
+def test_table_count_bound():
+    assert MAX_COUNT == 2**26
+    assert StratumTable("x", MAX_COUNT, 0, 0, MAX_COUNT).cells() == (MAX_COUNT, 0, 0, MAX_COUNT)
+    with pytest.raises(ValueError, match=r"'d' must be at most 2\*\*26"):
+        StratumTable("x", 1, 2, 3, MAX_COUNT + 1)
+
+
 def test_dataset_rejects_duplicate_labels_and_emptiness():
     t = StratumTable("same", 1, 2, 3, 4)
     with pytest.raises(ValueError, match="duplicate"):
@@ -87,6 +94,23 @@ def test_parse_csv_table3():
 def test_parse_csv_accepts_bytes_and_crlf():
     ds = parse_csv(TABLE3_CSV.replace("\n", "\r\n").encode("utf-8"))
     assert ds.labels == ("cat1", "cat2", "cat3", "cat4")
+
+
+def test_parse_csv_ignores_utf8_bom():
+    bom = "\ufeff" + TABLE3_CSV
+    assert parse_csv(bom) == parse_csv(TABLE3_CSV)
+    assert parse_csv(bom.encode("utf-8")) == parse_csv(TABLE3_CSV)
+
+
+def test_parse_count_bound_csv_and_json():
+    at, above = MAX_COUNT, MAX_COUNT + 1
+    ds = parse_csv(f"stratum,a,b,c,d\nx,1,2,3,4\ny,{at},0,0,{at}\n")
+    assert ds.strata[1].cells() == (at, 0, 0, at)
+    assert parse_json(f'[{{"stratum":"x","a":1,"b":2,"c":3,"d":4}},{{"stratum":"y","a":{at},"b":0,"c":0,"d":{at}}}]') == ds
+    with pytest.raises(ParseError, match=r"line 3: field 'd' must be at most 2\*\*26 = 67108864, got 67108865"):
+        parse_csv(f"stratum,a,b,c,d\nx,1,2,3,4\ny,{at},0,0,{above}\n")
+    with pytest.raises(ParseError, match=r"entry 2: key 'a' must be at most 2\*\*26 = 67108864, got 67108865"):
+        parse_json(f'[{{"stratum":"x","a":1,"b":2,"c":3,"d":4}},{{"stratum":"y","a":{above},"b":0,"c":0,"d":1}}]')
 
 
 def test_parse_csv_header_only_is_empty_body():
@@ -152,6 +176,8 @@ def test_parse_json_errors():
         parse_json('{"stratum":"x"}')
     with pytest.raises(ParseError, match="invalid JSON"):
         parse_json("{nope")
+    with pytest.raises(ParseError, match="invalid JSON"):  # too many digits to convert
+        parse_json('[{"stratum":"x","a":' + "1" * 5000 + ',"b":2,"c":3,"d":4}]')
     with pytest.raises(ParseError, match=r"entry 2.*duplicate"):
         parse_json('[{"stratum":"x","a":1,"b":2,"c":3,"d":4},{"stratum":"x","a":1,"b":2,"c":3,"d":4}]')
 

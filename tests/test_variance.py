@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -12,11 +13,10 @@ from sparsemh import (
     UndefinedIndicatorError,
     VarianceMethod,
     confidence_interval,
-    dataset_skm_components,
     estimate_indicator,
     katz_var_log_rr,
     mhq,
-    skm_components,
+    stratum_ratios,
     transpose,
     var_bh_log_mhq,
     var_bh_log_mhq_true,
@@ -26,7 +26,8 @@ from sparsemh import (
     var_skm_log_mhq,
     var_skm_log_mhq_true,
 )
-from sparsemh.variance import normal_quantile
+from sparsemh.estimators import _weighted_sums
+from sparsemh.variance import _skm_terms
 
 from conftest import make_dataset
 
@@ -46,51 +47,64 @@ def random_positive_dataset(rng, k, high=30):
 
 # ----------------------------------------------------------------- components
 
+def skm_terms(a, b, c, d):
+    """(r, s, v, w, q) of one stratum from the array kernel."""
+    return tuple(float(x[0]) for x in _skm_terms(*(np.array([x], dtype=float) for x in (a, b, c, d))))
+
+
 def test_skm_components_smallworld_first_stratum():
-    comp = skm_components(StratumTable("cat1", 26, 7, 18, 13))
-    assert comp.r == pytest.approx(520 / 97, rel=1e-15)
-    assert comp.s == pytest.approx(308 / 97, rel=1e-15)
-    assert comp.p == pytest.approx(130 / 77, rel=1e-15)
-    assert comp.v == pytest.approx(0.25615800083549345, rel=1e-13)
-    assert comp.w == pytest.approx(0.8173599421868116, rel=1e-13)
-    assert comp.q == pytest.approx(-0.15838014091631444, rel=1e-13)
+    r, s, v, w, q = skm_terms(26, 7, 18, 13)
+    assert r == pytest.approx(520 / 97, rel=1e-15)
+    assert s == pytest.approx(308 / 97, rel=1e-15)
+    assert v == pytest.approx(0.25615800083549345, rel=1e-13)
+    assert w == pytest.approx(0.8173599421868116, rel=1e-13)
+    assert q == pytest.approx(-0.15838014091631444, rel=1e-13)
+    ds = make_dataset((26, 7, 18, 13))
+    assert mhq(ds) == pytest.approx(130 / 77, rel=1e-15)
+    # the one-stratum variance is the delta-method combination of these components
+    assert var_skm_log_mhq(ds) == pytest.approx(v / r**2 + w / s**2 - 2 * q / (r * s), rel=1e-13)
 
 
 def test_skm_component_signs_and_p_matches_col_ratio():
     rng = np.random.default_rng(5)
     for _ in range(60):
         t = StratumTable("t", *(int(x) for x in rng.integers(1, 40, size=4)))
-        comp = skm_components(t)
-        assert comp.r >= 0 and comp.s >= 0
-        assert comp.v >= 0 and comp.w >= 0
-        assert comp.q <= 0
+        r, s, v, w, q = skm_terms(*t.cells())
+        assert r >= 0 and s >= 0
+        assert v >= 0 and w >= 0
+        assert q <= 0
         col_rr = (t.a / t.n_mentioned) / (t.b / t.n_not_mentioned)
-        assert comp.p == pytest.approx(col_rr, rel=1e-12)
+        assert mhq(make_dataset(t.cells())) == pytest.approx(col_rr, rel=1e-12)
 
 
 def test_skm_components_zero_a_zeroes_r_side():
-    comp = skm_components(StratumTable("t", 0, 5, 7, 3))
-    assert comp.r == 0.0 and comp.v == 0.0 and comp.q == 0.0
-    assert comp.s > 0.0 and comp.w > 0.0
+    r, s, v, w, q = skm_terms(0, 5, 7, 3)
+    assert r == 0.0 and v == 0.0 and q == 0.0
+    assert s > 0.0 and w > 0.0
+    with pytest.raises(UndefinedIndicatorError, match="numerator sum is zero"):
+        var_skm_log_mhq(make_dataset((0, 5, 7, 3)))
 
 
 def test_skm_components_b_zero_leaves_p_undefined():
-    comp = skm_components(StratumTable("t", 4, 0, 7, 3))
-    assert comp.p is None
-    assert comp.s == 0.0 and comp.w == 0.0 and comp.q == 0.0
-    assert comp.v > 0.0
+    assert stratum_ratios(StratumTable("t", 4, 0, 7, 3)).col_rr is None
+    r, s, v, w, q = skm_terms(4, 0, 7, 3)
+    assert s == 0.0 and w == 0.0 and q == 0.0
+    assert v > 0.0
+    with pytest.raises(UndefinedIndicatorError, match="denominator sum is zero"):
+        var_skm_log_mhq(make_dataset((4, 0, 7, 3)))
 
 
 def test_skm_components_require_informative_columns():
-    with pytest.raises(ValueError, match="empty column"):
-        skm_components(StratumTable("t", 0, 5, 0, 5))
+    for cells in ((0, 5, 0, 5), (5, 0, 5, 0)):
+        with pytest.raises(ValueError, match="empty column"):
+            var_skm_log_mhq(make_dataset(cells))
 
 
 def test_dataset_components_totals(smallworld_filtered):
-    comps = dataset_skm_components(smallworld_filtered)
-    assert comps.r_total == pytest.approx(520 / 97 + 240 / 68 + 36 / 34, rel=1e-14)
-    assert comps.s_total == pytest.approx(308 / 97 + 210 / 68 + 48 / 34, rel=1e-14)
-    assert comps.r_total / comps.s_total == pytest.approx(mhq(smallworld_filtered), rel=1e-14)
+    r, s = _weighted_sums(IndicatorKind.MHQ, *smallworld_filtered.counts.T)
+    assert math.fsum(r) == pytest.approx(520 / 97 + 240 / 68 + 36 / 34, rel=1e-14)
+    assert math.fsum(s) == pytest.approx(308 / 97 + 210 / 68 + 48 / 34, rel=1e-14)
+    assert math.fsum(r) / math.fsum(s) == mhq(smallworld_filtered)
 
 
 # ------------------------------------------------------------- SKM variance
@@ -262,7 +276,7 @@ def test_confidence_interval_zero_variance_collapses():
 def test_confidence_interval_matches_log_formula():
     value, var, level = 1.3, 0.05, 0.9
     lo, hi = confidence_interval(value, var, level)
-    z = normal_quantile(0.5 + level / 2)
+    z = NormalDist().inv_cdf(0.5 + level / 2)
     assert lo == pytest.approx(math.exp(math.log(value) - z * math.sqrt(var)), rel=1e-14)
     assert hi == pytest.approx(math.exp(math.log(value) + z * math.sqrt(var)), rel=1e-14)
 
@@ -288,7 +302,10 @@ def test_confidence_interval_validation():
 
 
 def test_normal_quantile_value():
-    assert normal_quantile(0.975) == pytest.approx(1.959963985, abs=1e-9)
+    # a unit log-variance puts the 95% bounds at exp(-+z) with z the 0.975 quantile
+    lo, hi = confidence_interval(1.0, 1.0, 0.95)
+    assert math.log(hi) == pytest.approx(1.959963985, abs=1e-9)
+    assert math.log(lo) == pytest.approx(-1.959963985, abs=1e-9)
 
 
 def test_estimate_indicator_bounds_and_methods(smallworld_filtered):
