@@ -1,7 +1,8 @@
 """Command-line interface: dataset analysis and the Monte Carlo study suite.
 
 Exit codes: 0 success, 2 parse error, 3 undefined indicator / no informative
-strata, 4 invalid simulation design, 5 I/O error.
+strata, 4 invalid simulation design, flag or environment value, or a design
+too sparse to summarize, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from . import __version__
 from .estimators import UndefinedIndicatorError
 from .report import build_report, render_csv, render_json, render_text
 from .simulation import (
+    ExcessiveDropError,
     InvalidDesignError,
     SimulationDesign,
     StudySummary,
@@ -36,11 +38,13 @@ THREADS_ENV_VAR = "SPARSEMH_THREADS"
 
 
 def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
+    raw = os.environ.get(THREADS_ENV_VAR) or "1"
     try:
-        return max(1, int(raw))
+        if int(raw) >= 1:
+            return int(raw)
     except ValueError:
-        return 1
+        pass
+    raise InvalidDesignError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help=f"worker processes (default: ${THREADS_ENV_VAR} or 1); never changes the numbers",
+        help=f"worker processes (default: ${THREADS_ENV_VAR} or 1; at most --reps and the CPU count); "
+        "never changes the numbers",
     )
     simulate.add_argument(
         "--scales",
@@ -218,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UndefinedIndicatorError, NoInformativeStrataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
-    except InvalidDesignError as exc:
+    except (InvalidDesignError, ExcessiveDropError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DESIGN
     except ValueError as exc:

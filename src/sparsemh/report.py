@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
+import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode
 
 from . import __version__
 from .estimators import IndicatorKind, ratio_columns, stratum_weights
@@ -124,27 +127,89 @@ def render_text(report: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_dict(report: AnalysisReport) -> dict:
-    """JSON-ready structure with full double precision."""
-    excluded_reasons = {t.label: reason for t, reason in report.filtered.excluded}
-    strata = []
+class _FloatText(dict):
+    """Per-call memo of JSON float text, in json's own spelling; ``None`` is ``null``.
+
+    Sparse strata repeat the same few tables, so most ratio and weight
+    values recur within one report.
+    """
+
+    def __init__(self) -> None:
+        super().__init__({None: "null"})
+
+    def __missing__(self, value: float) -> str:
+        if value != value:
+            text = "NaN"
+        elif value == math.inf:
+            text = "Infinity"
+        elif value == -math.inf:
+            text = "-Infinity"
+        else:
+            text = float.__repr__(value)
+        if value:  # 0.0 == -0.0, so zeros would share one key
+            self[value] = text
+        return text
+
+
+def _nested(value) -> str:
+    """``json.dumps(value, indent=2)`` for a value inside the top-level object."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+def _generated_at() -> str:
+    """ISO time stamp, taken from ``SOURCE_DATE_EPOCH`` when it is set."""
+    epoch = os.environ.get("SOURCE_DATE_EPOCH")
+    if not epoch:
+        return datetime.datetime.now(datetime.timezone.utc).isoformat()
+    try:
+        return datetime.datetime.fromtimestamp(int(epoch), datetime.timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError):
+        raise ValueError(f"SOURCE_DATE_EPOCH must be an integer count of seconds, got {epoch!r}") from None
+
+
+def _strata_json(report: AnalysisReport, keys: dict[str, str], memo: _FloatText) -> str:
+    excluded = {t.label: reason for t, reason in report.filtered.excluded}
+    rows = []
     for label, (a, b, c, d), row_rr, col_rr, odds_ratio, world_row in _stratum_rows(report):
-        strata.append(
-            {
-                "stratum": label,
-                "a": a,
-                "b": b,
-                "c": c,
-                "d": d,
-                "n": a + b + c + d,
-                "row_rr": row_rr,
-                "col_rr": col_rr,
-                "odds_ratio": odds_ratio,
-                "world_row": world_row,
-                "excluded": label in excluded_reasons,
-                "exclusion_reason": excluded_reasons.get(label),
-            }
+        reason = excluded.get(label)
+        rows.append(
+            f'''    {{
+      "stratum": {keys[label]},
+      "a": {a},
+      "b": {b},
+      "c": {c},
+      "d": {d},
+      "n": {a + b + c + d},
+      "row_rr": {memo[row_rr]},
+      "col_rr": {memo[col_rr]},
+      "odds_ratio": {memo[odds_ratio]},
+      "world_row": {memo[world_row]},
+      "excluded": {"false" if reason is None else "true"},
+      "exclusion_reason": {"null" if reason is None else _encode(reason)}
+    }}'''
         )
+    return "[\n" + ",\n".join(rows) + "\n  ]"
+
+
+def _weights_json(report: AnalysisReport, keys: dict[str, str], memo: _FloatText) -> str:
+    used = [keys[label] for label in report.filtered.labels]
+    blocks = []
+    for kind in _REPORT_ORDER:
+        entries = ",\n".join(f"      {key}: {memo[w]}" for key, w in zip(used, report.weights[kind]))
+        blocks.append(f'    "{kind.value}": {{\n{entries}\n    }}')
+    return "{\n" + ",\n".join(blocks) + "\n  }"
+
+
+def render_json(report: AnalysisReport) -> str:
+    """The report as JSON with full double precision, indented by two spaces.
+
+    The bytes equal ``json.dumps(..., indent=2)`` of the same structure; the
+    per-stratum sections are written from fixed templates instead of going
+    through the pure-Python encoder that ``indent`` selects.
+    """
+    memo = _FloatText()
+    labels = report.dataset.labels
+    keys = dict(zip(labels, map(_encode, labels)))
     indicators = []
     for est in report.estimates:
         entry = {
@@ -159,28 +224,18 @@ def report_dict(report: AnalysisReport) -> dict:
         if est.method is VarianceMethod.BH:
             entry["deprecated"] = BH_CAVEAT
         indicators.append(entry)
-    return {
-        "source": report.source,
-        "level": report.level,
-        "strata": strata,
-        "excluded": [
-            {"stratum": label, "reason": reason} for label, reason in excluded_reasons.items()
-        ],
-        "weights": {
-            kind.value: dict(zip(report.filtered.labels, report.weights[kind]))
-            for kind in _REPORT_ORDER
-        },
-        "indicators": indicators,
-        "meta": {
-            "package": "sparsemh",
-            "version": __version__,
-            "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        },
+    sections = {
+        "source": _nested(report.source),
+        "level": _nested(report.level),
+        "strata": _strata_json(report, keys, memo),
+        "excluded": _nested(
+            [{"stratum": t.label, "reason": reason} for t, reason in report.filtered.excluded]
+        ),
+        "weights": _weights_json(report, keys, memo),
+        "indicators": _nested(indicators),
+        "meta": _nested({"package": "sparsemh", "version": __version__, "generated_at": _generated_at()}),
     }
-
-
-def render_json(report: AnalysisReport) -> str:
-    return json.dumps(report_dict(report), indent=2)
+    return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in sections.items()) + "\n}"
 
 
 def render_csv(report: AnalysisReport) -> str:

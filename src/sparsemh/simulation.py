@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -253,10 +254,11 @@ class ConvergenceRecord:
     replicates: int
 
 
+_INTERVAL_COLUMNS = ("setting", "psi", "skm_coverage", "bh_coverage", "skm_mean_width", "bh_mean_width", "dropped")
 _CSV_COLUMNS = {
     "bias": ("rep", "true_sd", "skm_sd", "bh_sd", "skm_bias", "bh_bias"),
-    "coverage": ("setting", "psi", "skm_coverage", "bh_coverage", "skm_mean_width", "bh_mean_width", "dropped"),
-    "width": ("setting", "psi", "skm_coverage", "bh_coverage", "skm_mean_width", "bh_mean_width", "dropped"),
+    "coverage": _INTERVAL_COLUMNS,
+    "width": _INTERVAL_COLUMNS,
     "convergence": ("scale", "mean_abs_dev", "mc_se", "replicates"),
 }
 
@@ -373,10 +375,16 @@ def _coverage_rep(design: SimulationDesign, rep: int) -> tuple[CoverageRecord, i
     return record, dropped
 
 
+def worker_count(threads: int, reps: int) -> int:
+    """Worker processes for ``threads`` requested: never more than reps or CPUs, at least 1."""
+    return max(1, min(threads, reps, os.cpu_count() or 1))
+
+
 def _run_reps(
     rep_fn: Callable[[SimulationDesign, int], tuple], design: SimulationDesign, threads: int
 ) -> list[tuple]:
-    if threads <= 1:
+    threads = worker_count(threads, design.reps)
+    if threads == 1:
         return [rep_fn(design, rep) for rep in range(design.reps)]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(functools.partial(rep_fn, design), range(design.reps)))

@@ -220,6 +220,8 @@ def katz_var_log_rr(t: StratumTable, orientation: Literal["row", "column"]) -> f
 
     ``column``: 1/a - 1/(a+c) + 1/b - 1/(b+d) (needs a > 0 and b > 0);
     ``row``:    1/a - 1/(a+b) + 1/c - 1/(c+d) (needs a > 0 and c > 0).
+    Each pair is evaluated as c/(a(a+c)), which does not cancel when a is
+    much larger than c.
     """
     a, b, c, d = t.cells()
     if orientation == "column":
@@ -227,13 +229,13 @@ def katz_var_log_rr(t: StratumTable, orientation: Literal["row", "column"]) -> f
             raise UndefinedIndicatorError(
                 f"Katz column variance undefined for stratum {t.label!r}: needs a > 0 and b > 0"
             )
-        return 1 / a - 1 / (a + c) + 1 / b - 1 / (b + d)
+        return c / (a * (a + c)) + d / (b * (b + d))
     if orientation == "row":
         if a == 0 or c == 0:
             raise UndefinedIndicatorError(
                 f"Katz row variance undefined for stratum {t.label!r}: needs a > 0 and c > 0"
             )
-        return 1 / a - 1 / (a + b) + 1 / c - 1 / (c + d)
+        return b / (a * (a + b)) + d / (c * (c + d))
     raise ValueError(f"orientation must be 'row' or 'column', got {orientation!r}")
 
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from sparsemh import __version__
 from sparsemh.cli import main
 from sparsemh.datasets import smallworld_path
@@ -156,6 +158,25 @@ def test_analyze_bom_csv_matches_plain_file(capsys, tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_analyze_json_is_byte_reproducible_with_source_date_epoch(capsys, tmp_path, monkeypatch):
+    path = str(write_smallworld(tmp_path))
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1767225600")
+    outputs = []
+    for _ in range(2):
+        code, out, err = run(capsys, "analyze", path, "--format", "json", "--methods", "skm,bh")
+        assert code == 0 and err == ""
+        outputs.append(out.encode("utf-8"))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["meta"]["generated_at"] == "2026-01-01T00:00:00+00:00"
+
+
+def test_analyze_invalid_source_date_epoch_exit_code(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "yesterday")
+    code, out, err = run(capsys, "analyze", str(write_smallworld(tmp_path)), "--format", "json")
+    assert code == 4 and out == ""
+    assert err == "error: SOURCE_DATE_EPOCH must be an integer count of seconds, got 'yesterday'\n"
+
+
 def test_analyze_missing_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(tmp_path / "nope.csv"))
     assert code == 5
@@ -224,6 +245,28 @@ def test_simulate_invalid_design_exit_code(capsys, tmp_path):
     )
     assert code == 4
     assert "p1_high" in err or "p2" in err
+
+
+def test_simulate_excessive_drop_exit_code(capsys, tmp_path):
+    code, out, err = run(
+        capsys,
+        "simulate", "coverage",
+        "--k", "3", "--n-mentioned", "2", "--n-not-mentioned", "5",
+        "--p1-low", "0.01", "--p1-high", "0.02", "--reps", "1", "--datasets", "200",
+        "--out", str(tmp_path / "sparse"),
+    )
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "197 of 200 replicates had an undefined MHq" in err
+    assert not (tmp_path / "sparse.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_simulate_invalid_threads_env_exit_code(capsys, tmp_path, monkeypatch, value):
+    monkeypatch.setenv("SPARSEMH_THREADS", value)
+    code, _, err = run(capsys, *simulate_args("bias", tmp_path / "env"))
+    assert code == 4
+    assert err == f"error: SPARSEMH_THREADS must be a positive integer, got {value!r}\n"
 
 
 def test_simulate_threads_env_default(capsys, tmp_path, monkeypatch):

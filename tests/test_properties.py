@@ -6,10 +6,11 @@ is derandomized, so a run is repeatable and needs no example database.
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsemh import (
@@ -26,12 +27,16 @@ from sparsemh import (
     serialize_json,
     stratum_ratios,
     stratum_weights,
+    katz_var_log_rr,
     transpose,
+    var_bh_log_mhq,
     var_gr_log_mhcr,
     var_gr_log_mhrr,
+    var_skm_log_mhq,
     world_comparison_row,
 )
 from sparsemh.estimators import INDICATOR_FN, ratio_columns
+from sparsemh.report import _FloatText, build_report, render_json
 from sparsemh.tables import EXCLUDED_NO_NOT_MENTIONED, MAX_COUNT
 
 from conftest import make_dataset
@@ -52,6 +57,31 @@ labelled_datasets = st.lists(cells, min_size=1, max_size=6).flatmap(
         label.filter(lambda s: s == s.strip()), min_size=len(rows), max_size=len(rows), unique=True
     ).map(lambda labels: StratifiedDataset(StratumTable(lab, *row) for lab, row in zip(labels, rows)))
 )
+
+# Report inputs: at least one complete stratum, so the report builds, plus
+# strata that are excluded (an empty column) or have undefined ratios (b = 0
+# or c = 0), under labels that need JSON escapes.
+positive = st.one_of(st.integers(1, 3), st.integers(1, 60), st.integers(1, MAX_COUNT))
+complete_cells = st.tuples(positive, positive, positive, positive)
+excluded_cells = st.one_of(
+    st.tuples(st.just(0), positive, st.just(0), count),
+    st.tuples(positive, st.just(0), count, st.just(0)),
+)
+undefined_cells = st.one_of(
+    st.tuples(positive, st.just(0), positive, positive),
+    st.tuples(positive, positive, st.just(0), positive),
+)
+report_label = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\x7f\t\n\u00e9\u2028\U0001f600/'), st.characters()), min_size=1
+)
+
+
+@st.composite
+def report_datasets(draw):
+    other = st.one_of(complete_cells, excluded_cells, undefined_cells)
+    rows = draw(st.permutations([draw(complete_cells)] + draw(st.lists(other, max_size=7))))
+    labels = draw(st.lists(report_label, min_size=len(rows), max_size=len(rows), unique=True))
+    return StratifiedDataset(StratumTable(label, *cells) for label, cells in zip(labels, rows))
 
 
 # ---------------------------------------------- per-stratum Python-int reference
@@ -155,3 +185,78 @@ def test_filter_informative_is_idempotent_and_keeps_point_estimates(ds):
 def test_csv_and_json_round_trips_give_equal_datasets(ds):
     assert parse_csv(serialize_csv(ds)) == ds
     assert parse_json(serialize_json(ds)) == ds
+
+
+@PROPERTY
+@given(report_datasets(), st.sampled_from([("skm",), ("skm", "bh")]))
+def test_render_json_matches_json_dumps_and_the_report(ds, methods):
+    report = build_report(ds, source='dir\\"data\u00e9".csv', methods=methods)
+    text = render_json(report)
+    parsed = json.loads(text)
+    assert text == json.dumps(parsed, indent=2)
+
+    assert parsed["source"] == report.source and parsed["level"] == report.level
+    excluded = {t.label: reason for t, reason in report.filtered.excluded}
+    assert parsed["excluded"] == [{"stratum": label, "reason": r} for label, r in excluded.items()]
+    assert len(parsed["strata"]) == len(ds)
+    for i, (row, label, (a, b, c, d)) in enumerate(zip(parsed["strata"], ds.labels, ds.counts.tolist())):
+        assert row == {
+            "stratum": label, "a": a, "b": b, "c": c, "d": d, "n": a + b + c + d,
+            **{name: column[i] for name, column in report.ratios.items()},
+            "excluded": label in excluded, "exclusion_reason": excluded.get(label),
+        }
+    assert list(parsed["weights"]) == [kind.value for kind in report.weights]
+    for kind, weights in report.weights.items():
+        assert list(parsed["weights"][kind.value].items()) == list(zip(report.filtered.labels, weights))
+    assert [(e["kind"], e["method"], e["value"], e["log_variance"], e["ci_low"], e["ci_high"], e["level"])
+            for e in parsed["indicators"]] == [
+        (e.kind.value, e.method.value, e.value, e.log_variance, e.ci_low, e.ci_high, e.level)
+        for e in report.estimates
+    ]
+    assert [e.get("deprecated") for e in parsed["indicators"]] == [
+        "overestimates variance" if e.method.value == "BH" else None for e in report.estimates
+    ]
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])), max_size=20))
+def test_float_memo_spells_floats_as_json_does(values):
+    memo = _FloatText()
+    # twice over, so the second pass reads what the first memoized
+    for value in values + values:
+        assert memo[value] == json.dumps(value)
+    assert memo[None] == "null"
+
+
+# ------------------------------------------------- the paper's variance identities
+
+one_stratum = st.tuples(positive, positive, count, count)
+
+
+@PROPERTY
+@given(one_stratum)
+@example((23_731_198, 43, 3, 0))  # 1/a - 1/(a+c) cancels when a >> c
+def test_one_stratum_skm_equals_katz_column(cells):
+    t = StratumTable("s", *cells)
+    assert var_skm_log_mhq(make_dataset(cells)) == pytest.approx(katz_var_log_rr(t, "column"), rel=1e-13, abs=0)
+
+
+@PROPERTY
+@given(one_stratum)
+def test_one_stratum_bh_exceeds_skm_by_the_column_terms(cells):
+    a, b, c, d = cells
+    ds = make_dataset(cells)
+    excess = 2 / (a + c) + 2 / (b + d)
+    # the difference cancels to a few ulps of the variances, which are at most about 6
+    assert var_bh_log_mhq(ds) - var_skm_log_mhq(ds) == pytest.approx(excess, rel=1e-12, abs=1e-14)
+
+
+@PROPERTY
+@given(st.lists(cells, min_size=1, max_size=8))
+def test_skm_variance_is_non_negative(rows):
+    ds = make_dataset(*rows)
+    try:
+        variance = var_skm_log_mhq(filter_informative(ds))
+    except (NoInformativeStrataError, UndefinedIndicatorError):
+        return
+    assert variance >= 0.0

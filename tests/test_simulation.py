@@ -24,7 +24,8 @@ from sparsemh import (
     var_skm_log_mhq,
     var_skm_log_mhq_true,
 )
-from sparsemh.simulation import _ln_mhq_from_counts, _draw_count_matrices_streamed, _rep_p1s
+from sparsemh import simulation
+from sparsemh.simulation import _ln_mhq_from_counts, _draw_count_matrices_streamed, _rep_p1s, worker_count
 from sparsemh.variance import _rbg_log_variance, _skm_log_variance
 
 
@@ -225,6 +226,45 @@ def test_bias_study_threads_do_not_change_results():
     assert serial == parallel
     assert serial.to_csv() == parallel.to_csv()
     assert serial.to_json() == parallel.to_json()
+
+
+@pytest.mark.parametrize(
+    ("threads", "reps", "cpus", "expected"),
+    [
+        (2, 4, 8, 2),        # the requested count when reps and CPUs allow it
+        (10_000, 4, 8, 4),   # never more workers than repetitions
+        (10_000, 50, 2, 2),  # nor more than CPUs
+        (3, 1, 8, 1),
+        (0, 4, 8, 1),
+        (4, 4, None, 1),     # CPU count unknown
+    ],
+)
+def test_worker_count_clamps_to_reps_and_cpus(monkeypatch, threads, reps, cpus, expected):
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
+    assert worker_count(threads, reps) == expected
+
+
+def test_run_reps_starts_the_clamped_pool(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 64)
+    design = small_design(reps=3, datasets_per_rep=200)
+    assert bias_study(design, threads=10_000) == bias_study(design, threads=1)
+    assert started == [3]
 
 
 def test_coverage_study_records():
