@@ -59,10 +59,9 @@ from .simulation import (
     StudySummary,
     bias_study,
     convergence_check,
+    convergence_study,
     coverage_study,
     draw_p1,
-    generate_dataset,
-    ground_truth_sd,
 )
 
 __all__ = [
@@ -85,13 +84,12 @@ __all__ = [
     "bias_study",
     "confidence_interval",
     "convergence_check",
+    "convergence_study",
     "coverage_study",
     "draw_p1",
     "estimate_indicator",
     "filter_informative",
     "from_cross_table",
-    "generate_dataset",
-    "ground_truth_sd",
     "katz_var_log_rr",
     "mh_col_risk_ratio",
     "mh_odds_ratio",

@@ -12,8 +12,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .estimators import UndefinedIndicatorError
 from .report import build_report, render_csv, render_json, render_text
@@ -23,7 +21,7 @@ from .simulation import (
     SimulationDesign,
     StudySummary,
     bias_study,
-    convergence_check,
+    convergence_study,
     coverage_study,
 )
 from .tables import NoInformativeStrataError, ParseError, parse_csv, parse_json
@@ -183,23 +181,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             scales = [int(s) for s in args.scales.split(",") if s.strip()]
         except ValueError:
             raise InvalidDesignError(f"--scales must be comma-separated integers, got {args.scales!r}") from None
-        rng = np.random.default_rng(np.random.SeedSequence((design.seed,)))
-        p1s = rng.uniform(design.p1_low, design.p1_high, size=design.k)
-        records = convergence_check(
-            design.psi,
-            p1s,
-            design.n_mentioned,
-            design.n_not_mentioned,
-            scales,
-            rng,
-            replicates=args.replicates,
-        )
-        summary = StudySummary(
-            study="convergence",
-            design=design,
-            records=records,
-            dropped_total=sum(args.replicates - r.replicates for r in records),
-        )
+        summary = convergence_study(design, scales, replicates=args.replicates)
 
     prefix = Path(args.out) if args.out else Path(f"sparsemh_{args.study}")
     csv_path, json_path = summary.write(prefix)

@@ -9,14 +9,18 @@ is exactly psi in every stratum. Three studies are built on top:
   corrected and the group-vs-world formulas evaluated at the true parameters;
 * ``coverage_study`` -- empirical coverage and width of nominal 95% intervals
   computed from each simulated dataset;
-* ``convergence_check`` -- mean |MHq - psi| along a ladder of sample sizes.
+* ``convergence_study`` -- mean |MHq - psi| along a ladder of sample sizes
+  (``convergence_check`` is the ladder itself, for a given p1 vector).
 
 Reproducibility contract: every stream is PCG64, derived from the master
-seed alone. For repetition r, the p1 vector comes from
-``SeedSequence((seed, r))``; the counts of stratum i come from
-``SeedSequence((seed, r, i))`` with the mentioned column drawn before the
-not-mentioned column. Repetitions are therefore independent of worker
-scheduling, and results are bit-identical for any thread count.
+seed alone. For repetition r of the bias, coverage and width studies, the p1
+vector comes from ``SeedSequence((seed, r))``; the counts of stratum i come
+from ``SeedSequence((seed, r, i))`` with the mentioned column drawn before
+the not-mentioned column. Repetitions are therefore independent of worker
+scheduling, and results are bit-identical for any thread count. The
+convergence study runs in one process on one generator, seeded with
+``SeedSequence((seed,))``: the p1 vector first, then the counts scale by
+scale and stratum by stratum, mentioned column first.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tables import StratifiedDataset, StratumTable
 from .variance import (
     BinomialParams,
+    _mhq_sums,
     _rbg_log_variance,
     _skm_log_variance,
     var_bh_log_mhq_true,
@@ -47,6 +51,16 @@ STREAM_DERIVATION = (
     "p1 draws for repetition r: SeedSequence((seed, r)); counts for stratum i of "
     "repetition r: SeedSequence((seed, r, i)), mentioned column before not-mentioned column"
 )
+CONVERGENCE_STREAM_DERIVATION = (
+    "one generator from SeedSequence((seed,)): the k p1 draws first, then the counts scale by "
+    "scale and stratum by stratum, mentioned column before not-mentioned column"
+)
+
+# Cells per block of datasets that a repetition's MHq sums and variance
+# kernels work through at a time: a block's temporaries fit in cache and
+# reuse the same memory, where whole-batch temporaries would be paged in
+# afresh every repetition.
+BLOCK_CELLS = 2**15
 
 # Undefined-MHq replicates are dropped and counted; a run is aborted rather
 # than silently reported when more than this fraction is lost.
@@ -111,27 +125,6 @@ def _validated_p2(design: SimulationDesign, p1s: np.ndarray) -> np.ndarray:
     return p2
 
 
-def generate_dataset(
-    design: SimulationDesign, p1s: np.ndarray, rng: np.random.Generator
-) -> StratifiedDataset:
-    """Draw one stratified dataset; column totals are fixed by construction."""
-    p2 = _validated_p2(design, p1s)
-    strata = []
-    for i in range(design.k):
-        a = int(rng.binomial(design.n_mentioned, float(p1s[i])))
-        b = int(rng.binomial(design.n_not_mentioned, float(p2[i])))
-        strata.append(
-            StratumTable(
-                label=f"stratum{i + 1}",
-                a=a,
-                b=b,
-                c=design.n_mentioned - a,
-                d=design.n_not_mentioned - b,
-            )
-        )
-    return StratifiedDataset(tuple(strata))
-
-
 def _draw_counts(
     p1s: np.ndarray,
     p2s: np.ndarray,
@@ -154,16 +147,6 @@ def _draw_counts(
     return a, b
 
 
-def _draw_count_matrices(
-    design: SimulationDesign, p1s: np.ndarray, rng: np.random.Generator, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched draws consuming the single generator ``rng`` stratum by stratum."""
-    p2 = _validated_p2(design, p1s)
-    return _draw_counts(
-        np.asarray(p1s, dtype=float), p2, design.n_mentioned, design.n_not_mentioned, count, lambda i: rng
-    )
-
-
 def _draw_count_matrices_streamed(
     design: SimulationDesign, p1s: np.ndarray, rep: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -179,23 +162,29 @@ def _draw_count_matrices_streamed(
     )
 
 
-def _mhq_sums(a: np.ndarray, b: np.ndarray, n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
-    """MHq numerator and denominator sums per dataset of (count, k) group-count matrices.
+def _ln_mhq_from_counts(a: np.ndarray, b: np.ndarray, n1: float, n2: float):
+    """ln(MHq) per defined dataset, the defined-replicate mask, the dropped count, and MHq's sums.
 
-    The MHq terms with the column totals a+c = n1 and b+d = n2 held fixed.
+    ``a`` and ``b`` are (count, k) group-count matrices. Every stratum has the
+    column totals a+c = n1 and b+d = n2, so they enter the sums as scalars.
+    The sums cover every dataset, defined or not.
     """
-    m = a + b + float(n1 + n2)
-    return (a * n2 / m).sum(axis=1), (b * n1 / m).sum(axis=1)
-
-
-def _ln_mhq_from_counts(
-    a: np.ndarray, b: np.ndarray, n1: int, n2: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """ln(MHq) per dataset, the defined-replicate mask, and the dropped count."""
-    r, s = _mhq_sums(a, b, n1, n2)
-    defined = (r > 0.0) & (s > 0.0)
+    sums = _mhq_sums(a, b, float(n1), float(n2), float(n1 + n2))
+    defined = (sums.rt > 0.0) & (sums.st > 0.0)
     dropped = int(defined.size - defined.sum())
-    return np.log(r[defined] / s[defined]), defined, dropped
+    return np.log(sums.rt[defined] / sums.st[defined]), defined, dropped, sums
+
+
+def _ln_mhq_blocks(a: np.ndarray, b: np.ndarray, n1: float, n2: float):
+    """Yield each block's rows of the (count, k) matrices and _ln_mhq_from_counts of them.
+
+    Every value depends on its own dataset only, so the blocks give the same
+    bits as the whole batch would.
+    """
+    step = max(1, BLOCK_CELLS // a.shape[1])
+    for start in range(0, a.shape[0], step):
+        rows = slice(start, start + step)
+        yield rows, _ln_mhq_from_counts(a[rows], b[rows], n1, n2)
 
 
 def _check_drop_rate(dropped: int, total: int) -> None:
@@ -204,22 +193,6 @@ def _check_drop_rate(dropped: int, total: int) -> None:
             f"{dropped} of {total} replicates had an undefined MHq "
             f"(> {MAX_DROP_FRACTION:.0%}); the sampling design is too sparse to summarize"
         )
-
-
-def ground_truth_sd(
-    design: SimulationDesign, p1s: np.ndarray, rng: np.random.Generator
-) -> float:
-    """Sample SD (ddof=1) of ln(MHq) over ``datasets_per_rep`` fresh datasets.
-
-    Replicates with an undefined MHq are dropped; the run aborts if they
-    exceed :data:`MAX_DROP_FRACTION`.
-    """
-    a, b = _draw_count_matrices(design, p1s, rng, design.datasets_per_rep)
-    ln_mhq, _, dropped = _ln_mhq_from_counts(a, b, design.n_mentioned, design.n_not_mentioned)
-    _check_drop_rate(dropped, design.datasets_per_rep)
-    if ln_mhq.size < 2:
-        raise ExcessiveDropError("fewer than 2 defined replicates; cannot estimate an SD")
-    return float(ln_mhq.std(ddof=1))
 
 
 # --------------------------------------------------------------------------
@@ -279,6 +252,10 @@ class StudySummary:
     design: SimulationDesign
     records: tuple
     dropped_total: int
+    # convergence only: the sample-size multipliers and the datasets drawn at
+    # each, which replace the design's reps and datasets_per_rep
+    scales: tuple[int, ...] = ()
+    replicates: int = 0
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -292,10 +269,16 @@ class StudySummary:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        design = asdict(self.design)
+        streams = STREAM_DERIVATION
+        if self.study == "convergence":
+            del design["datasets_per_rep"], design["reps"]
+            design.update(scales=list(self.scales), replicates=self.replicates)
+            streams = CONVERGENCE_STREAM_DERIVATION
         payload = {
             "study": self.study,
-            "design": asdict(self.design),
-            "rng": {"algorithm": RNG_ALGORITHM, "streams": STREAM_DERIVATION},
+            "design": design,
+            "rng": {"algorithm": RNG_ALGORITHM, "streams": streams},
             "dropped_total": self.dropped_total,
             "records": [asdict(record) for record in self.records],
         }
@@ -324,8 +307,12 @@ def _rep_p1s(design: SimulationDesign, rep: int) -> np.ndarray:
 def _bias_rep(design: SimulationDesign, rep: int) -> tuple[BiasRecord, int]:
     p1s = _rep_p1s(design, rep)
     a, b = _draw_count_matrices_streamed(design, p1s, rep)
-    ln_mhq, _, dropped = _ln_mhq_from_counts(a, b, design.n_mentioned, design.n_not_mentioned)
+    ln_parts, dropped = [], 0
+    for _, (ln_part, _, block_dropped, _) in _ln_mhq_blocks(a, b, design.n_mentioned, design.n_not_mentioned):
+        ln_parts.append(ln_part)
+        dropped += block_dropped
     _check_drop_rate(dropped, design.datasets_per_rep)
+    ln_mhq = np.concatenate(ln_parts)
     if ln_mhq.size < 2:
         raise ExcessiveDropError("fewer than 2 defined replicates; cannot estimate an SD")
     true_sd = float(ln_mhq.std(ddof=1))
@@ -349,20 +336,26 @@ def _bias_rep(design: SimulationDesign, rep: int) -> tuple[BiasRecord, int]:
 def _coverage_rep(design: SimulationDesign, rep: int) -> tuple[CoverageRecord, int]:
     p1s = _rep_p1s(design, rep)
     a, b = _draw_count_matrices_streamed(design, p1s, rep)
-    ln_mhq, defined, dropped = _ln_mhq_from_counts(a, b, design.n_mentioned, design.n_not_mentioned)
+    n1, n2 = float(design.n_mentioned), float(design.n_not_mentioned)
+    # The column totals are scalars, and the BH arm's group-vs-world tables
+    # (a, b // n1, n2) share MHq's sums (see _rbg_log_variance).
+    ln_parts, skm_parts, bh_parts, dropped = [], [], [], 0
+    for rows, (ln_part, defined, block_dropped, sums) in _ln_mhq_blocks(a, b, n1, n2):
+        a_rows, b_rows = a[rows], b[rows]
+        if block_dropped:
+            a_rows, b_rows, sums = a_rows[defined], b_rows[defined], sums.rows(defined)
+        ln_parts.append(ln_part)
+        skm_parts.append(_skm_log_variance(a_rows, b_rows, n1 - a_rows, n2 - b_rows, n1, n2, n1 + n2, sums))
+        bh_parts.append(_rbg_log_variance(a_rows, b_rows, n1, n2, sums))
+        dropped += block_dropped
     _check_drop_rate(dropped, design.datasets_per_rep)
+    ln_mhq = np.concatenate(ln_parts)
     if ln_mhq.size == 0:
         raise ExcessiveDropError("no defined replicates; cannot estimate coverage")
-
-    a = a[defined]
-    b = b[defined]
-    c = design.n_mentioned - a
-    d = design.n_not_mentioned - b
     z = NormalDist().inv_cdf(0.975)
     log_psi = math.log(design.psi)
-
-    skm_half = z * np.sqrt(_skm_log_variance(a, b, c, d))
-    bh_half = z * np.sqrt(_rbg_log_variance(a, b, a + c, b + d))
+    skm_half = z * np.sqrt(np.concatenate(skm_parts))
+    bh_half = z * np.sqrt(np.concatenate(bh_parts))
     record = CoverageRecord(
         setting=rep,
         psi=design.psi,
@@ -455,11 +448,9 @@ def convergence_check(
         n1 = n_mentioned * scale
         n2 = n_not_mentioned * scale
         a, b = _draw_counts(p1s, p2s, n1, n2, replicates, lambda i: rng)
-        r, s = _mhq_sums(a, b, n1, n2)
-        defined = (r > 0.0) & (s > 0.0)
-        dropped = int(defined.size - defined.sum())
+        _, defined, dropped, sums = _ln_mhq_from_counts(a, b, n1, n2)
         _check_drop_rate(dropped, replicates)
-        deviations = np.abs(r[defined] / s[defined] - psi)
+        deviations = np.abs(sums.rt[defined] / sums.st[defined] - psi)
         records.append(
             ConvergenceRecord(
                 scale=scale,
@@ -469,3 +460,24 @@ def convergence_check(
             )
         )
     return tuple(records)
+
+
+def convergence_study(design: SimulationDesign, scales: Sequence[int], replicates: int = 1000) -> StudySummary:
+    """:func:`convergence_check` at one p1 draw from ``design``, on the generator described above.
+
+    Uses the design's k, sample sizes, psi, p1 bounds and seed; its reps and
+    datasets_per_rep do not apply.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((design.seed,)))
+    p1s = draw_p1(design, rng)
+    records = convergence_check(
+        design.psi, p1s, design.n_mentioned, design.n_not_mentioned, scales, rng, replicates=replicates
+    )
+    return StudySummary(
+        study="convergence",
+        design=design,
+        records=records,
+        dropped_total=sum(replicates - r.replicates for r in records),
+        scales=tuple(r.scale for r in records),
+        replicates=replicates,
+    )

@@ -16,7 +16,13 @@ simulation harness evaluates at the true generating parameters.
 
 All kernels are array-generic (cells may be numpy arrays whose last axis
 indexes strata), so the Monte Carlo harness can evaluate thousands of
-simulated datasets in one call.
+simulated datasets in one call. The kernels take an indicator's MH sums
+(:class:`_Sums`) from the caller, so the simulation computes MHq's sums
+once per batch for ln(MHq) and both of its variances. The data and
+parameter forms pass the column totals a+c, b+d and the table total n as
+arrays. The simulation, whose columns are fixed by design, passes them as
+scalars. That substitution is bit-exact because sums of integer-valued
+floats below 2**53 are exact.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import enum
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,59 +91,86 @@ class IndicatorEstimate:
 # --------------------------------------------------------------------------
 # array-generic kernels (cells are floats; last axis indexes strata)
 
-def _skm_terms(a, b, c, d):
-    """Per-stratum means, variances, and covariance of the two weighted-count sums.
+class _Sums(NamedTuple):
+    """An MH indicator's per-stratum divisor t and terms (R_i, S_i), with their totals over strata."""
 
-    R_i = a(b+d)/(a+b+n) and S_i = b(a+c)/(a+b+n) are the numerator and
+    t: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
+    rt: np.ndarray
+    st: np.ndarray
+
+    @classmethod
+    def of(cls, t, r, s) -> "_Sums":
+        return cls(t, r, s, r.sum(axis=-1), s.sum(axis=-1))
+
+    def rows(self, index) -> "_Sums":
+        """The sums of the datasets picked by ``index`` (a boolean mask) on the first axis."""
+        return _Sums(*(x[index] for x in self))
+
+
+def _mhq_sums(a, b, col1, col2, n) -> _Sums:
+    """MHq's sums, with divisor m = a+b+n, from the cells a, b and the totals a+c, b+d, n."""
+    m = a + b + n
+    return _Sums.of(m, *_mhq_terms(a, b, col1, col2, m))
+
+
+def _table_sums(kind: IndicatorKind, a, b, c, d) -> _Sums:
+    """Sums of an indicator whose divisor is the table total a+b+c+d (MHRR, MHCR, MHOR)."""
+    return _Sums.of(a + b + c + d, *_weighted_sums(kind, a, b, c, d))
+
+
+def _skm_terms(a, b, c, d, col1, col2, n, m):
+    """Per-stratum variances and covariance (v, w, q) of MHq's weighted-count terms.
+
+    R_i = a(b+d)/m and S_i = b(a+c)/m, with m = a+b+n, are the numerator and
     denominator contributions of MHq; v, w, q estimate Var[R_i], Var[S_i],
     and Cov[R_i, S_i] by Taylor linearization of the column-binomial model.
-    Requires positive column totals a+c and b+d; b = 0 is fine (it only
-    zeroes the S-side terms -- no cell appears as a bare divisor).
+    Requires positive column totals col1 = a+c and col2 = b+d; b = 0 is fine
+    (it only zeroes the S-side terms -- no cell appears as a bare divisor).
+
+    The totals col1, col2 and n = a+b+c+d may be arrays shaped like the
+    cells or, when every stratum of every dataset shares them (the fixed
+    columns of the simulation design), scalars that numpy broadcasts. The
+    substitution is bit-exact: sums of integer-valued floats below 2**53 are
+    exact, so a+c computed cell by cell equals the scalar column total, and
+    every later operation sees the same operands. Squares are written as
+    products because a float scalar's ``**`` calls C ``pow``, which does not
+    always round x*x the way an array's ``**2`` does.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    d = np.asarray(d, dtype=float)
-    n = a + b + c + d
-    m = a + b + n
-    col1 = a + c
-    col2 = b + d
-    r, s = _mhq_terms(a, b, col1, col2, m)
     m4 = m**4
     var_a = a * c / col1
     var_b = b * d / col2
-    v = col2**2 * ((n + b) ** 2 * var_a + a**2 * var_b) / m4
-    w = col1**2 * (b**2 * var_a + (n + a) ** 2 * var_b) / m4
+    v = col2 * col2 * ((n + b) ** 2 * var_a + a**2 * var_b) / m4
+    w = col1 * col1 * (b**2 * var_a + (n + a) ** 2 * var_b) / m4
     q = -(col1 * col2 / m4) * (a * b * c * (b + n) / col1 + a * b * d * (a + n) / col2)
-    return r, s, v, w, q
+    return v, w, q
 
 
-def _skm_log_variance(a, b, c, d):
-    """Delta-method variance of ln(R/S) from the per-stratum terms.
+def _skm_log_variance(a, b, c, d, col1, col2, n, sums: _Sums):
+    """Delta-method variance of ln(R/S) from the per-stratum terms and MHq's ``sums``.
 
     Var[R]/R^2 + Var[S]/S^2 - 2 Cov[R,S]/(R S); reduces exactly to the
     classical single-table value c/(a(a+c)) + d/(b(b+d)) when there is one
     stratum, and is always non-negative because every covariance term is
     non-positive.
     """
-    r, s, v, w, q = _skm_terms(a, b, c, d)
-    rt = r.sum(axis=-1)
-    st = s.sum(axis=-1)
+    v, w, q = _skm_terms(a, b, c, d, col1, col2, n, sums.t)
+    rt, st = sums.rt, sums.st
     return v.sum(axis=-1) / rt**2 + w.sum(axis=-1) / st**2 - 2.0 * q.sum(axis=-1) / (rt * st)
 
 
-def _rbg_log_variance(a, b, c, d):
-    """Three-term variance of the log pooled odds ratio of tables (a, b // c, d)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    d = np.asarray(d, dtype=float)
-    t = a + b + c + d
-    p = (a + d) / t
-    q = (b + c) / t
-    r, s = _weighted_sums(IndicatorKind.MHOR, a, b, c, d)
-    rt = r.sum(axis=-1)
-    st = s.sum(axis=-1)
+def _rbg_log_variance(a, b, c, d, sums: _Sums):
+    """Three-term variance of the log pooled odds ratio of tables (a, b // c, d).
+
+    ``sums`` are the tables' MHOR sums: t = a+b+c+d, R_i = ad/t, S_i = bc/t.
+    For the group-vs-world tables (a, b // a+c, b+d) these are exactly MHq's
+    sums of (a, b, c, d) when the cells are integer-valued, so the BH
+    estimator can reuse them.
+    """
+    p = (a + d) / sums.t
+    q = (b + c) / sums.t
+    r, s, rt, st = sums.r, sums.s, sums.rt, sums.st
     return (
         (p * r).sum(axis=-1) / (2.0 * rt**2)
         + (p * s + q * r).sum(axis=-1) / (2.0 * rt * st)
@@ -148,12 +181,8 @@ def _rbg_log_variance(a, b, c, d):
 # --------------------------------------------------------------------------
 # data forms
 
-def _mh_sums(ds: StratifiedDataset, kind: IndicatorKind, op: str):
-    """Float cells of an informative dataset and the totals R, S of ``kind``'s MH sums.
-
-    Raises naming the first stratum with an empty column (a+c = 0 or
-    b+d = 0), then if either total is zero.
-    """
+def _informative_cells(ds: StratifiedDataset, op: str) -> tuple[np.ndarray, ...]:
+    """Float cells a, b, c, d of a dataset; raises naming the first stratum with an empty column."""
     counts = ds.counts
     col1 = counts[:, 0] + counts[:, 2]
     col2 = counts[:, 1] + counts[:, 3]
@@ -164,14 +193,21 @@ def _mh_sums(ds: StratifiedDataset, kind: IndicatorKind, op: str):
             f"{op}: stratum {ds.labels[i]!r} has an empty column "
             f"(a+c={int(col1[i])}, b+d={int(col2[i])}); apply filter_informative() first"
         )
-    a, b, c, d = counts.T.astype(float)
-    r, s = _weighted_sums(kind, a, b, c, d)
-    rt = float(r.sum())
-    st = float(s.sum())
-    if rt == 0.0 or st == 0.0:
-        side = "numerator" if rt == 0.0 else "denominator"
+    return tuple(counts.T.astype(float))
+
+
+def _nonzero(sums: _Sums, kind: IndicatorKind, op: str) -> _Sums:
+    """``sums`` unchanged; raises if either of ``kind``'s totals is zero."""
+    if sums.rt == 0.0 or sums.st == 0.0:
+        side = "numerator" if sums.rt == 0.0 else "denominator"
         raise UndefinedIndicatorError(f"{op} undefined: the {kind.value} {side} sum is zero")
-    return (a, b, c, d), rt, st
+    return sums
+
+
+def _mhq_cell_sums(a, b, c, d):
+    """Array totals (a+c, b+d, a+b+c+d) of the cells and MHq's sums over them."""
+    totals = (a + c, b + d, a + b + c + d)
+    return totals, _mhq_sums(a, b, *totals)
 
 
 def var_skm_log_mhq(ds: StratifiedDataset) -> float:
@@ -180,9 +216,9 @@ def var_skm_log_mhq(ds: StratifiedDataset) -> float:
     Strata with an empty column must be filtered out beforehand; strata with
     b = 0 are tolerated (they contribute only R-side terms).
     """
-    cells, rt, st = _mh_sums(ds, IndicatorKind.MHQ, "var_skm_log_mhq")
-    _, _, v, w, q = _skm_terms(*cells)
-    return float(v.sum() / rt**2 + w.sum() / st**2 - 2.0 * q.sum() / (rt * st))
+    cells = _informative_cells(ds, "var_skm_log_mhq")
+    totals, sums = _mhq_cell_sums(*cells)
+    return float(_skm_log_variance(*cells, *totals, _nonzero(sums, IndicatorKind.MHQ, "var_skm_log_mhq")))
 
 
 def var_bh_log_mhq(ds: StratifiedDataset) -> float:
@@ -192,16 +228,23 @@ def var_bh_log_mhq(ds: StratifiedDataset) -> float:
     of each stratum (rows a, b and a+c, b+d). Kept for comparison studies;
     prefer :func:`var_skm_log_mhq` for inference.
     """
-    (a, b, c, d), _, _ = _mh_sums(ds, IndicatorKind.MHQ, "var_bh_log_mhq")
-    return float(_rbg_log_variance(a, b, a + c, b + d))
+    a, b, c, d = _informative_cells(ds, "var_bh_log_mhq")
+    (col1, col2, _), sums = _mhq_cell_sums(a, b, c, d)
+    return float(_rbg_log_variance(a, b, col1, col2, _nonzero(sums, IndicatorKind.MHQ, "var_bh_log_mhq")))
 
 
 def var_gr_log_mhrr(ds: StratifiedDataset) -> float:
-    """Sparse-data variance estimate of ln(MHRR)."""
-    (a, b, c, d), rt, st = _mh_sums(ds, IndicatorKind.MHRR, "var_gr_log_mhrr")
-    n = a + b + c + d
-    num = float((((a + b) * (c + d) * (a + c) - a * c * n) / n**2).sum())
-    return num / (rt * st)
+    """Sparse-data variance estimate of ln(MHRR).
+
+    The per-stratum numerator (a+b)(c+d)(a+c) - ac*n is evaluated as
+    ad(a+b) + bc(c+d), a sum of non-negative terms that does not cancel when
+    the products exceed 2**53.
+    """
+    a, b, c, d = _informative_cells(ds, "var_gr_log_mhrr")
+    sums = _nonzero(_table_sums(IndicatorKind.MHRR, a, b, c, d), IndicatorKind.MHRR, "var_gr_log_mhrr")
+    n = sums.t
+    num = float(((a * d * (a + b) + b * c * (c + d)) / n**2).sum())
+    return num / float(sums.rt * sums.st)
 
 
 def var_gr_log_mhcr(ds: StratifiedDataset) -> float:
@@ -211,8 +254,9 @@ def var_gr_log_mhcr(ds: StratifiedDataset) -> float:
 
 def var_rbg_log_mhor(ds: StratifiedDataset) -> float:
     """Three-term variance estimate of ln(MHOR)."""
-    cells, _, _ = _mh_sums(ds, IndicatorKind.MHOR, "var_rbg_log_mhor")
-    return float(_rbg_log_variance(*cells))
+    cells = _informative_cells(ds, "var_rbg_log_mhor")
+    sums = _nonzero(_table_sums(IndicatorKind.MHOR, *cells), IndicatorKind.MHOR, "var_rbg_log_mhor")
+    return float(_rbg_log_variance(*cells, sums))
 
 
 def katz_var_log_rr(t: StratumTable, orientation: Literal["row", "column"]) -> float:
@@ -289,13 +333,18 @@ def var_skm_log_mhq_true(params: Sequence[BinomialParams]) -> float:
     expectation, so the data form is exactly the plug-in of this one at the
     empirical proportions.
     """
-    return float(_skm_log_variance(*_expected_cells(params)))
+    cells = _expected_cells(params)
+    totals, sums = _mhq_cell_sums(*cells)
+    return float(_skm_log_variance(*cells, *totals, sums))
 
 
 def var_bh_log_mhq_true(params: Sequence[BinomialParams]) -> float:
     """Group-vs-world variance of ln(MHq) at the true binomial parameters."""
     a, b, c, d = _expected_cells(params)
-    return float(_rbg_log_variance(a, b, a + c, b + d))
+    # the expected cells are not integers, so the group-vs-world tables get
+    # their own MHOR sums rather than MHq's (see _rbg_log_variance)
+    world = (a, b, a + c, b + d)
+    return float(_rbg_log_variance(*world, _table_sums(IndicatorKind.MHOR, *world)))
 
 
 # --------------------------------------------------------------------------

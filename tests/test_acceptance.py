@@ -276,7 +276,7 @@ def test_criterion_09_oracle_cross_check():
             seed=24_601,
         )
         a, b = _draw_count_matrices_streamed(design, p1s, 0)
-        ln_mhq, _, dropped = _ln_mhq_from_counts(a, b, design.n_mentioned, design.n_not_mentioned)
+        ln_mhq, _, dropped, _ = _ln_mhq_from_counts(a, b, design.n_mentioned, design.n_not_mentioned)
         mc_sd = float(ln_mhq.std(ddof=1))
         params = [BinomialParams(float(p), float(p / psi), 100, 1000) for p in p1s]
         formula_sd = math.sqrt(var_skm_log_mhq_true(params))

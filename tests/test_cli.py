@@ -237,6 +237,11 @@ def test_simulate_convergence(capsys, tmp_path):
     lines = (tmp_path / "conv.csv").read_text().splitlines()
     assert lines[0] == "scale,mean_abs_dev,mc_se,replicates"
     assert len(lines) == 3
+    meta = json.loads((tmp_path / "conv.json").read_text())
+    assert meta["design"]["scales"] == [1, 5]
+    assert meta["design"]["replicates"] == 200
+    assert "reps" not in meta["design"] and "datasets_per_rep" not in meta["design"]
+    assert meta["rng"]["streams"].startswith("one generator from SeedSequence((seed,))")
 
 
 def test_simulate_invalid_design_exit_code(capsys, tmp_path):

@@ -8,14 +8,19 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from sparsemh import simulation
 from sparsemh import (
     IndicatorKind,
     NoInformativeStrataError,
+    SimulationDesign,
     StratifiedDataset,
     StratumRatios,
     StratumTable,
@@ -35,9 +40,10 @@ from sparsemh import (
     var_skm_log_mhq,
     world_comparison_row,
 )
-from sparsemh.estimators import INDICATOR_FN, ratio_columns
+from sparsemh.estimators import INDICATOR_FN, ratio_columns, stratum_ratio_field
 from sparsemh.report import _FloatText, build_report, render_json
 from sparsemh.tables import EXCLUDED_NO_NOT_MENTIONED, MAX_COUNT
+from sparsemh.variance import _mhq_cell_sums, _rbg_log_variance, _skm_log_variance, _table_sums
 
 from conftest import make_dataset
 
@@ -260,3 +266,115 @@ def test_skm_variance_is_non_negative(rows):
     except (NoInformativeStrataError, UndefinedIndicatorError):
         return
     assert variance >= 0.0
+
+
+@PROPERTY
+@given(st.lists(st.one_of(complete_cells, cells), min_size=1, max_size=8))
+@example([(26, 7, 18, 13), (5, 3, 1, 9)])
+def test_indicator_is_the_weighted_average_of_its_stratum_ratios(rows):
+    ds = make_dataset(*rows)
+    for kind in IndicatorKind:
+        ratios = [getattr(stratum_ratios(t), stratum_ratio_field(kind)) for t in ds.strata]
+        if None in ratios:
+            continue
+        average = math.fsum(w * x for w, x in zip(stratum_weights(ds, kind), ratios))
+        assert INDICATOR_FN[kind](ds) == pytest.approx(average, rel=1e-13, abs=0)
+
+
+def ref_var_gr_log_mhrr(rows) -> float:
+    """Exact rational GR variance with the numerator a^2 d + bc^2 + abd + bcd."""
+    num = sum(Fraction(a * a * d + b * c * c + a * b * d + b * c * d, (a + b + c + d) ** 2) for a, b, c, d in rows)
+    r = sum(Fraction(a * (c + d), a + b + c + d) for a, b, c, d in rows)
+    s = sum(Fraction(c * (a + b), a + b + c + d) for a, b, c, d in rows)
+    return float(num / (r * s))
+
+
+@PROPERTY
+@given(datasets)
+@example(make_dataset((3, 0, 63_051_986, 1)))  # (a+b)(c+d)(a+c) - ac*n cancels here
+def test_gr_variance_is_non_negative_and_matches_the_exact_value(ds):
+    try:
+        kept = filter_informative(ds)
+        variance = var_gr_log_mhrr(kept)
+    except (NoInformativeStrataError, UndefinedIndicatorError):
+        return
+    assert variance >= 0.0
+    assert variance == pytest.approx(ref_var_gr_log_mhrr([t.cells() for t in kept.strata]), rel=1e-12, abs=0)
+
+
+# ------------------------------------------------ the coverage study's kernels
+
+@st.composite
+def coverage_draws(draw):
+    """One repetition's (datasets, k) group counts a, b under fixed column totals n1, n2.
+
+    Zeros are common, some strata have b = 0 in every dataset, and some
+    datasets leave MHq undefined (every a or every b is zero).
+    """
+    n1 = draw(st.one_of(st.integers(1, 3), st.integers(1, 200), st.integers(1, 2**40)))
+    n2 = draw(st.one_of(st.integers(1, 3), st.integers(1, 5000), st.integers(1, 2**40)))
+    k = draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 30))
+
+    def counts(top):
+        flat = draw(st.lists(st.one_of(st.just(0), st.integers(0, top)), min_size=rows * k, max_size=rows * k))
+        return np.array(flat, dtype=float).reshape(rows, k)
+
+    a, b = counts(n1), counts(n2)
+    b[:, draw(st.lists(st.integers(0, k - 1), max_size=k - 1, unique=True))] = 0.0
+    for row in draw(st.lists(st.integers(0, rows - 1), max_size=rows, unique=True)):
+        (a if draw(st.booleans()) else b)[row] = 0.0
+    return a, b, n1, n2
+
+
+# C pow rounds 61914041810.0 ** 2 differently from 61914041810.0 * 61914041810.0
+LARGE_DRAWS = (np.array([[3.0, 1.0], [0.0, 2.0]]), np.array([[7.0, 0.0], [2.0, 5.0]]), 1_071_370_718_072, 61_914_041_810)
+
+
+@PROPERTY
+@given(coverage_draws(), st.integers(1, 64))
+@example(LARGE_DRAWS, 64)
+def test_coverage_kernels_equal_the_array_total_form_bit_for_bit(draws, block_cells):
+    a, b, n1, n2 = draws
+    k = a.shape[1]
+    # the array-total call form, as the data and parameter forms make it
+    c, d = n1 - a, n2 - b
+    _, all_sums = _mhq_cell_sums(a, b, c, d)
+    defined = (all_sums.rt > 0.0) & (all_sums.st > 0.0)
+    assume(defined.any())
+    cells = tuple(x[defined] for x in (a, b, c, d))
+    totals, sums = _mhq_cell_sums(*cells)
+    world = (cells[0], cells[1], cells[0] + cells[2], cells[1] + cells[3])
+    want_skm = _skm_log_variance(*cells, *totals, sums)
+    want_bh = _rbg_log_variance(*world, _table_sums(IndicatorKind.MHOR, *world))
+
+    # the coverage path itself, on these draws, in blocks of about block_cells cells
+    seen = {}
+
+    def record(name, fn):
+        def recorded(*args):
+            seen.setdefault(name, []).append(fn(*args))
+            return seen[name][-1]
+
+        return recorded
+
+    design = SimulationDesign(k=k, n_mentioned=n1, n_not_mentioned=n2, datasets_per_rep=a.shape[0], reps=1)
+    with mock.patch.multiple(
+        simulation,
+        _draw_count_matrices_streamed=lambda *_: (a, b),
+        MAX_DROP_FRACTION=1.0,
+        BLOCK_CELLS=block_cells,
+        _ln_mhq_from_counts=record("ln", simulation._ln_mhq_from_counts),
+        _skm_log_variance=record("skm", simulation._skm_log_variance),
+        _rbg_log_variance=record("bh", simulation._rbg_log_variance),
+    ):
+        simulation._coverage_rep(design, 0)
+
+    blocks = -(-a.shape[0] // max(1, block_cells // k))
+    assert len(seen["ln"]) == len(seen["skm"]) == len(seen["bh"]) == blocks
+    ln_mhq, got_defined, dropped, _ = zip(*seen["ln"])
+    assert np.array_equal(np.concatenate(got_defined), defined)
+    assert sum(dropped) == int((~defined).sum())
+    assert np.array_equal(np.concatenate(ln_mhq), np.log(all_sums.rt[defined] / all_sums.st[defined]))
+    assert np.array_equal(np.concatenate(seen["skm"]), want_skm)
+    assert np.array_equal(np.concatenate(seen["bh"]), want_bh)

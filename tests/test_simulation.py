@@ -15,17 +15,22 @@ from sparsemh import (
     StratumTable,
     bias_study,
     convergence_check,
+    convergence_study,
     coverage_study,
     draw_p1,
-    generate_dataset,
-    ground_truth_sd,
     mhq,
     var_bh_log_mhq,
     var_skm_log_mhq,
     var_skm_log_mhq_true,
 )
 from sparsemh import simulation
-from sparsemh.simulation import _ln_mhq_from_counts, _draw_count_matrices_streamed, _rep_p1s, worker_count
+from sparsemh.simulation import (
+    _bias_rep,
+    _draw_count_matrices_streamed,
+    _ln_mhq_from_counts,
+    _rep_p1s,
+    worker_count,
+)
 from sparsemh.variance import _rbg_log_variance, _skm_log_variance
 
 
@@ -84,36 +89,39 @@ def test_draw_p1_degenerate_interval():
     assert np.all(draw_p1(design, np.random.default_rng(0)) == 0.1)
 
 
-def test_generate_dataset_fixes_column_totals():
+def test_streamed_draws_fix_column_totals():
     design = small_design()
-    rng = np.random.default_rng(11)
-    p1s = draw_p1(design, rng)
-    ds = generate_dataset(design, p1s, rng)
-    assert ds.k == design.k
-    assert ds.labels == tuple(f"stratum{i + 1}" for i in range(design.k))
-    for t in ds.strata:
-        assert t.n_mentioned == design.n_mentioned
-        assert t.n_not_mentioned == design.n_not_mentioned
+    a, b = _draw_count_matrices_streamed(design, _rep_p1s(design, 0), 0)
+    assert a.shape == b.shape == (design.datasets_per_rep, design.k)
+    assert np.array_equal(a, np.round(a)) and np.array_equal(b, np.round(b))
+    assert a.min() >= 0 and a.max() <= design.n_mentioned
+    assert b.min() >= 0 and b.max() <= design.n_not_mentioned
+    # c = n1 - a and d = n2 - b complete the columns exactly, which is what
+    # lets the coverage kernels take the column totals as scalars
+    assert np.all(a + (design.n_mentioned - a) == design.n_mentioned)
+    assert np.all(b + (design.n_not_mentioned - b) == design.n_not_mentioned)
 
 
-def test_generate_dataset_degenerate_probability():
+def test_streamed_draws_degenerate_probability():
     design = small_design(p1_low=1.0, p1_high=1.0, psi=1.0)
-    p1s = np.ones(design.k)
-    ds = generate_dataset(design, p1s, np.random.default_rng(0))
-    for t in ds.strata:
-        assert t.a == design.n_mentioned and t.c == 0
-        assert t.b == design.n_not_mentioned and t.d == 0
+    a, b = _draw_count_matrices_streamed(design, np.ones(design.k), 0)
+    assert np.all(a == design.n_mentioned)
+    assert np.all(b == design.n_not_mentioned)
 
 
-def test_generate_dataset_rejects_invalid_p2_before_sampling():
+def test_streamed_draws_reject_invalid_p2_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("counts were drawn before the p1 vector was validated")
+
+    monkeypatch.setattr(simulation, "_draw_counts", no_sampling)
     design = small_design()
     with pytest.raises(InvalidDesignError, match="p1"):
-        generate_dataset(design, np.full(design.k, 1.5), np.random.default_rng(0))
+        _draw_count_matrices_streamed(design, np.full(design.k, 1.5), 0)
     half = SimulationDesign(k=design.k, psi=0.5, p1_low=0.01, p1_high=0.5)
     with pytest.raises(InvalidDesignError, match="p2"):
-        generate_dataset(half, np.full(design.k, 0.9), np.random.default_rng(0))
+        _draw_count_matrices_streamed(half, np.full(design.k, 0.9), 0)
     with pytest.raises(InvalidDesignError, match=r"expected 6 p1 values"):
-        generate_dataset(design, np.full(2, 0.1), np.random.default_rng(0))
+        _draw_count_matrices_streamed(design, np.full(2, 0.1), 0)
 
 
 def test_generated_group_share_tracks_p1():
@@ -130,23 +138,32 @@ def test_generated_group_share_tracks_p1():
 def test_ground_truth_sd_needs_two_defined_replicates():
     design = small_design(datasets_per_rep=1)
     with pytest.raises(ExcessiveDropError, match="fewer than 2"):
-        ground_truth_sd(design, np.full(design.k, 0.1), np.random.default_rng(0))
+        _bias_rep(design, 0)
 
 
 # ---------------------------------------------------------------- ground truth
+# The ground-truth SD of ln(MHq) is BiasRecord.true_sd, measured by _bias_rep.
+
+def streamed_sd(design: SimulationDesign, p1s: np.ndarray) -> float:
+    """Sample SD of ln(MHq) over one repetition's streamed draws at the given p1 vector."""
+    a, b = _draw_count_matrices_streamed(design, p1s, 0)
+    ln_mhq = _ln_mhq_from_counts(a, b, design.n_mentioned, design.n_not_mentioned)[0]
+    return float(ln_mhq.std(ddof=1))
+
 
 def test_ground_truth_sd_zero_for_degenerate_draws():
     design = small_design(p1_low=1.0, p1_high=1.0, datasets_per_rep=2)
-    sd = ground_truth_sd(design, np.ones(design.k), np.random.default_rng(0))
-    assert sd == 0.0
+    record, dropped = _bias_rep(design, 0)
+    assert record.true_sd == 0.0
+    assert dropped == 0
 
 
 def test_ground_truth_sd_matches_parameter_formula():
     design = small_design(k=10, n_mentioned=100, n_not_mentioned=1000, datasets_per_rep=20_000, seed=5)
-    p1s = np.linspace(0.05, 0.2, design.k)
-    sd = ground_truth_sd(design, p1s, np.random.default_rng(5))
-    params = [BinomialParams(float(p), float(p), 100, 1000) for p in p1s]
-    assert sd == pytest.approx(math.sqrt(var_skm_log_mhq_true(params)), rel=0.1)
+    record, _ = _bias_rep(design, 0)
+    params = [BinomialParams(float(p), float(p), 100, 1000) for p in _rep_p1s(design, 0)]
+    assert record.skm_sd == math.sqrt(var_skm_log_mhq_true(params))
+    assert record.true_sd == pytest.approx(record.skm_sd, rel=0.1)
 
 
 def test_ground_truth_sd_scales_with_sample_size():
@@ -158,16 +175,14 @@ def test_ground_truth_sd_scales_with_sample_size():
         datasets_per_rep=4000,
         seed=22,
     )
-    ratio = ground_truth_sd(large, p1s, np.random.default_rng(1)) / ground_truth_sd(
-        small, p1s, np.random.default_rng(2)
-    )
+    ratio = streamed_sd(large, p1s) / streamed_sd(small, p1s)
     assert ratio == pytest.approx(1 / math.sqrt(2), rel=0.1)
 
 
 def test_excessive_drops_abort():
     design = small_design(k=1, n_mentioned=1, n_not_mentioned=1, p1_low=0.01, p1_high=0.01, datasets_per_rep=200)
     with pytest.raises(ExcessiveDropError):
-        ground_truth_sd(design, np.array([0.01]), np.random.default_rng(0))
+        _bias_rep(design, 0)
 
 
 # ----------------------------------------------------------- batched kernels
@@ -178,12 +193,13 @@ def test_batched_kernels_match_scalar_functions():
     design = small_design(datasets_per_rep=50, seed=33)
     p1s = _rep_p1s(design, 0)
     a, b = _draw_count_matrices_streamed(design, p1s, 0)
-    ln_mhq, defined, dropped = _ln_mhq_from_counts(a, b, design.n_mentioned, design.n_not_mentioned)
+    n1, n2 = float(design.n_mentioned), float(design.n_not_mentioned)
+    ln_mhq, defined, dropped, sums = _ln_mhq_from_counts(a, b, n1, n2)
     assert dropped == 0
-    c = design.n_mentioned - a
-    d = design.n_not_mentioned - b
-    skm = _skm_log_variance(a, b, c, d)
-    bh = _rbg_log_variance(a, b, a + c, b + d)
+    c = n1 - a
+    d = n2 - b
+    skm = _skm_log_variance(a, b, c, d, n1, n2, n1 + n2, sums)
+    bh = _rbg_log_variance(a, b, n1, n2, sums)
     labels = [f"stratum{i + 1}" for i in range(design.k)]
     for row in range(0, 50, 7):
         ds = StratifiedDataset(
@@ -347,6 +363,27 @@ def test_convergence_check_centers_on_psi():
         replicates=500,
     )
     assert records[0].mean_abs_dev < 0.05
+
+
+def test_convergence_json_describes_the_run():
+    design = small_design(k=4, psi=2.0, p1_low=0.2, p1_high=0.5, seed=3)
+    summary = convergence_study(design, scales=(1, 5), replicates=200)
+    payload = json.loads(summary.to_json())
+    assert payload["study"] == "convergence"
+    assert list(payload["design"]) == [
+        "k", "n_mentioned", "n_not_mentioned", "psi", "p1_low", "p1_high", "seed", "scales", "replicates"
+    ]
+    assert payload["design"]["scales"] == [1, 5]
+    assert payload["design"]["replicates"] == 200
+    assert payload["rng"]["streams"] == simulation.CONVERGENCE_STREAM_DERIVATION
+    assert "SeedSequence((seed,))" in payload["rng"]["streams"]
+    assert payload["dropped_total"] == 0
+    assert [r["scale"] for r in payload["records"]] == [1, 5]
+    # the stated derivation reproduces the records: one generator, p1 first
+    rng = np.random.default_rng(np.random.SeedSequence((design.seed,)))
+    p1s = rng.uniform(design.p1_low, design.p1_high, size=design.k)
+    again = convergence_check(design.psi, p1s, design.n_mentioned, design.n_not_mentioned, (1, 5), rng, 200)
+    assert again == summary.records
 
 
 def test_convergence_check_validation():

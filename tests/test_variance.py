@@ -27,7 +27,7 @@ from sparsemh import (
     var_skm_log_mhq_true,
 )
 from sparsemh.estimators import _weighted_sums
-from sparsemh.variance import _skm_terms
+from sparsemh.variance import _mhq_cell_sums, _skm_terms
 
 from conftest import make_dataset
 
@@ -48,8 +48,11 @@ def random_positive_dataset(rng, k, high=30):
 # ----------------------------------------------------------------- components
 
 def skm_terms(a, b, c, d):
-    """(r, s, v, w, q) of one stratum from the array kernel."""
-    return tuple(float(x[0]) for x in _skm_terms(*(np.array([x], dtype=float) for x in (a, b, c, d))))
+    """(r, s, v, w, q) of one stratum from the array kernels."""
+    cells = tuple(np.array([x], dtype=float) for x in (a, b, c, d))
+    totals, sums = _mhq_cell_sums(*cells)
+    v, w, q = _skm_terms(*cells, *totals, sums.t)
+    return tuple(float(x[0]) for x in (sums.r, sums.s, v, w, q))
 
 
 def test_skm_components_smallworld_first_stratum():
