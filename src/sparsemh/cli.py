@@ -81,15 +81,19 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--psi", type=float, default=1.0, help="true column risk ratio")
     simulate.add_argument("--p1-low", type=float, default=0.01, help="lower bound of the p1 draw")
     simulate.add_argument("--p1-high", type=float, default=0.2, help="upper bound of the p1 draw")
-    simulate.add_argument("--datasets", type=int, default=10_000, help="datasets per repetition")
-    simulate.add_argument("--reps", type=int, default=20, help="repetitions (fresh p1 draw each)")
+    simulate.add_argument(
+        "--datasets", type=int, default=10_000, help="datasets per repetition; not used by convergence"
+    )
+    simulate.add_argument(
+        "--reps", type=int, default=20, help="repetitions (fresh p1 draw each); not used by convergence"
+    )
     simulate.add_argument("--seed", type=int, default=42, help="master seed")
     simulate.add_argument(
         "--threads",
         type=int,
         default=None,
         help=f"worker processes (default: ${THREADS_ENV_VAR} or 1; at most --reps and the CPU count); "
-        "never changes the numbers",
+        "never changes the numbers; not used by convergence, which runs in one process",
     )
     simulate.add_argument(
         "--scales",

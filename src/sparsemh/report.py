@@ -7,6 +7,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import filterfalse
 from json.encoder import encode_basestring_ascii as _encode
 
 from . import __version__
@@ -150,6 +151,14 @@ class _FloatText(dict):
             self[value] = text
         return text
 
+    def texts(self, values: list[float | None]) -> list[str]:
+        """``[self[v] for v in values]``, with the new values spelled in one pass where all are finite."""
+        fresh = set(filterfalse(self.__contains__, values))
+        fresh.discard(0.0)  # either zero; zeros go through __missing__ every time
+        if all(map(math.isfinite, fresh)):
+            self.update(zip(fresh, map(float.__repr__, fresh)))
+        return list(map(self.__getitem__, values))
+
 
 def _nested(value) -> str:
     """``json.dumps(value, indent=2)`` for a value inside the top-level object."""
@@ -167,37 +176,52 @@ def _generated_at() -> str:
         raise ValueError(f"SOURCE_DATE_EPOCH must be an integer count of seconds, got {epoch!r}") from None
 
 
-def _strata_json(report: AnalysisReport, keys: dict[str, str], memo: _FloatText) -> str:
+def _strata_json(report: AnalysisReport, keys: list[str], memo: _FloatText) -> list[str]:
     excluded = {t.label: reason for t, reason in report.filtered.excluded}
-    rows = []
-    for label, (a, b, c, d), row_rr, col_rr, odds_ratio, world_row in _stratum_rows(report):
-        reason = excluded.get(label)
-        rows.append(
-            f'''    {{
-      "stratum": {keys[label]},
+    # A stratum object after its "stratum" key depends on the table alone;
+    # sparse data repeat a few tables, so each distinct one is written once.
+    tables = list(zip(*report.dataset.counts.T.tolist(), map(excluded.get, report.dataset.labels)))
+    first = dict(zip(tables, range(len(tables))))  # distinct table -> a row holding it
+    columns = report.ratios.values()
+    # each distinct table's row_rr, col_rr, odds_ratio and world_row text, in one pass
+    texts = iter(memo.texts([column[i] for i in first.values() for column in columns]))
+    tails = {}
+    for (a, b, c, d, reason), row_rr, col_rr, odds_ratio, world_row in zip(first, texts, texts, texts, texts):
+        tails[a, b, c, d, reason] = f''',
       "a": {a},
       "b": {b},
       "c": {c},
       "d": {d},
       "n": {a + b + c + d},
-      "row_rr": {memo[row_rr]},
-      "col_rr": {memo[col_rr]},
-      "odds_ratio": {memo[odds_ratio]},
-      "world_row": {memo[world_row]},
+      "row_rr": {row_rr},
+      "col_rr": {col_rr},
+      "odds_ratio": {odds_ratio},
+      "world_row": {world_row},
       "excluded": {"false" if reason is None else "true"},
       "exclusion_reason": {"null" if reason is None else _encode(reason)}
     }}'''
-        )
-    return "[\n" + ",\n".join(rows) + "\n  ]"
+    head = '\n    {\n      "stratum": '
+    flat = ["," + head] * (3 * len(tables))
+    flat[0] = "[" + head
+    flat[1::3] = keys
+    flat[2::3] = map(tails.__getitem__, tables)
+    flat.append("\n  ]")
+    return flat
 
 
-def _weights_json(report: AnalysisReport, keys: dict[str, str], memo: _FloatText) -> str:
-    used = [keys[label] for label in report.filtered.labels]
-    blocks = []
+def _weights_json(report: AnalysisReport, keys: dict[str, str], memo: _FloatText) -> list[str]:
+    entries = [keys[label] + ": " for label in report.filtered.labels]
+    flat, sep = [], "{"
     for kind in _REPORT_ORDER:
-        entries = ",\n".join(f"      {key}: {memo[w]}" for key, w in zip(used, report.weights[kind]))
-        blocks.append(f'    "{kind.value}": {{\n{entries}\n    }}')
-    return "{\n" + ",\n".join(blocks) + "\n  }"
+        block = [",\n      "] * (3 * len(entries))
+        block[0] = f'{sep}\n    "{kind.value}": {{\n      '
+        block[1::3] = entries
+        block[2::3] = memo.texts(report.weights[kind])
+        flat += block
+        flat.append("\n    }")
+        sep = ","
+    flat.append("\n  }")
+    return flat
 
 
 def render_json(report: AnalysisReport) -> str:
@@ -209,7 +233,7 @@ def render_json(report: AnalysisReport) -> str:
     """
     memo = _FloatText()
     labels = report.dataset.labels
-    keys = dict(zip(labels, map(_encode, labels)))
+    encoded = list(map(_encode, labels))
     indicators = []
     for est in report.estimates:
         entry = {
@@ -225,17 +249,24 @@ def render_json(report: AnalysisReport) -> str:
             entry["deprecated"] = BH_CAVEAT
         indicators.append(entry)
     sections = {
-        "source": _nested(report.source),
-        "level": _nested(report.level),
-        "strata": _strata_json(report, keys, memo),
-        "excluded": _nested(
+        "source": [_nested(report.source)],
+        "level": [_nested(report.level)],
+        "strata": _strata_json(report, encoded, memo),
+        "excluded": [_nested(
             [{"stratum": t.label, "reason": reason} for t, reason in report.filtered.excluded]
-        ),
-        "weights": _weights_json(report, keys, memo),
-        "indicators": _nested(indicators),
-        "meta": _nested({"package": "sparsemh", "version": __version__, "generated_at": _generated_at()}),
+        )],
+        "weights": _weights_json(report, dict(zip(labels, encoded)), memo),
+        "indicators": [_nested(indicators)],
+        "meta": [_nested({"package": "sparsemh", "version": __version__, "generated_at": _generated_at()})],
     }
-    return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in sections.items()) + "\n}"
+    # one join over every section's fragments, so the text is copied once
+    parts, sep = [], "{\n"
+    for key, fragments in sections.items():
+        parts.append(f'{sep}  "{key}": ')
+        parts += fragments
+        sep = ",\n"
+    parts.append("\n}")
+    return "".join(parts)
 
 
 def render_csv(report: AnalysisReport) -> str:

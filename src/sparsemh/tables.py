@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Iterable
@@ -32,6 +33,10 @@ EXCLUDED_NO_NOT_MENTIONED = "no unmentioned articles"
 MAX_COUNT = 2**26
 
 _CSV_HEADER = ("stratum", "a", "b", "c", "d")
+# One canonical body row: a label with no comma, no line feed and no leading
+# or trailing whitespace (``\s`` is ``str.isspace``), then four counts of 1 to
+# 8 ASCII digits. ``$`` with re.M ends a line only before a line feed.
+_CANONICAL_ROW = re.compile(r"^([^,\s][^,\n]*(?<!\s)),[0-9]{1,8},[0-9]{1,8},[0-9]{1,8},[0-9]{1,8}$", re.M)
 _CELLS = ("a", "b", "c", "d")
 
 
@@ -219,17 +224,47 @@ def to_cross_table(table: StratumTable) -> CrossTableRow:
     )
 
 
+def _csv_text(text: str | bytes) -> str:
+    """Decoded CSV text without a leading byte-order mark, its lines ended by LF."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def parse_csv(text: str | bytes) -> StratifiedDataset:
     """Parse ``stratum,a,b,c,d`` CSV text into a dataset, in file order.
 
-    A leading UTF-8 byte-order mark is ignored. No filtering is applied.
-    Raises :class:`ParseError` naming the line (and field, where applicable)
-    for malformed rows, out-of-range counts, duplicate labels, or an empty
-    body.
+    The accepted syntax: the text is UTF-8, and a leading byte-order mark is
+    ignored. Lines end in LF, CRLF or CR. Lines that are empty or hold only
+    whitespace are skipped. Each field is stripped of surrounding whitespace
+    (``str.strip``). The first line not skipped is the header
+    ``stratum,a,b,c,d``; each later line is a non-empty label and four
+    counts, read with Python's ``int(field, 10)`` (so ``+5``, ``1_0`` and
+    non-ASCII digits are counts), that lie in 0..MAX_COUNT.
+
+    Canonical text, where every row is an unpadded label with four runs of
+    1 to 8 ASCII digits and no line is blank, is read in one vectorized pass;
+    any other text goes through the per-line reader, which gives the same
+    dataset or error. No filtering is applied. Raises :class:`ParseError`
+    naming the line (and field, where applicable) for malformed rows,
+    out-of-range counts, duplicate labels, or an empty body.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    header, _, body = _csv_text(text).partition("\n")
+    if header == ",".join(_CSV_HEADER):
+        lines = body.split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        labels = _CANONICAL_ROW.findall(body)
+        if lines and len(labels) == len(lines):
+            counts = np.loadtxt(lines, dtype=np.int64, delimiter=",", usecols=(1, 2, 3, 4), ndmin=2, comments=None)
+            if counts.max() <= MAX_COUNT and counts.any(axis=1).all() and len(set(labels)) == len(labels):
+                return StratifiedDataset._from_counts(tuple(labels), counts)
+    return _parse_csv_lines(text)
+
+
+def _parse_csv_lines(text: str | bytes) -> StratifiedDataset:
+    """:func:`parse_csv` one line at a time: every text it accepts, and each error message."""
+    lines = _csv_text(text).split("\n")
 
     rows: list[tuple[int, str]] = [(i, line) for i, line in enumerate(lines, start=1) if line.strip()]
     if not rows:

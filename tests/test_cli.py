@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,19 @@ def test_simulate_convergence(capsys, tmp_path):
     assert meta["design"]["replicates"] == 200
     assert "reps" not in meta["design"] and "datasets_per_rep" not in meta["design"]
     assert meta["rng"]["streams"].startswith("one generator from SeedSequence((seed,))")
+
+
+def test_simulate_help_says_convergence_ignores_the_repetition_flags(capsys):
+    with pytest.raises(SystemExit) as stopped:
+        main(["simulate", "--help"])
+    assert stopped.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    # option -> its help text, up to the next "--option METAVAR"
+    entries = dict(re.findall(r"(--[a-z0-9-]+) [A-Z0-9_]+ (.*?)(?= --[a-z0-9-]+ [A-Z0-9_]+ |$)", text))
+    for flag in ("--datasets", "--reps", "--threads"):
+        assert "not used by convergence" in entries[flag]
+    for flag in ("--k", "--psi", "--seed", "--scales", "--replicates"):
+        assert "not used by convergence" not in entries[flag]
 
 
 def test_simulate_invalid_design_exit_code(capsys, tmp_path):

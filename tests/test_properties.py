@@ -20,6 +20,7 @@ from sparsemh import simulation
 from sparsemh import (
     IndicatorKind,
     NoInformativeStrataError,
+    ParseError,
     SimulationDesign,
     StratifiedDataset,
     StratumRatios,
@@ -42,7 +43,8 @@ from sparsemh import (
 )
 from sparsemh.estimators import INDICATOR_FN, ratio_columns, stratum_ratio_field
 from sparsemh.report import _FloatText, build_report, render_json
-from sparsemh.tables import EXCLUDED_NO_NOT_MENTIONED, MAX_COUNT
+from sparsemh.simulation import ExcessiveDropError, bias_study, coverage_study
+from sparsemh.tables import EXCLUDED_NO_NOT_MENTIONED, MAX_COUNT, _parse_csv_lines
 from sparsemh.variance import _mhq_cell_sums, _rbg_log_variance, _skm_log_variance, _table_sums
 
 from conftest import make_dataset
@@ -88,6 +90,17 @@ def report_datasets(draw):
     rows = draw(st.permutations([draw(complete_cells)] + draw(st.lists(other, max_size=7))))
     labels = draw(st.lists(report_label, min_size=len(rows), max_size=len(rows), unique=True))
     return StratifiedDataset(StratumTable(label, *cells) for label, cells in zip(labels, rows))
+
+
+@st.composite
+def repeated_report_datasets(draw):
+    """Up to 200 strata drawn from a few distinct tables, excluded ones among them."""
+    other = st.one_of(complete_cells, excluded_cells, undefined_cells)
+    pool = [draw(complete_cells)] + draw(st.lists(other, min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=199))
+    rows = draw(st.permutations(rows + [pool[0]]))
+    prefix = draw(report_label)
+    return StratifiedDataset(StratumTable(f"{prefix}{i}", *cells) for i, cells in enumerate(rows))
 
 
 # ---------------------------------------------- per-stratum Python-int reference
@@ -193,8 +206,115 @@ def test_csv_and_json_round_trips_give_equal_datasets(ds):
     assert parse_json(serialize_json(ds)) == ds
 
 
+# CSV text around the canonical form: padding with ASCII and Unicode
+# whitespace, int() spellings the strict pattern leaves to the line reader,
+# blank lines, every line ending, a BOM, duplicate labels and all-zero rows.
+WHITESPACE = " \t\x0b\x0c\x1c\x1f\x85\xa0\u2000\u2028\u3000"
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+pad = st.one_of(st.just(""), st.text(st.sampled_from(WHITESPACE), min_size=1, max_size=2))
+csv_label = st.one_of(
+    st.sampled_from(["s1", "s2", "x"]),  # a small pool, so labels repeat
+    st.text(
+        st.one_of(st.sampled_from(WHITESPACE + '#"\x00\ufeff'), st.characters(blacklist_characters=",\r\n")),
+        max_size=4,
+    ),
+)
+csv_count = st.one_of(
+    st.integers(0, 60).map(str),
+    st.sampled_from(["0", "00", "007", str(2**26), str(2**26 + 1), "99999999", "000000001", "123456789012"]),
+    st.integers(0, 99).map(lambda n: f"+{n}"),
+    st.integers(10, 999).map(lambda n: f"{n // 10}_{n % 10}"),
+    st.integers(0, 99).map(lambda n: str(n).translate(ARABIC_INDIC_DIGITS)),
+    st.sampled_from(["-1", "1.5", "x", ""]),
+)
+csv_field = st.tuples(pad, csv_count, pad).map("".join)
+csv_row = st.tuples(
+    st.tuples(pad, csv_label, pad).map("".join),
+    st.one_of(st.lists(csv_field, min_size=4, max_size=4), st.lists(csv_field, min_size=3, max_size=5)),
+).map(lambda row: ",".join([row[0], *row[1]]))
+canonical_label = st.one_of(
+    st.sampled_from(["s1", "s2", "x", "y z", "#"]),
+    st.text(st.one_of(st.sampled_from(WHITESPACE + '#"\x00'), st.characters(blacklist_characters=",\r\n")),
+            min_size=1, max_size=4).filter(lambda s: s == s.strip()),
+)
+canonical_counts = st.lists(
+    st.one_of(st.just(0), st.integers(0, 60), st.sampled_from([7, 2**26])), min_size=4, max_size=4
+).filter(any)
+csv_line = st.one_of(
+    st.tuples(canonical_label, canonical_counts).map(lambda row: ",".join([row[0], *map(str, row[1])])),
+    csv_row,
+    st.text(st.sampled_from(WHITESPACE), max_size=2),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    if draw(st.booleans()):
+        # canonical rows, which the vectorized pass reads, or hands on for a
+        # duplicate label, an all-zero row or a count above the bound
+        rows = draw(st.lists(st.tuples(canonical_label, canonical_counts), min_size=1, max_size=8,
+                             unique_by=lambda row: row[0]))
+        defect = draw(st.sampled_from([None, None, "duplicate", "zero", 2**26 + 1, 99_999_999]))
+        if defect is not None:
+            label, counts = draw(st.sampled_from(rows))
+            if defect != "duplicate":
+                label += "'"
+                counts = [0, 0, 0, 0] if defect == "zero" else [*counts[:3], defect]
+            rows.insert(draw(st.integers(0, len(rows))), (label, counts))
+        # 7 is written with leading zeros
+        lines = ["stratum,a,b,c,d"] + [
+            ",".join([label, *("007" if n == 7 else str(n) for n in counts)]) for label, counts in rows
+        ]
+    else:
+        header = draw(st.sampled_from(["stratum,a,b,c,d", " stratum , a,b,c,d", "stratum,a,b,c"]))
+        lines = [header] + draw(st.lists(csv_line, max_size=8))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[: -len(ends[-1])]
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+def parsed(parse, text):
+    """The dataset ``parse`` reads from ``text``, or its ParseError message."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
 @PROPERTY
-@given(report_datasets(), st.sampled_from([("skm",), ("skm", "bh")]))
+@given(csv_texts())
+@example("stratum,a,b,c,d\n x,1,2,3,4\n")  # padded label
+@example("stratum,a,b,c,d\nx\xa0,1,2,3,4\n")  # Unicode whitespace after the label
+@example("stratum,a,b,c,d\nx,1, 2,3,4\u2028\n")  # padded counts
+@example("stratum,a,b,c,d\nx,+1,2,3,4\n")
+@example("stratum,a,b,c,d\nx,1_0,2,3,4\n")
+@example("stratum,a,b,c,d\nx,\u0661\u0662,2,3,4\n")  # Arabic-Indic digits
+@example("stratum,a,b,c,d\nx,000000001,2,3,4\n")  # nine digits, a valid count
+@example("stratum,a,b,c,d\nx,67108865,2,3,4\n")  # 2**26 + 1
+@example("stratum,a,b,c,d\nx,1,2,3,4\n\ny,1,2,3,4\n")  # a blank line
+@example("stratum,a,b,c,d\nx,1,2,3,4\n \x1c\n")  # a whitespace-only line
+@example("\nstratum,a,b,c,d\nx,1,2,3,4\n")  # a blank line before the header
+@example(" stratum,a,b,c,d\nx,1,2,3,4\n")  # a padded header
+@example("stratum,a,b,c,d\nx,1,2,3,4\nx,5,6,7,8\n")  # a duplicate label
+@example("stratum,a,b,c,d\nx,1,2,3,4\ny,0,0,0,0\n")  # an all-zero row
+@example("stratum,a,b,c,d\nx,1,2,3\n")
+@example("stratum,a,b,c,d\nx,1,2,3,4,5\n")
+@example("stratum,a,b,c,d\n,1,2,3,4\n")  # an empty label
+@example("stratum,a,b,c,d\n")
+@example("")
+@example("\ufeff\ufeffstratum,a,b,c,d\nx,1,2,3,4")  # a second BOM is part of the header
+@example("\ufeffstratum,a,b,c,d\r\nx\x85y,1,2,3,4\ry,5,6,7,8")  # canonical: BOM, CRLF, CR, no final newline
+def test_parse_csv_equals_the_line_reader(text):
+    got, want = parsed(parse_csv, text), parsed(_parse_csv_lines, text)
+    assert got == want
+    if isinstance(want, StratifiedDataset):
+        assert got.counts.dtype == want.counts.dtype and not got.counts.flags.writeable
+
+
+@PROPERTY
+@given(st.one_of(report_datasets(), repeated_report_datasets()), st.sampled_from([("skm",), ("skm", "bh")]))
 def test_render_json_matches_json_dumps_and_the_report(ds, methods):
     report = build_report(ds, source='dir\\"data\u00e9".csv', methods=methods)
     text = render_json(report)
@@ -232,6 +352,8 @@ def test_float_memo_spells_floats_as_json_does(values):
     for value in values + values:
         assert memo[value] == json.dumps(value)
     assert memo[None] == "null"
+    for memo in (_FloatText(), memo):
+        assert memo.texts(values + [None] + values) == [json.dumps(v) for v in values + [None] + values]
 
 
 # ------------------------------------------------- the paper's variance identities
@@ -378,3 +500,35 @@ def test_coverage_kernels_equal_the_array_total_form_bit_for_bit(draws, block_ce
     assert np.array_equal(np.concatenate(ln_mhq), np.log(all_sums.rt[defined] / all_sums.st[defined]))
     assert np.array_equal(np.concatenate(seen["skm"]), want_skm)
     assert np.array_equal(np.concatenate(seen["bh"]), want_bh)
+
+
+# ------------------------------------------------- thread-count invariance
+
+@settings(PROPERTY, max_examples=5)
+@given(
+    st.builds(
+        SimulationDesign,
+        k=st.integers(1, 4),
+        n_mentioned=st.integers(30, 200),
+        n_not_mentioned=st.integers(30, 2000),
+        psi=st.sampled_from([0.5, 1.0, 3.0]),
+        p1_low=st.just(0.1),
+        p1_high=st.just(0.4),
+        datasets_per_rep=st.integers(1, 200),
+        reps=st.integers(2, 3),
+        seed=st.integers(0, 2**64 - 1),
+    )
+)
+def test_studies_write_the_same_bytes_for_any_thread_count(design):
+    def written(study, threads):
+        try:
+            if study == "bias":
+                summary = bias_study(design, threads=threads)
+            else:
+                summary = coverage_study(design, threads=threads, study=study)
+        except ExcessiveDropError as exc:  # too sparse to summarize: the same error either way
+            return f"{type(exc).__name__}: {exc}"
+        return summary.to_csv(), summary.to_json()
+
+    for study in ("bias", "coverage", "width"):
+        assert written(study, 2) == written(study, 1)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from sparsemh import (
     serialize_json,
     to_cross_table,
 )
+from sparsemh import tables
 from sparsemh.tables import EXCLUDED_NO_MENTIONED, EXCLUDED_NO_NOT_MENTIONED, MAX_COUNT
 
 from conftest import make_dataset
@@ -111,6 +114,16 @@ def test_parse_count_bound_csv_and_json():
         parse_csv(f"stratum,a,b,c,d\nx,1,2,3,4\ny,{at},0,0,{above}\n")
     with pytest.raises(ParseError, match=r"entry 2: key 'a' must be at most 2\*\*26 = 67108864, got 67108865"):
         parse_json(f'[{{"stratum":"x","a":1,"b":2,"c":3,"d":4}},{{"stratum":"y","a":{above},"b":0,"c":0,"d":1}}]')
+
+
+@pytest.mark.parametrize("end", ["", "\n", "\r\n"])
+def test_parse_csv_reads_canonical_text_without_the_line_reader(monkeypatch, end):
+    text = "\ufeffstratum,a,b,c,d\r\ncat1,26,7,18,13\r\nq\"#\x85 x,0,10,0,10\rz,007,0,1,67108864" + end
+    want = tables._parse_csv_lines(text)
+    monkeypatch.setattr(tables, "_parse_csv_lines", mock.Mock(side_effect=AssertionError("line reader used")))
+    got = parse_csv(text)
+    assert got == want and got.labels == ("cat1", 'q"#\x85 x', "z")
+    assert got.counts.tolist() == [[26, 7, 18, 13], [0, 10, 0, 10], [7, 0, 1, MAX_COUNT]]
 
 
 def test_parse_csv_header_only_is_empty_body():
