@@ -92,8 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help=f"worker processes (default: ${THREADS_ENV_VAR} or 1; at most --reps and the CPU count); "
-        "never changes the numbers; not used by convergence, which runs in one process",
+        help=f"worker threads (default: ${THREADS_ENV_VAR} or 1; at most the repetitions, or the "
+        "convergence scales, and the CPU count); never changes the numbers",
     )
     simulate.add_argument(
         "--scales",
@@ -185,7 +185,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             scales = [int(s) for s in args.scales.split(",") if s.strip()]
         except ValueError:
             raise InvalidDesignError(f"--scales must be comma-separated integers, got {args.scales!r}") from None
-        summary = convergence_study(design, scales, replicates=args.replicates)
+        summary = convergence_study(design, scales, replicates=args.replicates, threads=threads)
 
     prefix = Path(args.out) if args.out else Path(f"sparsemh_{args.study}")
     csv_path, json_path = summary.write(prefix)

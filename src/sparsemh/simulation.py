@@ -16,11 +16,20 @@ Reproducibility contract: every stream is PCG64, derived from the master
 seed alone. For repetition r of the bias, coverage and width studies, the p1
 vector comes from ``SeedSequence((seed, r))``; the counts of stratum i come
 from ``SeedSequence((seed, r, i))`` with the mentioned column drawn before
-the not-mentioned column. Repetitions are therefore independent of worker
-scheduling, and results are bit-identical for any thread count. The
-convergence study runs in one process on one generator, seeded with
-``SeedSequence((seed,))``: the p1 vector first, then the counts scale by
-scale and stratum by stratum, mentioned column first.
+the not-mentioned column. The convergence study draws its one p1 vector from
+``SeedSequence((seed,))`` and the counts of stratum i at scale s from
+``SeedSequence((seed, s, i))``, mentioned column first. Repetitions and
+convergence scales are therefore independent of worker scheduling, and
+results are bit-identical for any thread count.
+
+Threads, not processes, run the repetitions (or the convergence scales): the
+work is numpy's binomial draws, which release the GIL. ``threads=1`` runs
+them one after another on the calling thread. A repetition holds its counts
+stratum-major, as (k, datasets) arrays of the smallest unsigned integer type
+that fits the column totals (uint16 at the desk design), so each stratum's
+draw is one contiguous row write and the counts take an eighth of the memory
+of float64 values. Blocks of datasets are converted to float64 (count, k)
+matrices, in C order, only as the MHq sums and variance kernels reach them.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ import functools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from statistics import NormalDist
@@ -52,15 +61,18 @@ STREAM_DERIVATION = (
     "repetition r: SeedSequence((seed, r, i)), mentioned column before not-mentioned column"
 )
 CONVERGENCE_STREAM_DERIVATION = (
-    "one generator from SeedSequence((seed,)): the k p1 draws first, then the counts scale by "
-    "scale and stratum by stratum, mentioned column before not-mentioned column"
+    "p1 draws: SeedSequence((seed,)); counts for stratum i at scale s: SeedSequence((seed, s, i)), "
+    "mentioned column before not-mentioned column"
 )
 
 # Cells per block of datasets that a repetition's MHq sums and variance
-# kernels work through at a time: a block's temporaries fit in cache and
-# reuse the same memory, where whole-batch temporaries would be paged in
-# afresh every repetition.
-BLOCK_CELLS = 2**15
+# kernels work through at a time: a block's float64 copies and temporaries
+# fit in cache and reuse the same memory, where whole-batch temporaries
+# would be paged in afresh every repetition. At 2**15 cells (256 KiB per
+# array) the allocator returned a coverage block's memory to the system and
+# faulted it in again for the next block: about 5,300 page faults per desk
+# repetition, against 540 at 2**13 with the same output bits.
+BLOCK_CELLS = 2**13
 
 # Undefined-MHq replicates are dropped and counted; a run is aborted rather
 # than silently reported when more than this fraction is lost.
@@ -133,17 +145,18 @@ def _draw_counts(
     count: int,
     stratum_rng: Callable[[int], np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` datasets as (count, k) matrices of mentioned/not-mentioned group counts.
+    """``count`` datasets as stratum-major (k, count) arrays of mentioned/not-mentioned group counts.
 
+    Both arrays hold the smallest unsigned integer type that fits max(n1, n2).
     Stratum i draws its mentioned column, then its not-mentioned column, from
-    ``stratum_rng(i)``.
+    ``stratum_rng(i)``, each into one contiguous row.
     """
-    a = np.empty((count, len(p1s)))
-    b = np.empty((count, len(p1s)))
+    a = np.empty((len(p1s), count), dtype=np.min_scalar_type(max(n1, n2)))
+    b = np.empty_like(a)
     for i in range(len(p1s)):
         rng = stratum_rng(i)
-        a[:, i] = rng.binomial(n1, float(p1s[i]), size=count)
-        b[:, i] = rng.binomial(n2, float(p2s[i]), size=count)
+        a[i] = rng.binomial(n1, float(p1s[i]), size=count)
+        b[i] = rng.binomial(n2, float(p2s[i]), size=count)
     return a, b
 
 
@@ -176,15 +189,21 @@ def _ln_mhq_from_counts(a: np.ndarray, b: np.ndarray, n1: float, n2: float):
 
 
 def _ln_mhq_blocks(a: np.ndarray, b: np.ndarray, n1: float, n2: float):
-    """Yield each block's rows of the (count, k) matrices and _ln_mhq_from_counts of them.
+    """Yield each block of datasets as float64 (rows, k) matrices a, b and _ln_mhq_from_counts of them.
 
-    Every value depends on its own dataset only, so the blocks give the same
-    bits as the whole batch would.
+    ``a`` and ``b`` are the stratum-major (k, count) arrays of
+    :func:`_draw_counts`. Each block is converted once, to C order, so its
+    rows lie as in a float64 (count, k) matrix and every ``axis=-1`` sum
+    adds the same values in the same order; integers below 2**53 convert
+    exactly. Every value depends on its own dataset only, so the blocks give
+    the same bits as the whole batch would.
     """
-    step = max(1, BLOCK_CELLS // a.shape[1])
-    for start in range(0, a.shape[0], step):
-        rows = slice(start, start + step)
-        yield rows, _ln_mhq_from_counts(a[rows], b[rows], n1, n2)
+    k, count = a.shape
+    step = max(1, BLOCK_CELLS // k)
+    for start in range(0, count, step):
+        a_rows = a[:, start:start + step].T.astype(np.float64, order="C")
+        b_rows = b[:, start:start + step].T.astype(np.float64, order="C")
+        yield a_rows, b_rows, _ln_mhq_from_counts(a_rows, b_rows, n1, n2)
 
 
 def _check_drop_rate(dropped: int, total: int) -> None:
@@ -308,7 +327,7 @@ def _bias_rep(design: SimulationDesign, rep: int) -> tuple[BiasRecord, int]:
     p1s = _rep_p1s(design, rep)
     a, b = _draw_count_matrices_streamed(design, p1s, rep)
     ln_parts, dropped = [], 0
-    for _, (ln_part, _, block_dropped, _) in _ln_mhq_blocks(a, b, design.n_mentioned, design.n_not_mentioned):
+    for _, _, (ln_part, _, block_dropped, _) in _ln_mhq_blocks(a, b, design.n_mentioned, design.n_not_mentioned):
         ln_parts.append(ln_part)
         dropped += block_dropped
     _check_drop_rate(dropped, design.datasets_per_rep)
@@ -340,8 +359,7 @@ def _coverage_rep(design: SimulationDesign, rep: int) -> tuple[CoverageRecord, i
     # The column totals are scalars, and the BH arm's group-vs-world tables
     # (a, b // n1, n2) share MHq's sums (see _rbg_log_variance).
     ln_parts, skm_parts, bh_parts, dropped = [], [], [], 0
-    for rows, (ln_part, defined, block_dropped, sums) in _ln_mhq_blocks(a, b, n1, n2):
-        a_rows, b_rows = a[rows], b[rows]
+    for a_rows, b_rows, (ln_part, defined, block_dropped, sums) in _ln_mhq_blocks(a, b, n1, n2):
         if block_dropped:
             a_rows, b_rows, sums = a_rows[defined], b_rows[defined], sums.rows(defined)
         ln_parts.append(ln_part)
@@ -369,18 +387,20 @@ def _coverage_rep(design: SimulationDesign, rep: int) -> tuple[CoverageRecord, i
 
 
 def worker_count(threads: int, reps: int) -> int:
-    """Worker processes for ``threads`` requested: never more than reps or CPUs, at least 1."""
+    """Worker threads for ``threads`` requested: never more than reps or CPUs, at least 1."""
     return max(1, min(threads, reps, os.cpu_count() or 1))
 
 
-def _run_reps(
-    rep_fn: Callable[[SimulationDesign, int], tuple], design: SimulationDesign, threads: int
-) -> list[tuple]:
-    threads = worker_count(threads, design.reps)
+def _run_reps(work: Callable[[int], object], reps: int, threads: int) -> list:
+    """``[work(rep) for rep in range(reps)]``, on a pool of ``worker_count(threads, reps)`` threads.
+
+    With one worker the repetitions run in order on the calling thread.
+    """
+    threads = worker_count(threads, reps)
     if threads == 1:
-        return [rep_fn(design, rep) for rep in range(design.reps)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(functools.partial(rep_fn, design), range(design.reps)))
+        return [work(rep) for rep in range(reps)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(work, range(reps)))
 
 
 def bias_study(design: SimulationDesign, threads: int = 1) -> StudySummary:
@@ -390,7 +410,7 @@ def bias_study(design: SimulationDesign, threads: int = 1) -> StudySummary:
     ln(MHq) over ``datasets_per_rep`` simulated datasets, and records formula
     minus truth for both estimators.
     """
-    results = _run_reps(_bias_rep, design, threads)
+    results = _run_reps(functools.partial(_bias_rep, design), design.reps, threads)
     return StudySummary(
         study="bias",
         design=design,
@@ -403,7 +423,7 @@ def coverage_study(design: SimulationDesign, threads: int = 1, study: str = "cov
     """Coverage of psi and mean width of the nominal 95% intervals per setting."""
     if study not in ("coverage", "width"):
         raise ValueError(f"study must be 'coverage' or 'width', got {study!r}")
-    results = _run_reps(_coverage_rep, design, threads)
+    results = _run_reps(functools.partial(_coverage_rep, design), design.reps, threads)
     return StudySummary(
         study=study,
         design=design,
@@ -418,13 +438,17 @@ def convergence_check(
     n_mentioned: int,
     n_not_mentioned: int,
     scales: Sequence[int],
-    rng: np.random.Generator,
+    seed: int,
     replicates: int = 1000,
+    threads: int = 1,
 ) -> tuple[ConvergenceRecord, ...]:
     """Mean |MHq - psi| when all sample sizes are multiplied by each scale.
 
     Parameters must be homogeneous by construction (p2_i = p1_i / psi), which
-    is what makes psi the common column risk ratio being estimated.
+    is what makes psi the common column risk ratio being estimated. The
+    counts of stratum i at scale s come from ``SeedSequence((seed, s, i))``,
+    so each scale's record depends on the seed and that scale alone, and the
+    scales run on up to ``threads`` threads with the same result.
     """
     if psi <= 0.0:
         raise InvalidDesignError(f"psi must be positive, got {psi}")
@@ -443,35 +467,42 @@ def convergence_check(
     if np.any(p2s > 1.0):
         raise InvalidDesignError(f"p2 = p1/psi must lie in (0, 1]; psi={psi} violates that")
 
-    records = []
-    for scale in scales:
+    def scale_record(index: int) -> ConvergenceRecord:
+        scale = scales[index]
         n1 = n_mentioned * scale
         n2 = n_not_mentioned * scale
-        a, b = _draw_counts(p1s, p2s, n1, n2, replicates, lambda i: rng)
-        _, defined, dropped, sums = _ln_mhq_from_counts(a, b, n1, n2)
-        _check_drop_rate(dropped, replicates)
-        deviations = np.abs(sums.rt[defined] / sums.st[defined] - psi)
-        records.append(
-            ConvergenceRecord(
-                scale=scale,
-                mean_abs_dev=float(deviations.mean()),
-                mc_se=float(deviations.std(ddof=1) / math.sqrt(deviations.size)),
-                replicates=int(deviations.size),
-            )
+        a, b = _draw_counts(
+            p1s, p2s, n1, n2, replicates,
+            lambda i: np.random.default_rng(np.random.SeedSequence((seed, scale, i))),
         )
-    return tuple(records)
+        ratios, dropped = [], 0
+        for _, _, (_, defined, block_dropped, sums) in _ln_mhq_blocks(a, b, n1, n2):
+            ratios.append(sums.rt[defined] / sums.st[defined])
+            dropped += block_dropped
+        _check_drop_rate(dropped, replicates)
+        deviations = np.abs(np.concatenate(ratios) - psi)
+        return ConvergenceRecord(
+            scale=scale,
+            mean_abs_dev=float(deviations.mean()),
+            mc_se=float(deviations.std(ddof=1) / math.sqrt(deviations.size)),
+            replicates=int(deviations.size),
+        )
+
+    return tuple(_run_reps(scale_record, len(scales), threads))
 
 
-def convergence_study(design: SimulationDesign, scales: Sequence[int], replicates: int = 1000) -> StudySummary:
-    """:func:`convergence_check` at one p1 draw from ``design``, on the generator described above.
+def convergence_study(
+    design: SimulationDesign, scales: Sequence[int], replicates: int = 1000, threads: int = 1
+) -> StudySummary:
+    """:func:`convergence_check` at one p1 draw from ``design``, on the streams described above.
 
     Uses the design's k, sample sizes, psi, p1 bounds and seed; its reps and
     datasets_per_rep do not apply.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((design.seed,)))
-    p1s = draw_p1(design, rng)
+    p1s = draw_p1(design, np.random.default_rng(np.random.SeedSequence((design.seed,))))
     records = convergence_check(
-        design.psi, p1s, design.n_mentioned, design.n_not_mentioned, scales, rng, replicates=replicates
+        design.psi, p1s, design.n_mentioned, design.n_not_mentioned, scales, design.seed,
+        replicates=replicates, threads=threads,
     )
     return StudySummary(
         study="convergence",

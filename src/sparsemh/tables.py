@@ -227,7 +227,10 @@ def to_cross_table(table: StratumTable) -> CrossTableRow:
 def _csv_text(text: str | bytes) -> str:
     """Decoded CSV text without a leading byte-order mark, its lines ended by LF."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not valid UTF-8: {exc}") from None
     return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 

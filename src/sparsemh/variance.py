@@ -157,7 +157,7 @@ def _skm_log_variance(a, b, c, d, col1, col2, n, sums: _Sums):
     """
     v, w, q = _skm_terms(a, b, c, d, col1, col2, n, sums.t)
     rt, st = sums.rt, sums.st
-    return v.sum(axis=-1) / rt**2 + w.sum(axis=-1) / st**2 - 2.0 * q.sum(axis=-1) / (rt * st)
+    return v.sum(axis=-1) / (rt * rt) + w.sum(axis=-1) / (st * st) - 2.0 * q.sum(axis=-1) / (rt * st)
 
 
 def _rbg_log_variance(a, b, c, d, sums: _Sums):
@@ -172,9 +172,9 @@ def _rbg_log_variance(a, b, c, d, sums: _Sums):
     q = (b + c) / sums.t
     r, s, rt, st = sums.r, sums.s, sums.rt, sums.st
     return (
-        (p * r).sum(axis=-1) / (2.0 * rt**2)
+        (p * r).sum(axis=-1) / (2.0 * (rt * rt))
         + (p * s + q * r).sum(axis=-1) / (2.0 * rt * st)
-        + (q * s).sum(axis=-1) / (2.0 * st**2)
+        + (q * s).sum(axis=-1) / (2.0 * (st * st))
     )
 
 

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sparsemh
 from sparsemh import __version__
 from sparsemh.cli import main
 from sparsemh.datasets import smallworld_path
@@ -144,6 +148,16 @@ def test_analyze_huge_count_is_a_parse_error(capsys, tmp_path):
     assert "line 2: field 'a' must be at most 2**26" in err
 
 
+def test_analyze_invalid_utf8_csv_is_a_parse_error(capsys, tmp_path):
+    # a CSV that does not decode used to exit 4, as if a flag value were bad
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("stratum,a,b,c,d\ncaf\u00e9,26,7,18,13\n".encode("latin-1"))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: input is not valid UTF-8: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_analyze_bom_csv_matches_plain_file(capsys, tmp_path):
     plain = write_smallworld(tmp_path)
     bom = tmp_path / "smallworld_bom.csv"
@@ -242,7 +256,7 @@ def test_simulate_convergence(capsys, tmp_path):
     assert meta["design"]["scales"] == [1, 5]
     assert meta["design"]["replicates"] == 200
     assert "reps" not in meta["design"] and "datasets_per_rep" not in meta["design"]
-    assert meta["rng"]["streams"].startswith("one generator from SeedSequence((seed,))")
+    assert meta["rng"]["streams"].startswith("p1 draws: SeedSequence((seed,))")
 
 
 def test_simulate_help_says_convergence_ignores_the_repetition_flags(capsys):
@@ -252,9 +266,9 @@ def test_simulate_help_says_convergence_ignores_the_repetition_flags(capsys):
     text = " ".join(capsys.readouterr().out.split())
     # option -> its help text, up to the next "--option METAVAR"
     entries = dict(re.findall(r"(--[a-z0-9-]+) [A-Z0-9_]+ (.*?)(?= --[a-z0-9-]+ [A-Z0-9_]+ |$)", text))
-    for flag in ("--datasets", "--reps", "--threads"):
+    for flag in ("--datasets", "--reps"):
         assert "not used by convergence" in entries[flag]
-    for flag in ("--k", "--psi", "--seed", "--scales", "--replicates"):
+    for flag in ("--k", "--psi", "--seed", "--threads", "--scales", "--replicates"):
         assert "not used by convergence" not in entries[flag]
 
 
@@ -296,6 +310,15 @@ def test_simulate_threads_env_default(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, *simulate_args("bias", tmp_path / "env1"))
     assert code == 0
     assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "env1.csv").read_bytes()
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    # the studies run on threads, so neither analyze nor simulate pays for multiprocessing
+    src = str(Path(sparsemh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = "import sys, sparsemh.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 # -------------------------------------------------------------------- version

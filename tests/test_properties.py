@@ -483,7 +483,8 @@ def test_coverage_kernels_equal_the_array_total_form_bit_for_bit(draws, block_ce
     design = SimulationDesign(k=k, n_mentioned=n1, n_not_mentioned=n2, datasets_per_rep=a.shape[0], reps=1)
     with mock.patch.multiple(
         simulation,
-        _draw_count_matrices_streamed=lambda *_: (a, b),
+        # stratum-major, in the compact dtype the draws use
+        _draw_count_matrices_streamed=lambda *_: (x.T.astype(np.min_scalar_type(max(n1, n2))) for x in (a, b)),
         MAX_DROP_FRACTION=1.0,
         BLOCK_CELLS=block_cells,
         _ln_mhq_from_counts=record("ln", simulation._ln_mhq_from_counts),
@@ -500,6 +501,58 @@ def test_coverage_kernels_equal_the_array_total_form_bit_for_bit(draws, block_ce
     assert np.array_equal(np.concatenate(ln_mhq), np.log(all_sums.rt[defined] / all_sums.st[defined]))
     assert np.array_equal(np.concatenate(seen["skm"]), want_skm)
     assert np.array_equal(np.concatenate(seen["bh"]), want_bh)
+
+
+# ------------------------------------------ compact stratum-major count storage
+
+@PROPERTY
+@given(
+    k=st.integers(1, 8),
+    # uint8, uint16, uint32 and uint64 storage
+    n1=st.one_of(st.integers(1, 255), st.integers(256, 65_535), st.integers(65_536, 2**32), st.just(2**40)),
+    n2=st.one_of(st.integers(1, 255), st.integers(256, 65_535), st.integers(65_536, 2**32), st.just(2**40)),
+    count=st.integers(1, 200),
+    block_cells=st.integers(1, 256),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_compact_draws_in_blocks_equal_float64_matrices_bit_for_bit(k, n1, n2, count, block_cells, seed):
+    p = np.random.default_rng(seed).uniform(0.0, 1.0, size=(2, k))
+    p1s, p2s = 1.0 - p[0], 1.0 - p[1]  # in (0, 1]
+
+    def stream(i):
+        return np.random.default_rng(np.random.SeedSequence((seed, 0, i)))
+
+    # float64 (count, k) matrices, filled column by column from the same streams
+    want_a, want_b = np.empty((count, k)), np.empty((count, k))
+    for i in range(k):
+        rng = stream(i)
+        want_a[:, i] = rng.binomial(n1, p1s[i], size=count)
+        want_b[:, i] = rng.binomial(n2, p2s[i], size=count)
+    f1, f2 = float(n1), float(n2)
+    want_ln, want_defined, want_dropped, want_sums = simulation._ln_mhq_from_counts(want_a, want_b, f1, f2)
+    a_d, b_d, sums_d = want_a[want_defined], want_b[want_defined], want_sums.rows(want_defined)
+    want_skm = _skm_log_variance(a_d, b_d, f1 - a_d, f2 - b_d, f1, f2, f1 + f2, sums_d)
+    want_bh = _rbg_log_variance(a_d, b_d, f1, f2, sums_d)
+
+    a, b = simulation._draw_counts(p1s, p2s, n1, n2, count, stream)
+    assert a.shape == b.shape == (k, count)
+    assert a.dtype == b.dtype == np.min_scalar_type(max(n1, n2))
+    got = {"ln": [], "defined": [], "skm": [], "bh": []}
+    dropped = 0
+    with mock.patch.object(simulation, "BLOCK_CELLS", block_cells):
+        for a_rows, b_rows, (ln, defined, block_dropped, sums) in simulation._ln_mhq_blocks(a, b, f1, f2):
+            assert a_rows.dtype == b_rows.dtype == np.float64
+            assert a_rows.flags.c_contiguous and b_rows.flags.c_contiguous
+            a_rows, b_rows, sums = a_rows[defined], b_rows[defined], sums.rows(defined)
+            got["ln"].append(ln)
+            got["defined"].append(defined)
+            got["skm"].append(_skm_log_variance(a_rows, b_rows, f1 - a_rows, f2 - b_rows, f1, f2, f1 + f2, sums))
+            got["bh"].append(_rbg_log_variance(a_rows, b_rows, f1, f2, sums))
+            dropped += block_dropped
+    assert dropped == want_dropped
+    for name, want in (("ln", want_ln), ("defined", want_defined), ("skm", want_skm), ("bh", want_bh)):
+        joined = np.concatenate(got[name])
+        assert joined.dtype == want.dtype and joined.tobytes() == want.tobytes(), name
 
 
 # ------------------------------------------------- thread-count invariance

@@ -27,7 +27,7 @@ from sparsemh import (
     var_skm_log_mhq_true,
 )
 from sparsemh.estimators import _weighted_sums
-from sparsemh.variance import _mhq_cell_sums, _skm_terms
+from sparsemh.variance import _Sums, _mhq_cell_sums, _rbg_log_variance, _skm_log_variance, _skm_terms
 
 from conftest import make_dataset
 
@@ -108,6 +108,20 @@ def test_dataset_components_totals(smallworld_filtered):
     assert math.fsum(r) == pytest.approx(520 / 97 + 240 / 68 + 36 / 34, rel=1e-14)
     assert math.fsum(s) == pytest.approx(308 / 97 + 210 / 68 + 48 / 34, rel=1e-14)
     assert math.fsum(r) / math.fsum(s) == mhq(smallworld_filtered)
+
+
+def test_kernels_square_scalar_totals_as_the_batch_does():
+    # analyze hands the kernels one dataset's totals R and S as numpy
+    # scalars, the simulation as arrays over datasets. A scalar's ** 2 calls
+    # C pow, which rounds the squares of these totals differently from x * x.
+    cells = (np.array([3.0, 1.0]), np.array([7.0, 2.0]), np.array([4.0, 5.0]), np.array([2.0, 9.0]))
+    totals, sums = _mhq_cell_sums(*cells)
+    scalar = sums._replace(rt=np.float64(61_914_041_810.0), st=np.float64(1_071_370_718_072.0))
+    batch = _Sums(*(np.asarray(x)[None] for x in scalar))
+    batch_cells = tuple(x[None] for x in cells)
+    batch_totals = tuple(x[None] for x in totals)
+    assert _skm_log_variance(*batch_cells, *batch_totals, batch)[0] == _skm_log_variance(*cells, *totals, scalar)
+    assert _rbg_log_variance(*batch_cells, batch)[0] == _rbg_log_variance(*cells, scalar)
 
 
 # ------------------------------------------------------------- SKM variance
