@@ -6,6 +6,10 @@ the group-vs-world weighted column risk ratio MHq), their log-scale variance
 estimates and confidence intervals, and ships a reproducible Monte Carlo
 harness that validates the variance estimators under column-binomial
 sampling.
+
+The simulation names (``bias_study``, ``SimulationDesign``, ...) are loaded
+from :mod:`sparsemh.simulation` on first use, so analysis alone never pays
+for importing the Monte Carlo harness.
 """
 
 __version__ = "0.1.0"
@@ -51,17 +55,6 @@ from .variance import (
     var_rbg_log_mhor,
     var_skm_log_mhq,
     var_skm_log_mhq_true,
-)
-from .simulation import (
-    ExcessiveDropError,
-    InvalidDesignError,
-    SimulationDesign,
-    StudySummary,
-    bias_study,
-    convergence_check,
-    convergence_study,
-    coverage_study,
-    draw_p1,
 )
 
 __all__ = [
@@ -112,3 +105,31 @@ __all__ = [
     "var_skm_log_mhq_true",
     "world_comparison_row",
 ]
+
+# resolved by __getattr__ on first use
+_SIMULATION_NAMES = frozenset({
+    "ExcessiveDropError",
+    "InvalidDesignError",
+    "SimulationDesign",
+    "StudySummary",
+    "bias_study",
+    "convergence_check",
+    "convergence_study",
+    "coverage_study",
+    "draw_p1",
+})
+
+
+def __getattr__(name: str):
+    if name == "simulation" or name in _SIMULATION_NAMES:
+        import importlib
+
+        # import_module, not "from . import": that form would look the
+        # submodule up on this package first and so call back into here
+        simulation = importlib.import_module(".simulation", __name__)
+        return simulation if name == "simulation" else getattr(simulation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SIMULATION_NAMES)

@@ -8,23 +8,19 @@ too sparse to summarize, 5 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .estimators import UndefinedIndicatorError
 from .report import build_report, render_csv, render_json, render_text
-from .simulation import (
-    ExcessiveDropError,
-    InvalidDesignError,
-    SimulationDesign,
-    StudySummary,
-    bias_study,
-    convergence_study,
-    coverage_study,
-)
 from .tables import NoInformativeStrataError, ParseError, parse_csv, parse_json
+
+if TYPE_CHECKING:
+    from .simulation import StudySummary
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -36,6 +32,8 @@ THREADS_ENV_VAR = "SPARSEMH_THREADS"
 
 
 def _default_threads() -> int:
+    from .simulation import InvalidDesignError
+
     raw = os.environ.get(THREADS_ENV_VAR) or "1"
     try:
         if int(raw) >= 1:
@@ -45,7 +43,14 @@ def _default_threads() -> int:
     raise InvalidDesignError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state in it.
+
+    Every default is a constant; what the environment sets is read per call
+    (``SPARSEMH_THREADS`` in :func:`_default_threads`, ``SOURCE_DATE_EPOCH``
+    when a JSON report is rendered).
+    """
     parser = argparse.ArgumentParser(
         prog="sparsemh",
         description="Mantel-Haenszel association indicators for stratified 2x2 count data",
@@ -161,6 +166,16 @@ def _digest(summary: StudySummary) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    # imported here, so that analyze never loads the simulation or its thread pool
+    from .simulation import (
+        ExcessiveDropError,
+        InvalidDesignError,
+        SimulationDesign,
+        bias_study,
+        convergence_study,
+        coverage_study,
+    )
+
     design = SimulationDesign(
         k=args.k,
         n_mentioned=args.n_mentioned,
@@ -176,16 +191,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if threads < 1:
         raise InvalidDesignError(f"--threads must be at least 1, got {threads}")
 
-    if args.study == "bias":
-        summary = bias_study(design, threads=threads)
-    elif args.study in ("coverage", "width"):
-        summary = coverage_study(design, threads=threads, study=args.study)
-    else:
+    if args.study == "convergence":
         try:
             scales = [int(s) for s in args.scales.split(",") if s.strip()]
         except ValueError:
             raise InvalidDesignError(f"--scales must be comma-separated integers, got {args.scales!r}") from None
-        summary = convergence_study(design, scales, replicates=args.replicates, threads=threads)
+    try:
+        if args.study == "bias":
+            summary = bias_study(design, threads=threads)
+        elif args.study in ("coverage", "width"):
+            summary = coverage_study(design, threads=threads, study=args.study)
+        else:
+            summary = convergence_study(design, scales, replicates=args.replicates, threads=threads)
+    except ExcessiveDropError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DESIGN
 
     prefix = Path(args.out) if args.out else Path(f"sparsemh_{args.study}")
     csv_path, json_path = summary.write(prefix)
@@ -209,11 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UndefinedIndicatorError, NoInformativeStrataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
-    except (InvalidDesignError, ExcessiveDropError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DESIGN
     except ValueError as exc:
-        # invalid flag values (--level, --methods, ...) outside their domain
+        # invalid flag values (--level, --methods, ...) outside their domain,
+        # and InvalidDesignError, the simulation's ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DESIGN
     except OSError as exc:

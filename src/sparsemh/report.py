@@ -160,11 +160,6 @@ class _FloatText(dict):
         return list(map(self.__getitem__, values))
 
 
-def _nested(value) -> str:
-    """``json.dumps(value, indent=2)`` for a value inside the top-level object."""
-    return json.dumps(value, indent=2).replace("\n", "\n  ")
-
-
 def _generated_at() -> str:
     """ISO time stamp, taken from ``SOURCE_DATE_EPOCH`` when it is set."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
@@ -224,40 +219,64 @@ def _weights_json(report: AnalysisReport, keys: dict[str, str], memo: _FloatText
     return flat
 
 
+def _json_list(items: list[str]) -> str:
+    """A list of ``{...}`` item texts, each starting with its newline and indent, as a top-level value."""
+    return "[" + ",".join(items) + "\n  ]" if items else "[]"
+
+
+def _excluded_json(report: AnalysisReport) -> str:
+    return _json_list([f'''
+    {{
+      "stratum": {_encode(table.label)},
+      "reason": {_encode(reason)}
+    }}''' for table, reason in report.filtered.excluded])
+
+
+def _indicators_json(report: AnalysisReport, memo: _FloatText) -> str:
+    items = []
+    for est in report.estimates:
+        deprecated = f',\n      "deprecated": {_encode(BH_CAVEAT)}' if est.method is VarianceMethod.BH else ""
+        items.append(f'''
+    {{
+      "kind": {_encode(est.kind.value)},
+      "method": {_encode(est.method.value)},
+      "value": {memo[est.value]},
+      "log_variance": {memo[est.log_variance]},
+      "ci_low": {memo[est.ci_low]},
+      "ci_high": {memo[est.ci_high]},
+      "level": {memo[est.level]}{deprecated}
+    }}''')
+    return _json_list(items)
+
+
+def _meta_json() -> str:
+    return f'''{{
+    "package": "sparsemh",
+    "version": {_encode(__version__)},
+    "generated_at": {_encode(_generated_at())}
+  }}'''
+
+
 def render_json(report: AnalysisReport) -> str:
     """The report as JSON with full double precision, indented by two spaces.
 
-    The bytes equal ``json.dumps(..., indent=2)`` of the same structure; the
-    per-stratum sections are written from fixed templates instead of going
-    through the pure-Python encoder that ``indent`` selects.
+    The bytes equal ``json.dumps(..., indent=2)`` of the same structure. The
+    sections holding lists and objects are written from fixed templates
+    instead of going through the pure-Python encoder that ``indent``
+    selects; the scalar ``source`` and ``level`` go through the C encoder,
+    whose text ``indent`` does not change.
     """
     memo = _FloatText()
     labels = report.dataset.labels
     encoded = list(map(_encode, labels))
-    indicators = []
-    for est in report.estimates:
-        entry = {
-            "kind": est.kind.value,
-            "method": est.method.value,
-            "value": est.value,
-            "log_variance": est.log_variance,
-            "ci_low": est.ci_low,
-            "ci_high": est.ci_high,
-            "level": est.level,
-        }
-        if est.method is VarianceMethod.BH:
-            entry["deprecated"] = BH_CAVEAT
-        indicators.append(entry)
     sections = {
-        "source": [_nested(report.source)],
-        "level": [_nested(report.level)],
+        "source": [json.dumps(report.source)],
+        "level": [json.dumps(report.level)],
         "strata": _strata_json(report, encoded, memo),
-        "excluded": [_nested(
-            [{"stratum": t.label, "reason": reason} for t, reason in report.filtered.excluded]
-        )],
+        "excluded": [_excluded_json(report)],
         "weights": _weights_json(report, dict(zip(labels, encoded)), memo),
-        "indicators": [_nested(indicators)],
-        "meta": [_nested({"package": "sparsemh", "version": __version__, "generated_at": _generated_at()})],
+        "indicators": [_indicators_json(report, memo)],
+        "meta": [_meta_json()],
     }
     # one join over every section's fragments, so the text is copied once
     parts, sep = [], "{\n"

@@ -74,6 +74,10 @@ CONVERGENCE_STREAM_DERIVATION = (
 # repetition, against 540 at 2**13 with the same output bits.
 BLOCK_CELLS = 2**13
 
+# Largest column total: counts are converted to float64, which holds every
+# integer up to 2**53 exactly (and numpy's binomial takes no n beyond int64).
+MAX_COLUMN_TOTAL = 2**53
+
 # Undefined-MHq replicates are dropped and counted; a run is aborted rather
 # than silently reported when more than this fraction is lost.
 MAX_DROP_FRACTION = 0.01
@@ -106,6 +110,9 @@ class SimulationDesign:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise InvalidDesignError(f"{name} must be a positive integer, got {value!r}")
+        for name in ("n_mentioned", "n_not_mentioned"):
+            if getattr(self, name) > MAX_COLUMN_TOTAL:
+                raise InvalidDesignError(f"{name} must be at most 2**53, got {getattr(self, name)}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
             raise InvalidDesignError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not self.psi > 0.0:
@@ -459,6 +466,9 @@ def convergence_check(
     scales = [int(s) for s in scales]
     if not scales or any(s < 1 for s in scales):
         raise InvalidDesignError(f"scales must be positive integers, got {scales}")
+    for name, n in (("n_mentioned", n_mentioned), ("n_not_mentioned", n_not_mentioned)):
+        if n * max(scales) > MAX_COLUMN_TOTAL:
+            raise InvalidDesignError(f"{name} * scale must be at most 2**53, got {n} * {max(scales)}")
 
     p1s = np.asarray(p1s, dtype=float)
     if p1s.ndim != 1 or p1s.size == 0 or np.any(p1s <= 0.0) or np.any(p1s > 1.0):

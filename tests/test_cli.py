@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import sparsemh
-from sparsemh import __version__
-from sparsemh.cli import main
+from sparsemh import __version__, simulation
+from sparsemh.cli import _build_parser, main
 from sparsemh.datasets import smallworld_path
 
 GOLDEN = Path(__file__).parent / "golden" / "smallworld_report.json"
@@ -312,13 +312,106 @@ def test_simulate_threads_env_default(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "env1.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["bias", "--n-not-mentioned", "10000000000000000000"], "n_not_mentioned must"),
+        (["bias", "--n-mentioned", str(2**53 + 1)], "n_mentioned must"),
+        (["convergence", "--scales", "1,10000000000000000"], "n_mentioned * scale must"),
+    ],
+)
+def test_simulate_huge_sample_size_exit_code(capsys, tmp_path, argv, field):
+    # numpy's binomial draw used to end in an OverflowError traceback
+    code, out, err = run(capsys, "simulate", *argv, "--out", str(tmp_path / "huge"))
+    assert code == 4 and out == ""
+    assert err.startswith(f"error: {field} be at most 2**53, got ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("study", ["bias", "convergence"])
+def test_simulate_excessive_drop_exit_code_for_bias_and_convergence(capsys, tmp_path, study):
+    code, out, err = run(
+        capsys,
+        "simulate", study,
+        "--k", "1", "--n-mentioned", "1", "--n-not-mentioned", "1",
+        "--p1-low", "0.01", "--p1-high", "0.01",
+        "--reps", "1", "--datasets", "200", "--scales", "1", "--replicates", "200",
+        "--out", str(tmp_path / "sparse"),
+    )
+    assert code == 4 and out == ""
+    assert err == (
+        "error: 200 of 200 replicates had an undefined MHq (> 1%); "
+        "the sampling design is too sparse to summarize\n"
+    )
+
+
 def test_importing_the_cli_loads_no_process_machinery():
-    # the studies run on threads, so neither analyze nor simulate pays for multiprocessing
+    # analyze needs neither the simulation nor a pool; both load on first use
     src = str(Path(sparsemh.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    probe = "import sys, sparsemh.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    heavy = ("sparsemh.simulation", "concurrent.futures", "multiprocessing")
+    for module in ("sparsemh.cli", "sparsemh"):
+        probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith({heavy!r})))"
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n", module
+
+
+def test_simulation_names_resolve_on_first_use():
+    assert sparsemh.bias_study is sparsemh.simulation.bias_study
+    assert sparsemh.InvalidDesignError is simulation.InvalidDesignError
+    namespace: dict = {}
+    exec("from sparsemh import *", namespace)
+    assert {name: namespace[name] for name in sparsemh.__all__} == {
+        name: getattr(sparsemh, name) for name in sparsemh.__all__
+    }
+    assert set(sparsemh.__all__) <= set(dir(sparsemh))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sparsemh.no_such_name
+
+
+# ----------------------------------------------- one parser for every call
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys, tmp_path):
+    assert _build_parser() is _build_parser()
+    path = str(write_smallworld(tmp_path))
+    code, out, _ = run(capsys, "analyze", path, "--format", "json")
+    assert code == 0 and out.startswith("{")
+    code, out, _ = run(capsys, "analyze", path)
+    assert code == 0 and out.startswith("dataset: ")
+
+    with pytest.raises(SystemExit) as stopped:
+        main(["analyze", path, "--no-such-flag"])
+    assert stopped.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    code, out, err = run(capsys, "analyze", path, "--format", "csv")
+    assert code == 0 and err == "" and out.startswith("kind,method,")
+
+
+def test_threads_env_is_read_on_every_call(capsys, tmp_path, monkeypatch):
+    seen = []
+    run_reps = simulation._run_reps
+
+    def spy(work, reps, threads):
+        seen.append(threads)
+        return run_reps(work, reps, threads)
+
+    monkeypatch.setattr(simulation, "_run_reps", spy)
+    for value in ("1", "2"):
+        monkeypatch.setenv("SPARSEMH_THREADS", value)
+        code, _, _ = run(capsys, *simulate_args("bias", tmp_path / value))
+        assert code == 0
+    assert seen == [1, 2]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["simulate", "--help"]])
+def test_help_equals_a_freshly_built_parsers(capsys, tmp_path, argv):
+    run(capsys, "analyze", str(write_smallworld(tmp_path)))
+    texts = []
+    for parse in (main, _build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as stopped:
+            parse(argv)
+        assert stopped.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and texts[0].startswith("usage: sparsemh ")
 
 
 # -------------------------------------------------------------------- version

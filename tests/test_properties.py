@@ -6,6 +6,7 @@ is derandomized, so a run is repeatable and needs no example database.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from sparsemh import simulation
 from sparsemh import (
+    __version__,
     IndicatorKind,
     NoInformativeStrataError,
     ParseError,
@@ -342,6 +344,67 @@ def test_render_json_matches_json_dumps_and_the_report(ds, methods):
     assert [e.get("deprecated") for e in parsed["indicators"]] == [
         "overestimates variance" if e.method.value == "BH" else None for e in report.estimates
     ]
+
+
+def reference_render_json(report) -> str:
+    """The report as one ``json.dumps(..., indent=2)`` of the whole structure."""
+    excluded = {t.label: reason for t, reason in report.filtered.excluded}
+    strata = [
+        {
+            "stratum": label, "a": a, "b": b, "c": c, "d": d, "n": a + b + c + d,
+            **{name: column[i] for name, column in report.ratios.items()},
+            "excluded": label in excluded, "exclusion_reason": excluded.get(label),
+        }
+        for i, (label, (a, b, c, d)) in enumerate(zip(report.dataset.labels, report.dataset.counts.tolist()))
+    ]
+    indicators = []
+    for est in report.estimates:
+        entry = {
+            "kind": est.kind.value, "method": est.method.value, "value": est.value,
+            "log_variance": est.log_variance, "ci_low": est.ci_low, "ci_high": est.ci_high, "level": est.level,
+        }
+        if est.method.value == "BH":
+            entry["deprecated"] = "overestimates variance"
+        indicators.append(entry)
+    return json.dumps({
+        "source": report.source,
+        "level": report.level,
+        "strata": strata,
+        "excluded": [{"stratum": label, "reason": reason} for label, reason in excluded.items()],
+        "weights": {kind.value: dict(zip(report.filtered.labels, w)) for kind, w in report.weights.items()},
+        "indicators": indicators,
+        "meta": {"package": "sparsemh", "version": __version__, "generated_at": "2026-01-01T00:00:00+00:00"},
+    }, indent=2)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def reports_with_any_finite_estimates(draw):
+    """A report with and without excluded strata, BH on or off, and indicator floats of any exponent."""
+    rows = draw(st.lists(complete_cells, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        rows += draw(st.lists(excluded_cells, min_size=1, max_size=3))
+    rows = draw(st.permutations(rows))
+    labels = draw(st.lists(report_label, min_size=len(rows), max_size=len(rows), unique=True))
+    ds = StratifiedDataset(StratumTable(label, *cells) for label, cells in zip(labels, rows))
+    report = build_report(ds, source=draw(report_label), methods=draw(st.sampled_from([("skm",), ("skm", "bh")])))
+    estimates = tuple(
+        dataclasses.replace(
+            est, value=draw(finite_floats), log_variance=draw(finite_floats), ci_low=draw(finite_floats),
+            ci_high=draw(finite_floats), level=draw(finite_floats),
+        )
+        for est in report.estimates
+    )
+    return dataclasses.replace(report, level=draw(finite_floats), estimates=estimates)
+
+
+@PROPERTY
+@given(reports_with_any_finite_estimates())
+def test_render_json_equals_one_indented_json_dumps(report):
+    with mock.patch.dict("os.environ", {"SOURCE_DATE_EPOCH": "1767225600"}):
+        assert render_json(report) == reference_render_json(report)
 
 
 @PROPERTY

@@ -66,6 +66,12 @@ def test_design_rejects_bad_parameters():
         SimulationDesign(p1_low=0.3, p1_high=0.2)
     with pytest.raises(InvalidDesignError, match="seed"):
         SimulationDesign(seed=-1)
+    # float64 holds counts exactly only up to 2**53
+    with pytest.raises(InvalidDesignError, match=r"^n_mentioned must be at most 2\*\*53"):
+        SimulationDesign(n_mentioned=2**53 + 1)
+    with pytest.raises(InvalidDesignError, match=r"^n_not_mentioned must be at most 2\*\*53"):
+        SimulationDesign(n_not_mentioned=10**19)
+    assert SimulationDesign(n_mentioned=2**53, n_not_mentioned=2**53).n_mentioned == 2**53
 
 
 def test_design_allows_degenerate_p1_interval():
@@ -411,3 +417,7 @@ def test_convergence_check_validation():
         convergence_check(0.05, (0.5,), 10, 10, (1,), 0)
     with pytest.raises(InvalidDesignError, match="replicates"):
         convergence_check(1.0, (0.1,), 10, 10, (1,), 0, replicates=1)
+    with pytest.raises(InvalidDesignError, match=r"^n_mentioned \* scale must be at most 2\*\*53"):
+        convergence_check(1.0, (0.1,), 10, 10, (1, 10**16), 0)
+    with pytest.raises(InvalidDesignError, match=r"^n_not_mentioned \* scale must be at most 2\*\*53"):
+        convergence_check(1.0, (0.1,), 1, 2**10, (2**44,), 0)
