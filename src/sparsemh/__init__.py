@@ -28,18 +28,15 @@ from .estimators import (
     world_comparison_row,
 )
 from .tables import (
-    CrossTableRow,
     NoInformativeStrataError,
     ParseError,
     StratifiedDataset,
     StratumTable,
     filter_informative,
-    from_cross_table,
     parse_csv,
     parse_json,
     serialize_csv,
     serialize_json,
-    to_cross_table,
 )
 from .variance import (
     BinomialParams,
@@ -60,7 +57,6 @@ from .variance import (
 __all__ = [
     "__version__",
     "BinomialParams",
-    "CrossTableRow",
     "ExcessiveDropError",
     "IndicatorEstimate",
     "IndicatorKind",
@@ -82,7 +78,6 @@ __all__ = [
     "draw_p1",
     "estimate_indicator",
     "filter_informative",
-    "from_cross_table",
     "katz_var_log_rr",
     "mh_col_risk_ratio",
     "mh_odds_ratio",
@@ -94,7 +89,6 @@ __all__ = [
     "serialize_json",
     "stratum_ratios",
     "stratum_weights",
-    "to_cross_table",
     "transpose",
     "var_bh_log_mhq",
     "var_bh_log_mhq_true",

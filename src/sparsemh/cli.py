@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 parse error, 3 undefined indicator / no informative
 strata, 4 invalid simulation design, flag or environment value, or a design
-too sparse to summarize, 5 I/O error.
+too sparse to summarize or too large for memory, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -203,8 +203,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             summary = coverage_study(design, threads=threads, study=args.study)
         else:
             summary = convergence_study(design, scales, replicates=args.replicates, threads=threads)
-    except ExcessiveDropError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ExcessiveDropError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation the design asked for
+        print(f"error: {str(exc) or 'the design does not fit in memory'}", file=sys.stderr)
         return EXIT_DESIGN
 
     prefix = Path(args.out) if args.out else Path(f"sparsemh_{args.study}")

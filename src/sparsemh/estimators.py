@@ -136,13 +136,6 @@ def mhq(ds: StratifiedDataset) -> float:
     return _sum_ratio(ds, IndicatorKind.MHQ)
 
 
-_STRATUM_RATIO: dict[IndicatorKind, str] = {
-    IndicatorKind.MHRR: "row_rr",
-    IndicatorKind.MHCR: "col_rr",
-    IndicatorKind.MHOR: "odds_ratio",
-    IndicatorKind.MHQ: "col_rr",
-}
-
 INDICATOR_FN: dict[IndicatorKind, Callable[[StratifiedDataset], float]] = {
     IndicatorKind.MHRR: mh_row_risk_ratio,
     IndicatorKind.MHCR: mh_col_risk_ratio,
@@ -155,18 +148,15 @@ def stratum_weights(ds: StratifiedDataset, kind: IndicatorKind) -> tuple[float, 
     """Normalized per-stratum weights behind the weighted-average form of each indicator.
 
     The indicator equals the weighted average of the matching stratum ratios
-    (see :func:`stratum_ratio_field`) whenever all those ratios are defined.
+    whenever all those ratios are defined: the :func:`ratio_columns` column
+    ``row_rr`` for MHRR, ``odds_ratio`` for MHOR, and ``col_rr`` for MHCR and
+    MHq.
     """
     _, raw = _weighted_sums(kind, *ds.counts.T)
     total = math.fsum(raw.tolist())
     if total == 0.0:
         raise UndefinedIndicatorError(f"{kind.value} weights undefined: every raw stratum weight is zero")
     return tuple((raw / total).tolist())
-
-
-def stratum_ratio_field(kind: IndicatorKind) -> str:
-    """Name of the :class:`StratumRatios` field averaged by the given indicator."""
-    return _STRATUM_RATIO[kind]
 
 
 def world_comparison_row(t: StratumTable) -> float:

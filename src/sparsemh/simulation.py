@@ -39,7 +39,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from statistics import NormalDist
 from typing import Callable, Sequence
@@ -115,8 +115,8 @@ class SimulationDesign:
                 raise InvalidDesignError(f"{name} must be at most 2**53, got {getattr(self, name)}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
             raise InvalidDesignError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not self.psi > 0.0:
-            raise InvalidDesignError(f"psi must be positive, got {self.psi}")
+        if not 0.0 < self.psi < math.inf:
+            raise InvalidDesignError(f"psi must be positive and finite, got {self.psi}")
         if not 0.0 < self.p1_low <= self.p1_high <= 1.0:
             raise InvalidDesignError(
                 f"need 0 < p1_low <= p1_high <= 1, got p1_low={self.p1_low}, p1_high={self.p1_high}"
@@ -132,16 +132,23 @@ def draw_p1(design: SimulationDesign, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(design.p1_low, design.p1_high, size=design.k)
 
 
-def _validated_p2(design: SimulationDesign, p1s: np.ndarray) -> np.ndarray:
+def _validated_p1_p2(psi: float, p1s: Sequence[float], k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``p1s`` as a float vector and p2 = p1/psi, each entry of both checked to lie in (0, 1].
+
+    The vector must hold ``k`` entries, or any positive number of them when
+    ``k`` is None.
+    """
+    if not 0.0 < psi < math.inf:
+        raise InvalidDesignError(f"psi must be positive and finite, got {psi}")
     p1s = np.asarray(p1s, dtype=float)
-    if p1s.shape != (design.k,):
-        raise InvalidDesignError(f"expected {design.k} p1 values, got shape {p1s.shape}")
-    if np.any(p1s <= 0.0) or np.any(p1s > 1.0):
+    if p1s.ndim != 1 or p1s.size == 0 or k not in (None, p1s.size):
+        raise InvalidDesignError(f"expected {k or 'a non-empty vector of'} p1 values, got shape {p1s.shape}")
+    if not np.all((p1s > 0.0) & (p1s <= 1.0)):
         raise InvalidDesignError("every p1 must lie in (0, 1]")
-    p2 = p1s / design.psi
-    if np.any(p2 > 1.0) or np.any(p2 <= 0.0):
-        raise InvalidDesignError(f"p2 = p1/psi must lie in (0, 1]; psi={design.psi} violates that")
-    return p2
+    p2s = p1s / psi
+    if not np.all((p2s > 0.0) & (p2s <= 1.0)):
+        raise InvalidDesignError(f"p2 = p1/psi must lie in (0, 1]; psi={psi} violates that")
+    return p1s, p2s
 
 
 def _draw_counts(
@@ -171,10 +178,10 @@ def _draw_count_matrices_streamed(
     design: SimulationDesign, p1s: np.ndarray, rep: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched draws on the documented per-(rep, stratum) streams."""
-    p2 = _validated_p2(design, p1s)
+    p1s, p2s = _validated_p1_p2(design.psi, p1s, design.k)
     return _draw_counts(
-        np.asarray(p1s, dtype=float),
-        p2,
+        p1s,
+        p2s,
         design.n_mentioned,
         design.n_not_mentioned,
         design.datasets_per_rep,
@@ -253,12 +260,12 @@ class ConvergenceRecord:
     replicates: int
 
 
-_INTERVAL_COLUMNS = ("setting", "psi", "skm_coverage", "bh_coverage", "skm_mean_width", "bh_mean_width", "dropped")
-_CSV_COLUMNS = {
-    "bias": ("rep", "true_sd", "skm_sd", "bh_sd", "skm_bias", "bh_bias"),
-    "coverage": _INTERVAL_COLUMNS,
-    "width": _INTERVAL_COLUMNS,
-    "convergence": ("scale", "mean_abs_dev", "mc_se", "replicates"),
+# each study's record class; its fields are the CSV columns, in order
+_RECORD_CLASS = {
+    "bias": BiasRecord,
+    "coverage": CoverageRecord,
+    "width": CoverageRecord,
+    "convergence": ConvergenceRecord,
 }
 
 
@@ -278,20 +285,13 @@ class StudySummary:
     design: SimulationDesign
     records: tuple
     dropped_total: int
-    # convergence only: the sample-size multipliers and the datasets drawn at
-    # each, which replace the design's reps and datasets_per_rep
-    scales: tuple[int, ...] = ()
+    # convergence only: the datasets drawn at each scale, which with the
+    # records' scales replaces the design's reps and datasets_per_rep
     replicates: int = 0
 
-    @property
-    def columns(self) -> tuple[str, ...]:
-        return _CSV_COLUMNS[self.study]
-
     def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for record in self.records:
-            values = asdict(record)
-            lines.append(",".join(_csv_cell(values[col]) for col in self.columns))
+        lines = [",".join(f.name for f in fields(_RECORD_CLASS[self.study]))]
+        lines.extend(",".join(map(_csv_cell, astuple(record))) for record in self.records)
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -299,7 +299,7 @@ class StudySummary:
         streams = STREAM_DERIVATION
         if self.study == "convergence":
             del design["datasets_per_rep"], design["reps"]
-            design.update(scales=list(self.scales), replicates=self.replicates)
+            design.update(scales=[r.scale for r in self.records], replicates=self.replicates)
             streams = CONVERGENCE_STREAM_DERIVATION
         payload = {
             "study": self.study,
@@ -410,6 +410,17 @@ def _run_reps(work: Callable[[int], object], reps: int, threads: int) -> list:
         return list(pool.map(work, range(reps)))
 
 
+def _rep_study(study: str, rep_fn: Callable, design: SimulationDesign, threads: int) -> StudySummary:
+    """The summary of ``rep_fn(design, rep)``, a (record, dropped) pair, over the design's repetitions."""
+    results = _run_reps(functools.partial(rep_fn, design), design.reps, threads)
+    return StudySummary(
+        study=study,
+        design=design,
+        records=tuple(record for record, _ in results),
+        dropped_total=sum(dropped for _, dropped in results),
+    )
+
+
 def bias_study(design: SimulationDesign, threads: int = 1) -> StudySummary:
     """SD bias of the two variance formulas at the true generating parameters.
 
@@ -417,26 +428,14 @@ def bias_study(design: SimulationDesign, threads: int = 1) -> StudySummary:
     ln(MHq) over ``datasets_per_rep`` simulated datasets, and records formula
     minus truth for both estimators.
     """
-    results = _run_reps(functools.partial(_bias_rep, design), design.reps, threads)
-    return StudySummary(
-        study="bias",
-        design=design,
-        records=tuple(record for record, _ in results),
-        dropped_total=sum(dropped for _, dropped in results),
-    )
+    return _rep_study("bias", _bias_rep, design, threads)
 
 
 def coverage_study(design: SimulationDesign, threads: int = 1, study: str = "coverage") -> StudySummary:
     """Coverage of psi and mean width of the nominal 95% intervals per setting."""
     if study not in ("coverage", "width"):
         raise ValueError(f"study must be 'coverage' or 'width', got {study!r}")
-    results = _run_reps(functools.partial(_coverage_rep, design), design.reps, threads)
-    return StudySummary(
-        study=study,
-        design=design,
-        records=tuple(record for record, _ in results),
-        dropped_total=sum(dropped for _, dropped in results),
-    )
+    return _rep_study(study, _coverage_rep, design, threads)
 
 
 def convergence_check(
@@ -457,8 +456,7 @@ def convergence_check(
     so each scale's record depends on the seed and that scale alone, and the
     scales run on up to ``threads`` threads with the same result.
     """
-    if psi <= 0.0:
-        raise InvalidDesignError(f"psi must be positive, got {psi}")
+    p1s, p2s = _validated_p1_p2(psi, p1s)
     if n_mentioned < 1 or n_not_mentioned < 1:
         raise InvalidDesignError("base sample sizes must be positive")
     if replicates < 2:
@@ -469,13 +467,6 @@ def convergence_check(
     for name, n in (("n_mentioned", n_mentioned), ("n_not_mentioned", n_not_mentioned)):
         if n * max(scales) > MAX_COLUMN_TOTAL:
             raise InvalidDesignError(f"{name} * scale must be at most 2**53, got {n} * {max(scales)}")
-
-    p1s = np.asarray(p1s, dtype=float)
-    if p1s.ndim != 1 or p1s.size == 0 or np.any(p1s <= 0.0) or np.any(p1s > 1.0):
-        raise InvalidDesignError("p1 values must be a non-empty vector with entries in (0, 1]")
-    p2s = p1s / psi
-    if np.any(p2s > 1.0):
-        raise InvalidDesignError(f"p2 = p1/psi must lie in (0, 1]; psi={psi} violates that")
 
     def scale_record(index: int) -> ConvergenceRecord:
         scale = scales[index]
@@ -519,6 +510,5 @@ def convergence_study(
         design=design,
         records=records,
         dropped_total=sum(replicates - r.replicates for r in records),
-        scales=tuple(r.scale for r in records),
         replicates=replicates,
     )

@@ -15,7 +15,6 @@ plus diagnostics for strata excluded from estimation.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import re
 from dataclasses import dataclass, replace
@@ -55,11 +54,11 @@ def _range_problem(value: int) -> str:
     return f"must be at most 2**26 = {MAX_COUNT}, got {value}"
 
 
-def _check_count(owner: str, name: str, value: object, maximum: float = MAX_COUNT) -> int:
+def _check_count(owner: str, name: str, value: object) -> int:
     # numpy integer scalars are welcome; bools and floats are not
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{owner}: count {name!r} must be an integer, got {value!r}")
-    if not 0 <= value <= maximum:
+    if not 0 <= value <= MAX_COUNT:
         raise ValueError(f"{owner}: count {name!r} {_range_problem(value)}")
     return int(value)
 
@@ -157,71 +156,8 @@ class StratifiedDataset:
         """The retained strata as tables, built on each access."""
         return tuple(StratumTable(label, *cells) for label, cells in zip(self.labels, self.counts.tolist()))
 
-    @property
-    def k(self) -> int:
-        return len(self.labels)
-
-    def __iter__(self):
-        return iter(self.strata)
-
     def __len__(self) -> int:
         return len(self.labels)
-
-
-@dataclass(frozen=True)
-class CrossTableRow:
-    """One stratum in group-vs-world layout.
-
-    The second row of the source table holds whole-population (world) totals
-    rather than the complement group, so the world cells must dominate the
-    group cells.
-    """
-
-    label: str
-    g_mentioned: int
-    g_not_mentioned: int
-    world_mentioned: int
-    world_not_mentioned: int
-
-    def __post_init__(self) -> None:
-        # world totals are sums of two counts; the table built by
-        # from_cross_table enforces the count bound
-        for name in ("g_mentioned", "g_not_mentioned", "world_mentioned", "world_not_mentioned"):
-            object.__setattr__(
-                self, name, _check_count(f"cross-table row {self.label!r}", name, getattr(self, name), math.inf)
-            )
-        if self.world_mentioned < self.g_mentioned:
-            raise ValueError(
-                f"cross-table row {self.label!r}: world_mentioned ({self.world_mentioned}) "
-                f"is smaller than g_mentioned ({self.g_mentioned})"
-            )
-        if self.world_not_mentioned < self.g_not_mentioned:
-            raise ValueError(
-                f"cross-table row {self.label!r}: world_not_mentioned ({self.world_not_mentioned}) "
-                f"is smaller than g_not_mentioned ({self.g_not_mentioned})"
-            )
-
-
-def from_cross_table(row: CrossTableRow) -> StratumTable:
-    """Convert a group-vs-world row to a contingency table by differencing."""
-    return StratumTable(
-        label=row.label,
-        a=row.g_mentioned,
-        b=row.g_not_mentioned,
-        c=row.world_mentioned - row.g_mentioned,
-        d=row.world_not_mentioned - row.g_not_mentioned,
-    )
-
-
-def to_cross_table(table: StratumTable) -> CrossTableRow:
-    """Rebuild the group-vs-world row whose difference form is ``table``."""
-    return CrossTableRow(
-        label=table.label,
-        g_mentioned=table.a,
-        g_not_mentioned=table.b,
-        world_mentioned=table.n_mentioned,
-        world_not_mentioned=table.n_not_mentioned,
-    )
 
 
 def _csv_text(text: str | bytes) -> str:
@@ -311,12 +247,15 @@ def parse_json(text: str | bytes) -> StratifiedDataset:
 
     Yields the same dataset as the equivalent CSV. Raises
     :class:`ParseError` naming the entry and offending key on schema
-    violations and out-of-range counts.
+    violations and out-of-range counts, and on JSON nested too deeply to
+    decode.
     """
     try:
         data = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(data, list):
         raise ParseError(f"expected a JSON array of stratum objects, got {type(data).__name__}")
     if not data:

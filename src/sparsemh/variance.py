@@ -71,18 +71,6 @@ class IndicatorEstimate:
     level: float
     method: VarianceMethod
 
-    @classmethod
-    def from_point(
-        cls,
-        kind: IndicatorKind,
-        value: float,
-        log_variance: float,
-        method: VarianceMethod,
-        level: float = 0.95,
-    ) -> "IndicatorEstimate":
-        lo, hi = confidence_interval(value, log_variance, level)
-        return cls(kind, value, log_variance, lo, hi, level, method)
-
     @property
     def width(self) -> float:
         return self.ci_high - self.ci_low
@@ -384,4 +372,6 @@ def estimate_indicator(
         raise UndefinedIndicatorError(
             f"{kind.value} is {value}; a log-scale interval needs a positive point estimate"
         )
-    return IndicatorEstimate.from_point(kind, value, variance_fn(ds), method, level)
+    log_variance = variance_fn(ds)
+    lo, hi = confidence_interval(value, log_variance, level)
+    return IndicatorEstimate(kind, value, log_variance, lo, hi, level, method)

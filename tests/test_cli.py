@@ -158,6 +158,16 @@ def test_analyze_invalid_utf8_csv_is_a_parse_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_analyze_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
+    # json.loads used to escape as a RecursionError traceback, exit 1
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: invalid JSON: nested too deeply\n"
+    assert "Traceback" not in err
+
+
 def test_analyze_bom_csv_matches_plain_file(capsys, tmp_path):
     plain = write_smallworld(tmp_path)
     bom = tmp_path / "smallworld_bom.csv"
@@ -342,6 +352,42 @@ def test_simulate_excessive_drop_exit_code_for_bias_and_convergence(capsys, tmp_
         "error: 200 of 200 replicates had an undefined MHq (> 1%); "
         "the sampling design is too sparse to summarize\n"
     )
+
+
+NUMPY_OOM = "Unable to allocate 54.6 TiB for an array with shape (30, 1000000000000) and data type uint16"
+
+
+@pytest.mark.parametrize(
+    "study, threads, message, expected",
+    [
+        ("bias", "1", NUMPY_OOM, NUMPY_OOM),
+        ("coverage", "2", "", "the design does not fit in memory"),
+        ("convergence", "1", "", "the design does not fit in memory"),
+    ],
+)
+def test_simulate_design_too_large_for_memory_exit_code(capsys, tmp_path, monkeypatch, study, threads, message, expected):
+    # numpy's MemoryError for an unallocatable count array used to escape as
+    # a traceback, exit 1; the draw is replaced, so nothing large is requested
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(simulation, "_draw_counts", out_of_memory)
+    code, out, err = run(capsys, *simulate_args(study, tmp_path / "big", "--threads", threads))
+    assert code == 4 and out == ""
+    assert err == f"error: {expected}\n"
+    assert not (tmp_path / "big.csv").exists()
+
+
+@pytest.mark.parametrize("psi", ["inf", "nan"])
+def test_simulate_non_finite_psi_is_rejected_before_any_draw(capsys, tmp_path, monkeypatch, psi):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before the design was validated")
+
+    monkeypatch.setattr(simulation, "draw_p1", no_draws)
+    monkeypatch.setattr(simulation, "_draw_counts", no_draws)
+    code, out, err = run(capsys, "simulate", "convergence", "--psi", psi, "--out", str(tmp_path / "inf"))
+    assert code == 4 and out == ""
+    assert err == f"error: psi must be positive and finite, got {psi}\n"
 
 
 def test_importing_the_cli_loads_no_process_machinery():

@@ -19,9 +19,9 @@ from sparsemh import (
     transpose,
     world_comparison_row,
 )
-from sparsemh.estimators import INDICATOR_FN, stratum_ratio_field
+from sparsemh.estimators import INDICATOR_FN, ratio_columns
 
-from conftest import make_dataset
+from conftest import RATIO_COLUMN, make_dataset
 
 # exact values for the three informative small-world strata, frozen from
 # rational arithmetic: MHRR = 117347/99129, MHCR = 37682/28573,
@@ -173,12 +173,10 @@ def test_weighted_average_identity_randomized():
     rng = np.random.default_rng(37)
     for _ in range(60):
         ds = random_positive_dataset(rng, int(rng.integers(2, 9)))
+        columns = ratio_columns(ds.counts)
         for kind in IndicatorKind:
             weights = stratum_weights(ds, kind)
-            field = stratum_ratio_field(kind)
-            avg = math.fsum(
-                w * getattr(stratum_ratios(t), field) for w, t in zip(weights, ds.strata)
-            )
+            avg = math.fsum(w * x for w, x in zip(weights, columns[RATIO_COLUMN[kind]]))
             assert INDICATOR_FN[kind](ds) == pytest.approx(avg, rel=1e-10)
 
 

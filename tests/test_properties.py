@@ -43,13 +43,13 @@ from sparsemh import (
     var_skm_log_mhq,
     world_comparison_row,
 )
-from sparsemh.estimators import INDICATOR_FN, ratio_columns, stratum_ratio_field
+from sparsemh.estimators import INDICATOR_FN, ratio_columns
 from sparsemh.report import _FloatText, build_report, render_json
 from sparsemh.simulation import ExcessiveDropError, bias_study, coverage_study
 from sparsemh.tables import EXCLUDED_NO_NOT_MENTIONED, MAX_COUNT, _parse_csv_lines
 from sparsemh.variance import _mhq_cell_sums, _rbg_log_variance, _skm_log_variance, _table_sums
 
-from conftest import make_dataset
+from conftest import RATIO_COLUMN, make_dataset
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -458,8 +458,9 @@ def test_skm_variance_is_non_negative(rows):
 @example([(26, 7, 18, 13), (5, 3, 1, 9)])
 def test_indicator_is_the_weighted_average_of_its_stratum_ratios(rows):
     ds = make_dataset(*rows)
+    columns = ratio_columns(ds.counts)
     for kind in IndicatorKind:
-        ratios = [getattr(stratum_ratios(t), stratum_ratio_field(kind)) for t in ds.strata]
+        ratios = columns[RATIO_COLUMN[kind]]
         if None in ratios:
             continue
         average = math.fsum(w * x for w, x in zip(stratum_weights(ds, kind), ratios))

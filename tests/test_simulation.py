@@ -60,8 +60,9 @@ def test_design_rejects_p2_above_one():
 def test_design_rejects_bad_parameters():
     with pytest.raises(InvalidDesignError, match="k"):
         SimulationDesign(k=0)
-    with pytest.raises(InvalidDesignError, match="psi"):
-        SimulationDesign(psi=0.0)
+    for psi in (0.0, math.inf, math.nan):
+        with pytest.raises(InvalidDesignError, match="psi must be positive and finite"):
+            SimulationDesign(psi=psi)
     with pytest.raises(InvalidDesignError, match="p1_low"):
         SimulationDesign(p1_low=0.3, p1_high=0.2)
     with pytest.raises(InvalidDesignError, match="seed"):
@@ -409,8 +410,14 @@ def test_convergence_study_writes_the_same_bytes_for_any_thread_count(monkeypatc
 
 
 def test_convergence_check_validation():
-    with pytest.raises(InvalidDesignError, match="psi"):
-        convergence_check(0.0, (0.1,), 10, 10, (1,), 0)
+    for psi in (0.0, math.inf):
+        with pytest.raises(InvalidDesignError, match="psi must be positive and finite"):
+            convergence_check(psi, (0.1,), 10, 10, (1,), 0)
+    # p2 = p1/psi underflows to 0, which no binomial draw can use
+    with pytest.raises(InvalidDesignError, match="p2"):
+        convergence_check(1e305, (1e-20,), 10, 10, (1,), 0)
+    with pytest.raises(InvalidDesignError, match="p1"):
+        convergence_check(1.0, (), 10, 10, (1,), 0)
     with pytest.raises(InvalidDesignError, match="scales"):
         convergence_check(1.0, (0.1,), 10, 10, (), 0)
     with pytest.raises(InvalidDesignError, match="p2"):

@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 
 from sparsemh import (
-    CrossTableRow,
     NoInformativeStrataError,
     ParseError,
     StratifiedDataset,
     StratumTable,
     filter_informative,
-    from_cross_table,
     parse_csv,
     parse_json,
     serialize_csv,
     serialize_json,
-    to_cross_table,
 )
 from sparsemh import tables
 from sparsemh.tables import EXCLUDED_NO_MENTIONED, EXCLUDED_NO_NOT_MENTIONED, MAX_COUNT
@@ -198,32 +195,6 @@ def test_parse_json_errors():
 def test_json_round_trip():
     ds = parse_csv(TABLE3_CSV)
     assert parse_json(serialize_json(ds)) == ds
-
-
-# -------------------------------------------------------------- cross-tables
-
-def test_from_cross_table_difference():
-    row = CrossTableRow("cat1", g_mentioned=26, g_not_mentioned=7, world_mentioned=44, world_not_mentioned=20)
-    assert from_cross_table(row) == StratumTable("cat1", 26, 7, 18, 13)
-
-
-def test_from_cross_table_empty_group():
-    row = CrossTableRow("z", 0, 0, 5, 5)
-    assert from_cross_table(row) == StratumTable("z", 0, 0, 5, 5)
-
-
-def test_cross_table_containment_violation():
-    with pytest.raises(ValueError, match="world_mentioned"):
-        CrossTableRow("bad", 10, 0, 9, 0)
-    with pytest.raises(ValueError, match="world_not_mentioned"):
-        CrossTableRow("bad", 0, 10, 0, 9)
-
-
-def test_cross_table_round_trip_randomized():
-    rng = np.random.default_rng(77)
-    for i in range(100):
-        t = random_table(rng, f"r{i}")
-        assert from_cross_table(to_cross_table(t)) == t
 
 
 # ----------------------------------------------------------------- filtering
