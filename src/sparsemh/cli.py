@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .estimators import UndefinedIndicatorError
-from .report import build_report, render_csv, render_json, render_text
+from .report import build_report, render_csv, render_json, render_text, write_in_place
 from .tables import NoInformativeStrataError, ParseError, parse_csv, parse_json
 
 if TYPE_CHECKING:
@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=f"worker threads (default: ${THREADS_ENV_VAR} or 1; at most the repetitions, or the "
-        "convergence scales, and the CPU count); never changes the numbers",
+        "convergence scales, and the CPUs this process may use); never changes the numbers",
     )
     simulate.add_argument(
         "--scales",
@@ -128,7 +128,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = build_report(ds, source=args.input, level=args.level, methods=methods)
     rendered = {"text": render_text, "json": render_json, "csv": render_csv}[args.format](report)
     if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+        write_in_place(args.out, rendered)
     else:
         sys.stdout.write(rendered)
     return EXIT_OK

@@ -6,6 +6,7 @@ import datetime
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass
 from itertools import filterfalse
 from json.encoder import encode_basestring_ascii as _encode
@@ -297,3 +298,23 @@ def render_csv(report: AnalysisReport) -> str:
             f"{est.ci_low!r},{est.ci_high!r},{est.level!r},{est.log_variance!r}"
         )
     return "\n".join(lines) + "\n"
+
+
+def write_in_place(path: str | os.PathLike, text: str) -> None:
+    """Write ``text`` as UTF-8 over ``path``, creating the file if it is missing.
+
+    The file is written from its start without ``O_TRUNC`` and then, if it
+    was a non-empty regular file, cut to the new length: on ext4, truncating
+    a non-empty file to zero (or renaming a temp file over it) forces a
+    writeback on close (``auto_da_alloc``), and rewriting in place does not.
+    A new file, a FIFO or a device such as ``/dev/null`` is never truncated.
+    A write that is cut short (an error, a signal, a crash or a power loss)
+    can leave rows of the old file after the new ones, and nothing marks the
+    file as mixed.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    with open(os.open(path, flags, 0o666), "w", encoding="utf-8") as fh:
+        st = os.fstat(fh.fileno())
+        fh.write(text)
+        if stat.S_ISREG(st.st_mode) and st.st_size:
+            fh.truncate()

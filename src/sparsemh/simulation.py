@@ -46,6 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .report import write_in_place
 from .variance import (
     BinomialParams,
     _mhq_sums,
@@ -317,8 +318,8 @@ class StudySummary:
         # plain concatenation: with_suffix would truncate prefixes like "psi0.2"
         csv_path = prefix.parent / (prefix.name + ".csv")
         json_path = prefix.parent / (prefix.name + ".json")
-        csv_path.write_text(self.to_csv(), encoding="utf-8")
-        json_path.write_text(self.to_json(), encoding="utf-8")
+        write_in_place(csv_path, self.to_csv())
+        write_in_place(json_path, self.to_json())
         return csv_path, json_path
 
 
@@ -394,8 +395,16 @@ def _coverage_rep(design: SimulationDesign, rep: int) -> tuple[CoverageRecord, i
 
 
 def worker_count(threads: int, reps: int) -> int:
-    """Worker threads for ``threads`` requested: never more than reps or CPUs, at least 1."""
-    return max(1, min(threads, reps, os.cpu_count() or 1))
+    """Worker threads for ``threads`` requested: never more than reps or usable CPUs, at least 1.
+
+    The usable CPUs are this process's affinity set where the OS has one
+    (``taskset`` narrows it below ``os.cpu_count()``), else the CPU count.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(threads, reps, cpus))
 
 
 def _run_reps(work: Callable[[int], object], reps: int, threads: int) -> list:

@@ -3,8 +3,10 @@ from __future__ import annotations
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -214,6 +216,131 @@ def test_analyze_invalid_flag_values(capsys, tmp_path):
     assert code == 4 and "bayes" in err
     code, _, err = run(capsys, "analyze", path, "--level", "1.5")
     assert code == 4 and "level" in err
+
+
+# ------------------------------------------------- --out rewrites in place
+
+ONE_STRATUM = "stratum,a,b,c,d\ns1,3,2,5,7\n"
+
+
+def write_one_stratum(tmp_path: Path) -> Path:
+    path = tmp_path / "one.csv"
+    path.write_text(ONE_STRATUM, encoding="utf-8")
+    return path
+
+
+def test_analyze_out_over_a_longer_report_leaves_no_stale_tail(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1767225600")
+    target = tmp_path / "report.json"
+    code, _, _ = run(capsys, "analyze", str(write_smallworld(tmp_path)), "--format", "json", "--out", str(target))
+    assert code == 0
+    longer = target.stat().st_size
+    one = str(write_one_stratum(tmp_path))
+    code, _, _ = run(capsys, "analyze", one, "--format", "json", "--out", str(target))
+    code_stdout, out, _ = run(capsys, "analyze", one, "--format", "json")
+    assert code == code_stdout == 0
+    assert target.read_bytes() == out.encode("utf-8")
+    assert target.stat().st_size < longer
+
+
+def test_simulate_out_over_longer_files_leaves_no_stale_tail(capsys, tmp_path):
+    prefix = tmp_path / "old"
+    stale = "x" * 100_000 + "\n"
+    for suffix in (".csv", ".json"):
+        (tmp_path / ("old" + suffix)).write_text(stale, encoding="utf-8")
+    for out in (prefix, tmp_path / "fresh"):
+        code, _, _ = run(capsys, *simulate_args("bias", out))
+        assert code == 0
+    for suffix in (".csv", ".json"):
+        written = (tmp_path / ("old" + suffix)).read_bytes()
+        assert written == (tmp_path / ("fresh" + suffix)).read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_analyze_out_bytes_equal_stdout_bytes(capsys, tmp_path, monkeypatch, fmt):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1767225600")
+    path = str(write_smallworld(tmp_path))
+    target = tmp_path / f"report.{fmt}"
+    code, out, _ = run(capsys, "analyze", path, "--format", fmt, "--out", str(target))
+    assert code == 0 and out == ""
+    code, out, _ = run(capsys, "analyze", path, "--format", fmt)
+    assert code == 0
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    ("rows", "flags", "env", "expected"),
+    [
+        ("cat4,0,10,0,10\n", (), None, 3),                         # no informative strata
+        ("s1,3,2,5,7\n", ("--level", "1.5"), None, 4),             # flag out of its domain
+        ("s1,3,2,5,7\n", ("--format", "json"), "yesterday", 4),    # fails while rendering
+    ],
+    ids=["no-informative-strata", "level-out-of-domain", "bad-epoch-while-rendering"],
+)
+def test_failed_analyze_leaves_the_out_file_unchanged(capsys, tmp_path, monkeypatch, rows, flags, env, expected):
+    if env is not None:
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", env)
+    path = tmp_path / "in.csv"
+    path.write_text("stratum,a,b,c,d\n" + rows, encoding="utf-8")
+    target = tmp_path / "report.txt"
+    target.write_bytes(b"the previous report\n")
+    code, out, err = run(capsys, "analyze", str(path), *flags, "--out", str(target))
+    assert code == expected and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert target.read_bytes() == b"the previous report\n"
+
+
+def test_analyze_out_dev_null(capsys, tmp_path):
+    if not os.path.exists("/dev/null"):
+        pytest.skip("needs /dev/null")
+    code, out, err = run(capsys, "analyze", str(write_smallworld(tmp_path)), "--out", "/dev/null")
+    assert (code, out, err) == (0, "", "")
+
+
+def test_analyze_out_fifo_is_written_whole(capsys, tmp_path):
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("needs named pipes")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    one = str(write_one_stratum(tmp_path))
+    code, _, err = run(capsys, "analyze", one, "--format", "csv", "--out", str(fifo))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert code == 0 and err == ""
+    _, out, _ = run(capsys, "analyze", one, "--format", "csv")
+    assert received == [out.encode("utf-8")]
+
+
+def test_analyze_out_directory_is_an_io_error(capsys, tmp_path):
+    code, out, err = run(capsys, "analyze", str(write_smallworld(tmp_path)), "--out", str(tmp_path))
+    assert code == 5 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root may write read-only files")
+def test_analyze_out_read_only_file_is_an_io_error(capsys, tmp_path):
+    target = tmp_path / "report.txt"
+    target.write_bytes(b"kept\n")
+    target.chmod(0o444)
+    code, out, err = run(capsys, "analyze", str(write_smallworld(tmp_path)), "--out", str(target))
+    assert code == 5 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert target.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_analyze_out_new_file_mode_follows_the_umask(capsys, tmp_path, umask):
+    target = tmp_path / "report.txt"
+    previous = os.umask(umask)
+    try:
+        code, _, _ = run(capsys, "analyze", str(write_smallworld(tmp_path)), "--out", str(target))
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
 
 
 # ------------------------------------------------------------------ simulate

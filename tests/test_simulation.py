@@ -34,6 +34,12 @@ from sparsemh.simulation import (
 from sparsemh.variance import _rbg_log_variance, _skm_log_variance
 
 
+def allow_cpus(monkeypatch, cpus: int) -> None:
+    """Make ``cpus`` CPUs usable, by affinity set and by CPU count alike."""
+    monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
+
+
 def small_design(**overrides) -> SimulationDesign:
     base = dict(
         k=6,
@@ -267,8 +273,33 @@ def test_bias_study_threads_do_not_change_results():
     ],
 )
 def test_worker_count_clamps_to_reps_and_cpus(monkeypatch, threads, reps, cpus, expected):
-    monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        # no affinity set to read either
+        monkeypatch.delattr(simulation.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: None)
+    else:
+        allow_cpus(monkeypatch, cpus)
     assert worker_count(threads, reps) == expected
+
+
+def test_worker_count_counts_only_the_cpus_this_process_may_use(monkeypatch):
+    # as under `taskset -c 0` on a 2-CPU machine
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert worker_count(4, 4) == 1
+
+    def no_pool(max_workers):
+        raise AssertionError(f"started {max_workers} threads for one usable CPU")
+
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", no_pool)
+    design = small_design(reps=2, datasets_per_rep=200)
+    assert bias_study(design, threads=4) == bias_study(design, threads=1)
+
+
+def test_worker_count_falls_back_to_the_cpu_count_without_an_affinity_set(monkeypatch):
+    monkeypatch.delattr(simulation.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 3)
+    assert worker_count(10, 10) == 3
 
 
 def test_run_reps_starts_the_clamped_pool(monkeypatch):
@@ -288,7 +319,7 @@ def test_run_reps_starts_the_clamped_pool(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(simulation, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 64)
+    allow_cpus(monkeypatch, 64)
     design = small_design(reps=3, datasets_per_rep=200)
     assert bias_study(design, threads=10_000) == bias_study(design, threads=1)
     assert started == [3]
@@ -399,7 +430,7 @@ def test_convergence_json_describes_the_run():
 
 
 def test_convergence_study_writes_the_same_bytes_for_any_thread_count(monkeypatch):
-    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 4)
+    allow_cpus(monkeypatch, 4)
     design = small_design(k=4, psi=2.0, p1_low=0.2, p1_high=0.5, seed=3)
     serial = convergence_study(design, scales=(1, 5, 2), replicates=300)
     for threads in (2, 3):
