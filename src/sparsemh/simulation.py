@@ -23,13 +23,32 @@ convergence scales are therefore independent of worker scheduling, and
 results are bit-identical for any thread count.
 
 Threads, not processes, run the repetitions (or the convergence scales): the
-work is numpy's binomial draws, which release the GIL. ``threads=1`` runs
-them one after another on the calling thread. A repetition holds its counts
+work is mostly numpy's draws and array operations, which release the GIL;
+the lookup described below holds it for its per-column Python steps.
+``threads=1`` runs them one after another on the calling thread. A repetition holds its counts
 stratum-major, as (k, datasets) arrays of the smallest unsigned integer type
 that fits the column totals (uint16 at the desk design), so each stratum's
 draw is one contiguous row write and the counts take an eighth of the memory
 of float64 values. Blocks of datasets are converted to float64 (count, k)
 matrices, in C order, only as the MHq sums and variance kernels reach them.
+
+Every count is the value the installed numpy's ``Generator.binomial`` draws
+from the stream, and the stream is left where ``binomial`` leaves it; a numpy
+release that changes its binomial sampler changes the emitted values. A
+column whose mean n*min(p, 1-p) is at most 30 is the one numpy draws by
+inversion (Kachitvichyanukul & Schmeiser 1988): one uniform U per draw,
+walked down the point probabilities px_0 = (1-p)^n, px_x = px_{x-1} *
+(n-x+1)p / (xq) until U, less each px passed, is at most the next; past
+x = bound it restarts with a fresh uniform. ``_binomial`` computes those
+columns without the per-draw walk: it recomputes the px_x by the same
+floating-point operations, sums them into thresholds, draws the column's
+uniforms with ``Generator.random`` (the same doubles the walk takes), and
+returns the first x whose threshold each uniform does not exceed. Numpy's
+running subtraction and the running sum each round by at most 2**-54 per
+step, over at most 85 steps, so a uniform farther than INVERSION_TOLERANCE
+from every threshold gets numpy's x. If any uniform of a column is nearer,
+or beyond the last threshold, the generator is rewound and numpy draws the
+column itself.
 """
 
 from __future__ import annotations
@@ -78,6 +97,26 @@ BLOCK_CELLS = 2**13
 # Largest column total: counts are converted to float64, which holds every
 # integer up to 2**53 exactly (and numpy's binomial takes no n beyond int64).
 MAX_COLUMN_TOTAL = 2**53
+
+# numpy's binomial sampler inverts, one uniform per draw, when the column's
+# mean n*min(p, 1-p) is at most this; above it, BTPE takes a varying number of
+# uniforms per draw and _binomial leaves the column to numpy.
+INVERSION_MAX_MEAN = 30.0
+
+# Buckets of the table that starts each uniform's threshold search: a uniform
+# in [j, j+1) / LOOKUP_BUCKETS starts at the first threshold >= j /
+# LOOKUP_BUCKETS. Most uniforms end there after one comparison; the ~1% in a
+# bucket holding several thresholds (the tail crowds below 1.0) are looked up
+# by binary search.
+LOOKUP_BUCKETS = 1024
+_BUCKET_EDGES = np.arange(LOOKUP_BUCKETS) / LOOKUP_BUCKETS
+
+# How far a uniform must lie from every inversion threshold for the lookup to
+# take numpy's decision: a hundred times the 1e-14 that rounding can move it.
+# _binomial adds n * 2**-52 for px_0 = (1-p)^n, which numpy 2.4 computes as
+# exp(n*log1p(-p)); the textbook exp(n*log(1-p)) differs from it by up to
+# n * 2**-53 relative, and the margin covers either form.
+INVERSION_TOLERANCE = 1e-12
 
 # Undefined-MHq replicates are dropped and counted; a run is aborted rather
 # than silently reported when more than this fraction is lost.
@@ -152,6 +191,57 @@ def _validated_p1_p2(psi: float, p1s: Sequence[float], k: int | None = None) -> 
     return p1s, p2s
 
 
+def _inversion_thresholds(n: int, p: float) -> np.ndarray:
+    """[-inf, P(X <= 0), ..., P(X <= bound)] for numpy's inversion walk of Bin(n, p), p <= 0.5.
+
+    Each px_x is computed by numpy's own operations, in its order.
+    """
+    q = 1.0 - p
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    px = math.exp(n * math.log1p(-p))
+    thresholds = [-math.inf, px]
+    total = px
+    for x in range(1, bound + 1):
+        px = ((n - x + 1) * p * px) / (x * q)
+        total += px
+        thresholds.append(total)
+    return np.array(thresholds)
+
+
+def _binomial(rng: np.random.Generator, n: int, p: float, count: int) -> np.ndarray:
+    """``rng.binomial(n, p, size=count)``: the same integers, and ``rng`` left in the same state.
+
+    Columns on numpy's inversion branch are found by threshold lookup (see
+    the module docstring); every other column, and any column the lookup
+    cannot decide as numpy would, is drawn by ``rng.binomial``.
+    """
+    small = 1.0 - p if p > 0.5 else p
+    if n == 0 or small == 0.0 or small * n > INVERSION_MAX_MEAN or count == 0:
+        return rng.binomial(n, p, size=count)
+    thresholds = _inversion_thresholds(n, small)  # thresholds[x + 1] = P(X <= x)
+    tolerance = INVERSION_TOLERANCE + n * 2.0**-52
+    state = rng.bit_generator.state
+    u = rng.random(count)
+    # past the last threshold, numpy restarts the walk with a fresh uniform
+    if u.max() <= thresholds[-1] - tolerance:
+        start = np.searchsorted(thresholds, _BUCKET_EDGES)
+        index = start[(u * LOOKUP_BUCKETS).astype(np.intp)]
+        upper = thresholds[index]
+        # uniforms past their bucket's first threshold search the rest
+        past = np.flatnonzero(u > upper)
+        index[past] = np.searchsorted(thresholds, u[past])
+        upper[past] = thresholds[index[past]]
+        index -= 1  # the draws: thresholds[x] < u <= thresholds[x + 1]
+        lower = thresholds[index]
+        upper -= u
+        lower -= u
+        if upper.min() >= tolerance and lower.max() <= -tolerance:
+            return n - index if p > 0.5 else index
+    rng.bit_generator.state = state
+    return rng.binomial(n, p, size=count)
+
+
 def _draw_counts(
     p1s: np.ndarray,
     p2s: np.ndarray,
@@ -170,8 +260,8 @@ def _draw_counts(
     b = np.empty_like(a)
     for i in range(len(p1s)):
         rng = stratum_rng(i)
-        a[i] = rng.binomial(n1, float(p1s[i]), size=count)
-        b[i] = rng.binomial(n2, float(p2s[i]), size=count)
+        a[i] = _binomial(rng, n1, float(p1s[i]), count)
+        b[i] = _binomial(rng, n2, float(p2s[i]), count)
     return a, b
 
 
@@ -305,7 +395,7 @@ class StudySummary:
         payload = {
             "study": self.study,
             "design": design,
-            "rng": {"algorithm": RNG_ALGORITHM, "streams": streams},
+            "rng": {"algorithm": RNG_ALGORITHM, "streams": streams, "numpy": np.__version__},
             "dropped_total": self.dropped_total,
             "records": [asdict(record) for record in self.records],
         }

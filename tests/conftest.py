@@ -14,6 +14,18 @@ RATIO_COLUMN = {
 }
 
 
+def inversion_edge_ps(n: int) -> list[float]:
+    """p values in (0, 1] where numpy's Bin(n, p) sampler switches branch, and near and at 1.
+
+    numpy draws by inversion when n * min(p, 1 - p) <= 30 and by BTPE above;
+    these put that product just below, at and just above 30, from either side.
+    """
+    cut = 30.0 / n
+    ps = [cut * (1 - 1e-6), cut, cut * (1 + 1e-6)]
+    ps += [1.0 - p for p in ps] + [1.0 - 1e-9, 1.0]
+    return [p for p in ps if 0.0 < p <= 1.0]
+
+
 def make_dataset(*cells: tuple[int, int, int, int]) -> StratifiedDataset:
     return StratifiedDataset(
         tuple(StratumTable(f"s{i + 1}", a, b, c, d) for i, (a, b, c, d) in enumerate(cells))

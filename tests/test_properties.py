@@ -49,7 +49,7 @@ from sparsemh.simulation import ExcessiveDropError, bias_study, coverage_study
 from sparsemh.tables import EXCLUDED_NO_NOT_MENTIONED, MAX_COUNT, _parse_csv_lines
 from sparsemh.variance import _mhq_cell_sums, _rbg_log_variance, _skm_log_variance, _table_sums
 
-from conftest import RATIO_COLUMN, make_dataset
+from conftest import RATIO_COLUMN, inversion_edge_ps, make_dataset
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -419,6 +419,14 @@ def test_float_memo_spells_floats_as_json_does(values):
         assert memo.texts(values + [None] + values) == [json.dumps(v) for v in values + [None] + values]
 
 
+def test_float_memo_spells_each_zero_by_its_sign():
+    memo = _FloatText()
+    assert memo.texts([0.0, -0.0, 0.0, -0.0]) == ["0.0", "-0.0", "0.0", "-0.0"]
+    assert memo.texts([0.0, 1.5, 0.0]) == ["0.0", "1.5", "0.0"]
+    assert memo.texts([-0.0]) == ["-0.0"]
+    assert memo[-0.0] == "-0.0" and memo[0.0] == "0.0"
+
+
 # ------------------------------------------------- the paper's variance identities
 
 one_stratum = st.tuples(positive, positive, count, count)
@@ -569,6 +577,21 @@ def test_coverage_kernels_equal_the_array_total_form_bit_for_bit(draws, block_ce
 
 # ------------------------------------------ compact stratum-major count storage
 
+def column_ps(n: int):
+    """p in (0, 1] for a Bin(n, p) column: uniform, or on numpy's inversion branch, or at its edges.
+
+    Uniform p almost never reaches the inversion branch, n * min(p, 1 - p) <= 30,
+    once n >= 256.
+    """
+    cut = min(30.0 / n, 1.0)
+    return st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.floats(0.0, cut, exclude_min=True),
+        st.floats(1.0 - cut, 1.0, exclude_min=True),
+        st.sampled_from(inversion_edge_ps(n)),
+    )
+
+
 @PROPERTY
 @given(
     k=st.integers(1, 8),
@@ -578,10 +601,10 @@ def test_coverage_kernels_equal_the_array_total_form_bit_for_bit(draws, block_ce
     count=st.integers(1, 200),
     block_cells=st.integers(1, 256),
     seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
 )
-def test_compact_draws_in_blocks_equal_float64_matrices_bit_for_bit(k, n1, n2, count, block_cells, seed):
-    p = np.random.default_rng(seed).uniform(0.0, 1.0, size=(2, k))
-    p1s, p2s = 1.0 - p[0], 1.0 - p[1]  # in (0, 1]
+def test_compact_draws_in_blocks_equal_float64_matrices_bit_for_bit(k, n1, n2, count, block_cells, seed, data):
+    p1s, p2s = (np.array(data.draw(st.lists(column_ps(n), min_size=k, max_size=k))) for n in (n1, n2))
 
     def stream(i):
         return np.random.default_rng(np.random.SeedSequence((seed, 0, i)))

@@ -33,6 +33,8 @@ from sparsemh.simulation import (
 )
 from sparsemh.variance import _rbg_log_variance, _skm_log_variance
 
+from conftest import inversion_edge_ps
+
 
 def allow_cpus(monkeypatch, cpus: int) -> None:
     """Make ``cpus`` CPUs usable, by affinity set and by CPU count alike."""
@@ -137,6 +139,99 @@ def test_streamed_draws_reject_invalid_p2_before_sampling(monkeypatch):
         _draw_count_matrices_streamed(half, np.full(design.k, 0.9), 0)
     with pytest.raises(InvalidDesignError, match=r"expected 6 p1 values"):
         _draw_count_matrices_streamed(design, np.full(2, 0.1), 0)
+
+
+class CountingGenerator:
+    """A Generator's draws, counting its ``random`` and ``binomial`` calls."""
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
+        self.random_calls = self.binomial_calls = 0
+
+    def random(self, size):
+        self.random_calls += 1
+        return self.rng.random(size)
+
+    def binomial(self, n, p, size):
+        self.binomial_calls += 1
+        return self.rng.binomial(n, p, size=size)
+
+
+def assert_draws_like_numpy(n: int, p: float, count: int, seed: int) -> CountingGenerator:
+    """Assert that _binomial gives rng.binomial's integers and stream position; return the generator it used."""
+    got_rng, want_rng = CountingGenerator(seed), np.random.default_rng(seed)
+    got = simulation._binomial(got_rng, n, p, count)
+    want = want_rng.binomial(n, p, size=count)
+    assert got.dtype == want.dtype and np.array_equal(got, want), (n, p, count)
+    assert got_rng.rng.random() == want_rng.random(), (n, p, count)
+    return got_rng
+
+
+EDGE_NS = [1, 2, 7, 59, 60, 61, 100, 120, 1000, 3000, 2**40]
+
+
+@pytest.mark.parametrize("n", EDGE_NS)
+def test_binomial_draws_equal_numpy_at_the_inversion_edges(n):
+    for p in inversion_edge_ps(n) + [5e-324, 1e-300, 0.5]:
+        for count in (0, 1, 500):
+            assert_draws_like_numpy(n, p, count, seed=n + count)
+
+
+@pytest.mark.parametrize("n", EDGE_NS)
+def test_binomial_redraws_every_column_it_cannot_decide(monkeypatch, n):
+    # a tolerance of 1.0 leaves no uniform far enough from the thresholds,
+    # so every inversion column is rewound and drawn by numpy
+    monkeypatch.setattr(simulation, "INVERSION_TOLERANCE", 1.0)
+    for p in inversion_edge_ps(n) + [1e-300, 0.5]:
+        small = p if p <= 0.5 else 1.0 - p
+        inversion = 0.0 < small and small * n <= 30.0
+        rng = assert_draws_like_numpy(n, p, 500, seed=n)
+        assert (rng.random_calls, rng.binomial_calls) == (int(inversion), 1), (n, p)
+
+
+def test_binomial_lookup_decides_desk_design_columns_without_numpy():
+    design = SimulationDesign()
+    for seed, p in enumerate(np.linspace(design.p1_low, design.p1_high, 8).tolist()):
+        for n in (design.n_mentioned, design.n_not_mentioned):
+            rng = assert_draws_like_numpy(n, p, 10_000, seed)
+            assert rng.binomial_calls == (n * p > 30.0), (n, p)
+
+
+def test_binomial_redraws_exactly_the_columns_with_a_uniform_near_a_threshold(monkeypatch):
+    tolerance = 0.01  # wide enough that a few of the columns below come near
+    monkeypatch.setattr(simulation, "INVERSION_TOLERANCE", tolerance - 100 * 2.0**-52)
+    n, p, count = 100, 0.1, 5
+    thresholds = simulation._inversion_thresholds(n, p)[1:]
+    seen = set()
+    for seed in range(60):
+        u = np.random.default_rng(seed).random(count)
+        assert u.max() <= thresholds[-1] - tolerance  # so no walk restarts
+        gap = u[:, None] - thresholds
+        near_below = bool(((gap < 0) & (gap > -tolerance)).any())  # u just under a threshold
+        near_above = bool(((gap > 0) & (gap < tolerance)).any())  # u just over one
+        rng = assert_draws_like_numpy(n, p, count, seed)
+        assert rng.binomial_calls == (near_below or near_above), seed
+        seen.add((near_below, near_above))
+    assert seen >= {(False, False), (True, False), (False, True)}
+
+
+def test_binomial_redraws_a_column_whose_uniforms_pass_the_last_threshold(monkeypatch):
+    # numpy restarts its walk, with a fresh uniform, for a uniform past
+    # P(X <= bound); cut the thresholds short so that most uniforms are
+    thresholds = simulation._inversion_thresholds
+    monkeypatch.setattr(simulation, "_inversion_thresholds", lambda n, p: thresholds(n, p)[:3])
+    rng = assert_draws_like_numpy(100, 0.1, 500, seed=4)
+    assert (rng.random_calls, rng.binomial_calls) == (1, 1)
+
+
+def test_binomial_draws_equal_numpy_for_a_huge_column_with_a_tiny_p():
+    # (1 - p)^n at n = 2**40 and p = 3.3e-12 differs by 3e-5 relative between
+    # exp(n*log1p(-p)) and exp(n*log(1 - p)). Were the tolerance too narrow
+    # for that, the lookup would differ from numpy in a few draws of most of
+    # these columns, unless a uniform past the last threshold sent it back.
+    for seed in range(8):
+        assert_draws_like_numpy(2**40, 3.3e-12, 10_000, seed)
 
 
 def test_generated_group_share_tracks_p1():
@@ -359,6 +454,7 @@ def test_summary_json_metadata():
     assert payload["design"]["psi"] == design.psi
     assert payload["rng"]["algorithm"] == "PCG64"
     assert "SeedSequence((seed, r, i))" in payload["rng"]["streams"]
+    assert payload["rng"]["numpy"] == np.__version__
     assert payload["dropped_total"] == 0
     assert len(payload["records"]) == 2
 
@@ -418,6 +514,7 @@ def test_convergence_json_describes_the_run():
     assert payload["design"]["scales"] == [1, 5]
     assert payload["design"]["replicates"] == 200
     assert payload["rng"]["streams"] == simulation.CONVERGENCE_STREAM_DERIVATION
+    assert payload["rng"]["numpy"] == np.__version__
     assert "SeedSequence((seed,))" in payload["rng"]["streams"]
     assert "SeedSequence((seed, s, i))" in payload["rng"]["streams"]
     assert payload["dropped_total"] == 0
