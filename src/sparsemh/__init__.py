@@ -35,8 +35,6 @@ from .tables import (
     filter_informative,
     parse_csv,
     parse_json,
-    serialize_csv,
-    serialize_json,
 )
 from .variance import (
     BinomialParams,
@@ -85,8 +83,6 @@ __all__ = [
     "mhq",
     "parse_csv",
     "parse_json",
-    "serialize_csv",
-    "serialize_json",
     "stratum_ratios",
     "stratum_weights",
     "transpose",

@@ -24,13 +24,31 @@ results are bit-identical for any thread count.
 
 Threads, not processes, run the repetitions (or the convergence scales): the
 work is mostly numpy's draws and array operations, which release the GIL;
-the lookup described below holds it for its per-column Python steps.
-``threads=1`` runs them one after another on the calling thread. A repetition holds its counts
-stratum-major, as (k, datasets) arrays of the smallest unsigned integer type
-that fits the column totals (uint16 at the desk design), so each stratum's
-draw is one contiguous row write and the counts take an eighth of the memory
-of float64 values. Blocks of datasets are converted to float64 (count, k)
-matrices, in C order, only as the MHq sums and variance kernels reach them.
+the threshold lookup of the count draws, described last, holds it for its
+per-column Python steps. ``threads=1`` runs them one after another on the
+calling thread. A repetition holds its counts stratum-major, as (k,
+datasets) arrays of the smallest unsigned integer type that fits the column
+totals (uint16 at the desk design), so each stratum's draw is one
+contiguous row write and the counts take an eighth of the memory of float64
+values. The bias and convergence studies convert blocks of
+datasets to float64 (count, k) matrices, in C order, only as the MHq sums
+reach them.
+
+The coverage and width studies avoid that copy where they can. Their
+column totals are fixed, so every per-stratum term that ln(MHq), SKM and BH add up over strata
+(R, S, SKM's v, w, q, and BH's pR, pS + qR, qS) is a function of the counts
+(a, b) alone. A repetition computes the eight terms once for each point its
+strata's count ranges cover, and looks up each cell's terms: for each value
+of a, the points run from the least to the greatest b of the strata whose
+range of a holds that value. That is a third smaller than the whole box
+[a.min..a.max] x [b.min..b.max] at psi = 0.2 on the desk design. The terms
+of a block are summed over strata from (rows, k) arrays in C order, the
+order of the data forms' matrices, and combined by the data forms' own
+functions, so every bit is theirs. When there are more points than an
+eighth of the repetition's cells (LOOKUP_CELLS_PER_POINT; wide count ranges,
+as with large column totals), looking up stops paying, and each block
+converts its counts to float64 and runs the data-form kernels
+(_skm_log_variance, _rbg_log_variance) on them instead.
 
 Every count is the value the installed numpy's ``Generator.binomial`` draws
 from the stream, and the stream is left where ``binomial`` leaves it; a numpy
@@ -65,10 +83,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .estimators import _mhq_terms
 from .report import write_in_place
 from .variance import (
     BinomialParams,
     _mhq_sums,
+    _rbg_combine,
+    _rbg_terms,
+    _skm_combine,
+    _skm_terms,
     _rbg_log_variance,
     _skm_log_variance,
     var_bh_log_mhq_true,
@@ -93,6 +116,13 @@ CONVERGENCE_STREAM_DERIVATION = (
 # faulted it in again for the next block: about 5,300 page faults per desk
 # repetition, against 540 at 2**13 with the same output bits.
 BLOCK_CELLS = 2**13
+
+# The coverage terms are looked up only while a repetition has at least this
+# many cells per point of its term table. Timing _coverage_rep with the
+# lookup against the data-form kernels at k = 10, 30 and 100 (2-core Xeon
+# VM), the lookup stopped winning at 2 to 5 cells per point; at 8 it won by
+# 5-10%, and its table (64 bytes per point) holds at most 8 bytes per cell.
+LOOKUP_CELLS_PER_POINT = 8
 
 # Largest column total: counts are converted to float64, which holds every
 # integer up to 2**53 exactly (and numpy's binomial takes no n beyond int64).
@@ -288,9 +318,13 @@ def _ln_mhq_from_counts(a: np.ndarray, b: np.ndarray, n1: float, n2: float):
     The sums cover every dataset, defined or not.
     """
     sums = _mhq_sums(a, b, float(n1), float(n2), float(n1 + n2))
-    defined = (sums.rt > 0.0) & (sums.st > 0.0)
-    dropped = int(defined.size - defined.sum())
-    return np.log(sums.rt[defined] / sums.st[defined]), defined, dropped, sums
+    return (*_defined_log_ratio(sums.rt, sums.st), sums)
+
+
+def _defined_log_ratio(rt: np.ndarray, st: np.ndarray):
+    """ln(rt/st) of the datasets whose totals are both positive, their mask, and how many others were dropped."""
+    defined = (rt > 0.0) & (st > 0.0)
+    return np.log(rt[defined] / st[defined]), defined, int(defined.size - defined.sum())
 
 
 def _ln_mhq_blocks(a: np.ndarray, b: np.ndarray, n1: float, n2: float):
@@ -450,20 +484,97 @@ def _bias_rep(design: SimulationDesign, rep: int) -> tuple[BiasRecord, int]:
     return record, dropped
 
 
+def _coverage_terms(a, b, n1: float, n2: float) -> tuple[np.ndarray, ...]:
+    """The per-cell terms R, S, v, w, q, pR, pS + qR, qS of ln(MHq), SKM and BH at float64 counts a, b.
+
+    c = n1 - a and d = n2 - b; BH's terms are those of the group-vs-world
+    tables (a, b // n1, n2), whose MHOR sums are MHq's.
+    """
+    n = n1 + n2
+    m = a + b + n
+    r, s = _mhq_terms(a, b, n1, n2, m)
+    return (r, s, *_skm_terms(a, b, n1 - a, n2 - b, n1, n2, n, m), *_rbg_terms(a, b, n1, n2, m, r, s))
+
+
+def _term_table(a: np.ndarray, b: np.ndarray, n1: float, n2: float, max_points: int):
+    """The :func:`_coverage_terms` of every (a, b) the strata's count ranges cover; None past ``max_points``.
+
+    For each value of a, the points run from the least to the greatest b of
+    the strata whose range of a holds that value, and the runs lie end to
+    end. Returns the float64 (8, points) table, a.min and ``base``: the
+    terms of (a, b) are column base[a - a.min] + b.
+    """
+    a_low, a_high, b_low, b_high = (f(x, axis=1).tolist() for x in (a, b) for f in (np.min, np.max))
+    a0 = min(a_low)
+    height = max(a_high) - a0 + 1
+    if height > max_points:
+        return None
+    low = np.full(height, max(b_high))
+    high = np.full(height, -1)
+    for i in range(len(a_low)):
+        held = slice(a_low[i] - a0, a_high[i] - a0 + 1)  # the values of a stratum i's range holds
+        low[held] = np.minimum(low[held], b_low[i])
+        high[held] = np.maximum(high[held], b_high[i])
+    widths = np.maximum(high - low + 1, 0)  # 0 for a value no stratum's range holds
+    ends = np.cumsum(widths)
+    if ends[-1] > max_points:
+        return None
+    base = ends - widths - low
+    table = np.empty((8, ends[-1]))
+    # a quarter block of points at a time: _coverage_terms holds about a
+    # dozen arrays of that many values alive, 200 KiB against 760 KiB
+    step = max(1, BLOCK_CELLS // 4)
+    for start in range(0, ends[-1], step):
+        columns = np.arange(start, min(start + step, ends[-1]))
+        rows = np.searchsorted(ends, columns, side="right")
+        terms = _coverage_terms((rows + a0).astype(np.float64), (columns - base[rows]).astype(np.float64), n1, n2)
+        for out, term in zip(table[:, start:start + step], terms):
+            out[...] = term
+    return table, a0, base
+
+
+def _coverage_blocks(a: np.ndarray, b: np.ndarray, n1: float, n2: float):
+    """Yield ln(MHq), its SKM and BH variances of each block's defined datasets, and the block's undefined count.
+
+    ``a`` and ``b`` are the stratum-major (k, count) arrays of
+    :func:`_draw_counts`. The terms are looked up in their
+    :func:`_term_table`; when it would have more than one point per
+    ``LOOKUP_CELLS_PER_POINT`` cells, each block runs the data-form kernels
+    instead (see the module docstring).
+    """
+    lookup = _term_table(a, b, n1, n2, a.size // LOOKUP_CELLS_PER_POINT)
+    if lookup is None:
+        for a_rows, b_rows, (ln_mhq, defined, dropped, sums) in _ln_mhq_blocks(a, b, n1, n2):
+            if dropped:
+                a_rows, b_rows, sums = a_rows[defined], b_rows[defined], sums.rows(defined)
+            skm_var = _skm_log_variance(a_rows, b_rows, n1 - a_rows, n2 - b_rows, n1, n2, n1 + n2, sums)
+            yield ln_mhq, skm_var, _rbg_log_variance(a_rows, b_rows, n1, n2, sums), dropped
+        return
+    table, a0, base = lookup
+    k, count = a.shape
+    step = max(1, BLOCK_CELLS // k)
+    for start in range(0, count, step):
+        block = slice(start, start + step)
+        # in C order, like _ln_mhq_blocks' matrices, so each row of a gathered term is one dataset
+        index = a[:, block].T.astype(np.intp, order="C")
+        index -= a0
+        index = base.take(index)
+        index += b[:, block].T.astype(np.intp)
+        # one term at a time: a gather of all eight would hold 8 * BLOCK_CELLS values
+        totals = np.empty((8, len(index)))
+        for row, out in zip(table, totals):
+            row.take(index).sum(axis=-1, out=out)
+        ln_mhq, defined, dropped = _defined_log_ratio(totals[0], totals[1])
+        rt, st, vt, wt, qt, prt, pqt, qst = totals[:, defined] if dropped else totals
+        yield ln_mhq, _skm_combine(rt, st, vt, wt, qt), _rbg_combine(rt, st, prt, pqt, qst), dropped
+
+
 def _coverage_rep(design: SimulationDesign, rep: int) -> tuple[CoverageRecord, int]:
     p1s = _rep_p1s(design, rep)
     a, b = _draw_count_matrices_streamed(design, p1s, rep)
     n1, n2 = float(design.n_mentioned), float(design.n_not_mentioned)
-    # The column totals are scalars, and the BH arm's group-vs-world tables
-    # (a, b // n1, n2) share MHq's sums (see _rbg_log_variance).
-    ln_parts, skm_parts, bh_parts, dropped = [], [], [], 0
-    for a_rows, b_rows, (ln_part, defined, block_dropped, sums) in _ln_mhq_blocks(a, b, n1, n2):
-        if block_dropped:
-            a_rows, b_rows, sums = a_rows[defined], b_rows[defined], sums.rows(defined)
-        ln_parts.append(ln_part)
-        skm_parts.append(_skm_log_variance(a_rows, b_rows, n1 - a_rows, n2 - b_rows, n1, n2, n1 + n2, sums))
-        bh_parts.append(_rbg_log_variance(a_rows, b_rows, n1, n2, sums))
-        dropped += block_dropped
+    ln_parts, skm_parts, bh_parts, drops = zip(*_coverage_blocks(a, b, n1, n2))
+    dropped = sum(drops)
     _check_drop_rate(dropped, design.datasets_per_rep)
     ln_mhq = np.concatenate(ln_parts)
     if ln_mhq.size == 0:

@@ -287,24 +287,6 @@ def parse_json(text: str | bytes) -> StratifiedDataset:
     return StratifiedDataset._from_counts(tuple(strata), np.array(list(strata.values()), dtype=np.int64))
 
 
-def serialize_csv(ds: StratifiedDataset) -> str:
-    """Render the retained strata as canonical CSV (exclusions are not kept)."""
-    lines = [",".join(_CSV_HEADER)]
-    for label, (a, b, c, d) in zip(ds.labels, ds.counts.tolist()):
-        if "," in label or "\n" in label:
-            raise ValueError(f"label {label!r} cannot be serialized to unquoted CSV")
-        lines.append(f"{label},{a},{b},{c},{d}")
-    return "\n".join(lines) + "\n"
-
-
-def serialize_json(ds: StratifiedDataset) -> str:
-    """Render the retained strata as a JSON array."""
-    return json.dumps(
-        [{"stratum": label, **dict(zip(_CELLS, cells))} for label, cells in zip(ds.labels, ds.counts.tolist())],
-        indent=2,
-    )
-
-
 def filter_informative(ds: StratifiedDataset) -> StratifiedDataset:
     """Move strata with an empty mentioned or not-mentioned column to ``excluded``.
 

@@ -1,14 +1,16 @@
 """Log-scale variance estimators and confidence intervals for the MH indicators.
 
-Five estimators are provided, tagged by :class:`VarianceMethod`:
+Four estimators are provided, tagged by :class:`VarianceMethod`:
 
-* ``SKM``  -- corrected delta-method variance of ln(MHq),
-* ``BH``   -- the original group-vs-world reconstruction for ln(MHq), which
+* ``SKM`` -- corrected delta-method variance of ln(MHq),
+* ``BH``  -- the original group-vs-world reconstruction for ln(MHq), which
   systematically overestimates (at a single stratum it exceeds the classical
   value by exactly 2/(a+c) + 2/(b+d)),
-* ``GR``   -- sparse-data variance for ln(MHRR) (and its transpose for MHCR),
-* ``RBG``  -- three-term variance for ln(MHOR),
-* ``KATZ`` -- classical single-table log risk-ratio variance.
+* ``GR``  -- sparse-data variance for ln(MHRR) (and its transpose for MHCR),
+* ``RBG`` -- three-term variance for ln(MHOR).
+
+:func:`katz_var_log_rr` gives the classical single-table log risk-ratio
+variance.
 
 The SKM and BH estimators also come in parameter form for column-binomial
 designs: every cell count is replaced by its expectation, which is what the
@@ -16,13 +18,16 @@ simulation harness evaluates at the true generating parameters.
 
 All kernels are array-generic (cells may be numpy arrays whose last axis
 indexes strata), so the Monte Carlo harness can evaluate thousands of
-simulated datasets in one call. The kernels take an indicator's MH sums
-(:class:`_Sums`) from the caller, so the simulation computes MHq's sums
-once per batch for ln(MHq) and both of its variances. The data and
-parameter forms pass the column totals a+c, b+d and the table total n as
-arrays. The simulation, whose columns are fixed by design, passes them as
-scalars. That substitution is bit-exact because sums of integer-valued
-floats below 2**53 are exact.
+simulated datasets in one call. The SKM and RBG kernels come in two
+parts: per-stratum terms (``_skm_terms``, ``_rbg_terms``) and a combine
+step on their totals over strata and the indicator's MH sums
+(``_skm_combine``, ``_rbg_combine``). The data and parameter forms apply
+both to the cells at once; the coverage study computes each term once per
+distinct (a, b), sums the terms it looks up, and calls the same combine
+steps. The data and parameter forms pass the column totals a+c, b+d and the
+table total n as arrays. The simulation, whose columns are fixed by design,
+passes them as scalars. That substitution is bit-exact because sums of
+integer-valued floats below 2**53 are exact.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ class VarianceMethod(enum.Enum):
     BH = "BH"
     GR = "GR"
     RBG = "RBG"
-    KATZ = "KATZ"
 
 
 def confidence_interval(value: float, log_variance: float, level: float = 0.95) -> tuple[float, float]:
@@ -135,35 +139,46 @@ def _skm_terms(a, b, c, d, col1, col2, n, m):
     return v, w, q
 
 
-def _skm_log_variance(a, b, c, d, col1, col2, n, sums: _Sums):
-    """Delta-method variance of ln(R/S) from the per-stratum terms and MHq's ``sums``.
+def _skm_combine(rt, st, vt, wt, qt):
+    """Delta-method variance of ln(R/S) from the totals R, S and the totals of v, w, q over strata.
 
     Var[R]/R^2 + Var[S]/S^2 - 2 Cov[R,S]/(R S); reduces exactly to the
     classical single-table value c/(a(a+c)) + d/(b(b+d)) when there is one
     stratum, and is always non-negative because every covariance term is
     non-positive.
     """
+    return vt / (rt * rt) + wt / (st * st) - 2.0 * qt / (rt * st)
+
+
+def _skm_log_variance(a, b, c, d, col1, col2, n, sums: _Sums):
+    """:func:`_skm_combine` of the :func:`_skm_terms` of the cells, with MHq's ``sums``."""
     v, w, q = _skm_terms(a, b, c, d, col1, col2, n, sums.t)
-    rt, st = sums.rt, sums.st
-    return v.sum(axis=-1) / (rt * rt) + w.sum(axis=-1) / (st * st) - 2.0 * q.sum(axis=-1) / (rt * st)
+    return _skm_combine(sums.rt, sums.st, v.sum(axis=-1), w.sum(axis=-1), q.sum(axis=-1))
+
+
+def _rbg_terms(a, b, c, d, t, r, s):
+    """Per-stratum terms pR_i, pS_i + qR_i and qS_i of the three-term variance of tables (a, b // c, d).
+
+    p = (a+d)/t and q = (b+c)/t; t, R_i and S_i are the tables' MHOR divisor
+    and terms: t = a+b+c+d, R_i = ad/t, S_i = bc/t. For the group-vs-world
+    tables (a, b // a+c, b+d) these are exactly MHq's m, R_i and S_i of
+    (a, b, c, d) when the cells are integer-valued, so the BH estimator
+    reuses MHq's.
+    """
+    p = (a + d) / t
+    q = (b + c) / t
+    return p * r, p * s + q * r, q * s
+
+
+def _rbg_combine(rt, st, prt, pqt, qst):
+    """Three-term variance of a log pooled odds ratio from its totals R, S and those of :func:`_rbg_terms`."""
+    return prt / (2.0 * (rt * rt)) + pqt / (2.0 * rt * st) + qst / (2.0 * (st * st))
 
 
 def _rbg_log_variance(a, b, c, d, sums: _Sums):
-    """Three-term variance of the log pooled odds ratio of tables (a, b // c, d).
-
-    ``sums`` are the tables' MHOR sums: t = a+b+c+d, R_i = ad/t, S_i = bc/t.
-    For the group-vs-world tables (a, b // a+c, b+d) these are exactly MHq's
-    sums of (a, b, c, d) when the cells are integer-valued, so the BH
-    estimator can reuse them.
-    """
-    p = (a + d) / sums.t
-    q = (b + c) / sums.t
-    r, s, rt, st = sums.r, sums.s, sums.rt, sums.st
-    return (
-        (p * r).sum(axis=-1) / (2.0 * (rt * rt))
-        + (p * s + q * r).sum(axis=-1) / (2.0 * rt * st)
-        + (q * s).sum(axis=-1) / (2.0 * (st * st))
-    )
+    """:func:`_rbg_combine` of the :func:`_rbg_terms` of tables (a, b // c, d), with their MHOR ``sums``."""
+    pr, pq, qs = _rbg_terms(a, b, c, d, sums.t, sums.r, sums.s)
+    return _rbg_combine(sums.rt, sums.st, pr.sum(axis=-1), pq.sum(axis=-1), qs.sum(axis=-1))
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from sparsemh import IndicatorKind, StratifiedDataset, StratumTable, filter_informative
@@ -30,6 +32,17 @@ def make_dataset(*cells: tuple[int, int, int, int]) -> StratifiedDataset:
     return StratifiedDataset(
         tuple(StratumTable(f"s{i + 1}", a, b, c, d) for i, (a, b, c, d) in enumerate(cells))
     )
+
+
+def csv_text(ds: StratifiedDataset) -> str:
+    """The retained strata of ``ds`` as canonical CSV; labels must hold no comma or line break."""
+    rows = [f"{label},{a},{b},{c},{d}" for label, (a, b, c, d) in zip(ds.labels, ds.counts.tolist())]
+    return "\n".join(["stratum,a,b,c,d", *rows]) + "\n"
+
+
+def json_text(ds: StratifiedDataset) -> str:
+    """The retained strata of ``ds`` as a JSON array of stratum objects."""
+    return json.dumps([{"stratum": label, **dict(zip("abcd", cells))} for label, cells in zip(ds.labels, ds.counts.tolist())])
 
 
 @pytest.fixture(scope="session")

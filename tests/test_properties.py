@@ -31,8 +31,6 @@ from sparsemh import (
     filter_informative,
     parse_csv,
     parse_json,
-    serialize_csv,
-    serialize_json,
     stratum_ratios,
     stratum_weights,
     katz_var_log_rr,
@@ -49,7 +47,7 @@ from sparsemh.simulation import ExcessiveDropError, bias_study, coverage_study
 from sparsemh.tables import EXCLUDED_NO_NOT_MENTIONED, MAX_COUNT, _parse_csv_lines
 from sparsemh.variance import _mhq_cell_sums, _rbg_log_variance, _skm_log_variance, _table_sums
 
-from conftest import RATIO_COLUMN, inversion_edge_ps, make_dataset
+from conftest import RATIO_COLUMN, csv_text, inversion_edge_ps, json_text, make_dataset
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -204,8 +202,8 @@ def test_filter_informative_is_idempotent_and_keeps_point_estimates(ds):
 @PROPERTY
 @given(labelled_datasets)
 def test_csv_and_json_round_trips_give_equal_datasets(ds):
-    assert parse_csv(serialize_csv(ds)) == ds
-    assert parse_json(serialize_json(ds)) == ds
+    assert parse_csv(csv_text(ds)) == ds
+    assert parse_json(json_text(ds)) == ds
 
 
 # CSV text around the canonical form: padding with ASCII and Unicode
@@ -525,54 +523,101 @@ def coverage_draws(draw):
 LARGE_DRAWS = (np.array([[3.0, 1.0], [0.0, 2.0]]), np.array([[7.0, 0.0], [2.0, 5.0]]), 1_071_370_718_072, 61_914_041_810)
 
 
+def array_total_estimates(a, b, n1, n2):
+    """ln(MHq), SKM and BH of the defined datasets, and the undefined count, by the data forms' calls.
+
+    ``a`` and ``b`` are (datasets, k) group counts; every total is an array,
+    as the data and parameter forms pass them.
+    """
+    c, d = n1 - a, n2 - b
+    _, all_sums = _mhq_cell_sums(a, b, c, d)
+    defined = (all_sums.rt > 0.0) & (all_sums.st > 0.0)
+    cells = tuple(x[defined] for x in (a, b, c, d))
+    totals, sums = _mhq_cell_sums(*cells)
+    world = (cells[0], cells[1], cells[0] + cells[2], cells[1] + cells[3])
+    return (
+        np.log(all_sums.rt[defined] / all_sums.st[defined]),
+        _skm_log_variance(*cells, *totals, sums),
+        _rbg_log_variance(*world, _table_sums(IndicatorKind.MHOR, *world)),
+        int((~defined).sum()),
+    )
+
+
+def stratum_major(a, b, n1, n2):
+    """(datasets, k) float counts as the draws hold them: stratum-major, in the compact dtype."""
+    return tuple(x.T.astype(np.min_scalar_type(max(n1, n2))) for x in (a, b))
+
+
+def joined(blocks):
+    """ln(MHq), SKM and BH over the blocks of :func:`simulation._coverage_blocks`, and the undefined count."""
+    ln, skm, bh, dropped = zip(*blocks)
+    return np.concatenate(ln), np.concatenate(skm), np.concatenate(bh), sum(dropped)
+
+
+def assert_same_estimates(got, want):
+    *got_arrays, got_dropped = got
+    *want_arrays, want_dropped = want
+    assert got_dropped == want_dropped
+    for name, x, y in zip(("ln", "skm", "bh"), got_arrays, want_arrays):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
 @PROPERTY
 @given(coverage_draws(), st.integers(1, 64))
 @example(LARGE_DRAWS, 64)
 def test_coverage_kernels_equal_the_array_total_form_bit_for_bit(draws, block_cells):
     a, b, n1, n2 = draws
-    k = a.shape[1]
-    # the array-total call form, as the data and parameter forms make it
-    c, d = n1 - a, n2 - b
-    _, all_sums = _mhq_cell_sums(a, b, c, d)
-    defined = (all_sums.rt > 0.0) & (all_sums.st > 0.0)
-    assume(defined.any())
-    cells = tuple(x[defined] for x in (a, b, c, d))
-    totals, sums = _mhq_cell_sums(*cells)
-    world = (cells[0], cells[1], cells[0] + cells[2], cells[1] + cells[3])
-    want_skm = _skm_log_variance(*cells, *totals, sums)
-    want_bh = _rbg_log_variance(*world, _table_sums(IndicatorKind.MHOR, *world))
+    want = array_total_estimates(a, b, n1, n2)
+    assume(want[0].size > 0)
 
-    # the coverage path itself, on these draws, in blocks of about block_cells cells
-    seen = {}
+    # the whole coverage repetition on these draws, in blocks of about block_cells cells
+    coverage_blocks = simulation._coverage_blocks
+    seen = []
 
-    def record(name, fn):
-        def recorded(*args):
-            seen.setdefault(name, []).append(fn(*args))
-            return seen[name][-1]
+    def blocks(*args):
+        for block in coverage_blocks(*args):
+            seen.append(block)
+            yield block
 
-        return recorded
-
-    design = SimulationDesign(k=k, n_mentioned=n1, n_not_mentioned=n2, datasets_per_rep=a.shape[0], reps=1)
+    design = SimulationDesign(k=a.shape[1], n_mentioned=n1, n_not_mentioned=n2, datasets_per_rep=a.shape[0], reps=1)
     with mock.patch.multiple(
         simulation,
-        # stratum-major, in the compact dtype the draws use
-        _draw_count_matrices_streamed=lambda *_: (x.T.astype(np.min_scalar_type(max(n1, n2))) for x in (a, b)),
+        _draw_count_matrices_streamed=lambda *_: stratum_major(a, b, n1, n2),
         MAX_DROP_FRACTION=1.0,
         BLOCK_CELLS=block_cells,
-        _ln_mhq_from_counts=record("ln", simulation._ln_mhq_from_counts),
-        _skm_log_variance=record("skm", simulation._skm_log_variance),
-        _rbg_log_variance=record("bh", simulation._rbg_log_variance),
+        _coverage_blocks=blocks,
     ):
-        simulation._coverage_rep(design, 0)
+        record, dropped = simulation._coverage_rep(design, 0)
 
-    blocks = -(-a.shape[0] // max(1, block_cells // k))
-    assert len(seen["ln"]) == len(seen["skm"]) == len(seen["bh"]) == blocks
-    ln_mhq, got_defined, dropped, _ = zip(*seen["ln"])
-    assert np.array_equal(np.concatenate(got_defined), defined)
-    assert sum(dropped) == int((~defined).sum())
-    assert np.array_equal(np.concatenate(ln_mhq), np.log(all_sums.rt[defined] / all_sums.st[defined]))
-    assert np.array_equal(np.concatenate(seen["skm"]), want_skm)
-    assert np.array_equal(np.concatenate(seen["bh"]), want_bh)
+    assert len(seen) == -(-a.shape[0] // max(1, block_cells // a.shape[1]))
+    assert_same_estimates(joined(seen), want)
+    assert record.dropped == dropped == want[-1]
+
+
+@PROPERTY
+@given(coverage_draws(), st.integers(1, 64), st.sampled_from([0, 2**16]))
+@example(LARGE_DRAWS, 64, 0)
+@example(LARGE_DRAWS, 64, 2**16)
+# disjoint ranges of a, [0, 1] and [8, 9]: the values 2 to 7 get no points
+@example((np.array([[0.0, 9.0], [1.0, 8.0]]), np.array([[2.0, 0.0], [1.0, 3.0]]), 10, 10), 1, 2**16)
+def test_coverage_lookup_and_fallback_equal_the_array_total_form_bit_for_bit(draws, block_cells, max_points):
+    a, b, n1, n2 = draws
+    box = int((a.max() - a.min() + 1) * (b.max() - b.min() + 1))
+    real_term_table = simulation._term_table
+    tables = []
+
+    def term_table(a, b, n1, n2, _):
+        # the guard, moved: nothing is tabulated at 0, and at 2**16 at least every box that small is
+        tables.append(real_term_table(a, b, n1, n2, max_points))
+        return tables[-1]
+
+    with mock.patch.multiple(simulation, BLOCK_CELLS=block_cells, _term_table=term_table):
+        got = joined(simulation._coverage_blocks(*stratum_major(a, b, n1, n2), float(n1), float(n2)))
+
+    assert len(tables) == 1
+    if max_points == 0 or box <= max_points:
+        assert (tables[0] is None) == (max_points == 0)
+    assert_same_estimates(got, array_total_estimates(a, b, n1, n2))
 
 
 # ------------------------------------------ compact stratum-major count storage
@@ -627,6 +672,8 @@ def test_compact_draws_in_blocks_equal_float64_matrices_bit_for_bit(k, n1, n2, c
     got = {"ln": [], "defined": [], "skm": [], "bh": []}
     dropped = 0
     with mock.patch.object(simulation, "BLOCK_CELLS", block_cells):
+        # the coverage study's terms, looked up or, for a wide spread of counts, computed per block
+        got_coverage = joined(simulation._coverage_blocks(a, b, f1, f2))
         for a_rows, b_rows, (ln, defined, block_dropped, sums) in simulation._ln_mhq_blocks(a, b, f1, f2):
             assert a_rows.dtype == b_rows.dtype == np.float64
             assert a_rows.flags.c_contiguous and b_rows.flags.c_contiguous
@@ -638,8 +685,9 @@ def test_compact_draws_in_blocks_equal_float64_matrices_bit_for_bit(k, n1, n2, c
             dropped += block_dropped
     assert dropped == want_dropped
     for name, want in (("ln", want_ln), ("defined", want_defined), ("skm", want_skm), ("bh", want_bh)):
-        joined = np.concatenate(got[name])
-        assert joined.dtype == want.dtype and joined.tobytes() == want.tobytes(), name
+        got_joined = np.concatenate(got[name])
+        assert got_joined.dtype == want.dtype and got_joined.tobytes() == want.tobytes(), name
+    assert_same_estimates(got_coverage, (want_ln, want_skm, want_bh, want_dropped))
 
 
 # ------------------------------------------------- thread-count invariance

@@ -25,13 +25,15 @@ from sparsemh import (
 )
 from sparsemh import simulation
 from sparsemh.simulation import (
+    LOOKUP_CELLS_PER_POINT,
     _bias_rep,
+    _coverage_blocks,
     _draw_count_matrices_streamed,
     _ln_mhq_from_counts,
     _rep_p1s,
+    _term_table,
     worker_count,
 )
-from sparsemh.variance import _rbg_log_variance, _skm_log_variance
 
 from conftest import inversion_edge_ps
 
@@ -299,17 +301,20 @@ def test_excessive_drops_abort():
 
 def test_batched_kernels_match_scalar_functions():
     # the vectorized kernels used by the studies must agree with the
-    # dataset-level estimators on the same counts
-    design = small_design(datasets_per_rep=50, seed=33)
+    # dataset-level estimators on the same counts; 4,000 datasets have
+    # enough cells per point of their counts' range that the coverage terms
+    # are looked up
+    design = small_design(datasets_per_rep=4000, seed=33)
     p1s = _rep_p1s(design, 0)
-    a, b = (x.T.astype(float) for x in _draw_count_matrices_streamed(design, p1s, 0))
+    counts = _draw_count_matrices_streamed(design, p1s, 0)
     n1, n2 = float(design.n_mentioned), float(design.n_not_mentioned)
-    ln_mhq, defined, dropped, sums = _ln_mhq_from_counts(a, b, n1, n2)
-    assert dropped == 0
+    assert _term_table(*counts, n1, n2, counts[0].size // LOOKUP_CELLS_PER_POINT) is not None
+    ln_mhq, skm, bh, drops = zip(*_coverage_blocks(*counts, n1, n2))
+    assert sum(drops) == 0
+    ln_mhq, skm, bh = (np.concatenate(x) for x in (ln_mhq, skm, bh))
+    a, b = (x.T.astype(float) for x in counts)
     c = n1 - a
     d = n2 - b
-    skm = _skm_log_variance(a, b, c, d, n1, n2, n1 + n2, sums)
-    bh = _rbg_log_variance(a, b, n1, n2, sums)
     labels = [f"stratum{i + 1}" for i in range(design.k)]
     for row in range(0, 50, 7):
         ds = StratifiedDataset(
@@ -320,7 +325,7 @@ def test_batched_kernels_match_scalar_functions():
         )
         # mhq adds its terms with math.fsum, the batch with numpy's pairwise sum
         assert ln_mhq[row] == pytest.approx(math.log(mhq(ds)), rel=1e-12)
-        # the variance kernels are the same code on the same operands
+        # the variances are the same terms and combine steps on the same operands
         assert skm[row] == var_skm_log_mhq(ds)
         assert bh[row] == var_bh_log_mhq(ds)
 

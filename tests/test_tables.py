@@ -13,13 +13,11 @@ from sparsemh import (
     filter_informative,
     parse_csv,
     parse_json,
-    serialize_csv,
-    serialize_json,
 )
 from sparsemh import tables
 from sparsemh.tables import EXCLUDED_NO_MENTIONED, EXCLUDED_NO_NOT_MENTIONED, MAX_COUNT
 
-from conftest import make_dataset
+from conftest import csv_text, json_text, make_dataset
 
 TABLE3_CSV = "stratum,a,b,c,d\ncat1,26,7,18,13\ncat2,15,7,15,9\ncat3,3,3,13,9\ncat4,0,10,0,10\n"
 
@@ -158,7 +156,7 @@ def test_csv_round_trip_randomized():
     for _ in range(50):
         k = int(rng.integers(1, 6))
         ds = StratifiedDataset(tuple(random_table(rng, f"s{i}") for i in range(k)))
-        assert parse_csv(serialize_csv(ds)) == ds
+        assert parse_csv(csv_text(ds)) == ds
 
 
 # --------------------------------------------------------------------- JSON
@@ -194,7 +192,7 @@ def test_parse_json_errors():
 
 def test_json_round_trip():
     ds = parse_csv(TABLE3_CSV)
-    assert parse_json(serialize_json(ds)) == ds
+    assert parse_json(json_text(ds)) == ds
 
 
 # ----------------------------------------------------------------- filtering
