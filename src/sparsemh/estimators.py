@@ -41,22 +41,27 @@ class StratumRatios:
     odds_ratio: float | None
 
 
+def _cells(ds: StratifiedDataset) -> tuple[np.ndarray, ...]:
+    """Float cells a, b, c, d of a dataset; products of counts within MAX_COUNT are exact in them."""
+    return tuple(ds.counts.T.astype(float))
+
+
 def _weighted_sums(kind: IndicatorKind, a, b, c, d):
-    """Per-stratum numerator and denominator terms (R_i, S_i) of an MH indicator.
+    """Per-stratum divisor t and terms (R_i, S_i) of an MH indicator.
 
     The indicator is sum(R_i) / sum(S_i); S_i is the stratum's raw weight.
-    Cells may be integer or float arrays (last axis indexes strata). Integer
-    counts within the parse-time bound give products that are exact in
-    float64, so every division is correctly rounded.
+    Cells are float arrays (last axis indexes strata); t is the table total
+    n = a+b+c+d, or m = a+b+n for MHq.
     """
     n = a + b + c + d
     if kind is IndicatorKind.MHRR:
-        return a * (c + d) / n, c * (a + b) / n
+        return n, a * (c + d) / n, c * (a + b) / n
     if kind is IndicatorKind.MHCR:
-        return a * (b + d) / n, b * (a + c) / n
+        return n, a * (b + d) / n, b * (a + c) / n
     if kind is IndicatorKind.MHOR:
-        return a * d / n, b * c / n
-    return _mhq_terms(a, b, a + c, b + d, a + b + n)
+        return n, a * d / n, b * c / n
+    m = a + b + n
+    return (m, *_mhq_terms(a, b, a + c, b + d, m))
 
 
 def _mhq_terms(a, b, col1, col2, m):
@@ -103,12 +108,20 @@ def stratum_ratios(t: StratumTable) -> StratumRatios:
     return StratumRatios(row_rr=cols["row_rr"], col_rr=cols["col_rr"], odds_ratio=cols["odds_ratio"])
 
 
-def _sum_ratio(ds: StratifiedDataset, kind: IndicatorKind) -> float:
-    num, den = _weighted_sums(kind, *ds.counts.T)
-    total_den = math.fsum(den.tolist())
-    if total_den == 0.0:
+def _fsum(x: np.ndarray) -> float:
+    return math.fsum(x.tolist())
+
+
+def _mh_value(kind: IndicatorKind, r: np.ndarray, den: float) -> float:
+    """The indicator fsum(R_i) / den from its numerator terms and den = fsum(S_i)."""
+    if den == 0.0:
         raise UndefinedIndicatorError(f"{kind.value} undefined: its denominator sum over all strata is zero")
-    return math.fsum(num.tolist()) / total_den
+    return _fsum(r) / den
+
+
+def _sum_ratio(ds: StratifiedDataset, kind: IndicatorKind) -> float:
+    _, r, s = _weighted_sums(kind, *_cells(ds))
+    return _mh_value(kind, r, _fsum(s))
 
 
 def mh_row_risk_ratio(ds: StratifiedDataset) -> float:
@@ -152,8 +165,12 @@ def stratum_weights(ds: StratifiedDataset, kind: IndicatorKind) -> tuple[float, 
     ``row_rr`` for MHRR, ``odds_ratio`` for MHOR, and ``col_rr`` for MHCR and
     MHq.
     """
-    _, raw = _weighted_sums(kind, *ds.counts.T)
-    total = math.fsum(raw.tolist())
+    _, _, raw = _weighted_sums(kind, *_cells(ds))
+    return _normalized(kind, raw, _fsum(raw))
+
+
+def _normalized(kind: IndicatorKind, raw: np.ndarray, total: float) -> tuple[float, ...]:
+    """The raw stratum weights S_i of ``kind`` divided by their fsum ``total``."""
     if total == 0.0:
         raise UndefinedIndicatorError(f"{kind.value} weights undefined: every raw stratum weight is zero")
     return tuple((raw / total).tolist())

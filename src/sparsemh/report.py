@@ -1,4 +1,9 @@
-"""Analysis reports: every indicator, interval, weight, and diagnostic for a dataset."""
+"""Analysis reports: every indicator, interval, weight, and diagnostic for a dataset.
+
+A report computes each indicator's per-stratum terms once and derives its
+weights, point value and every variance from them, through the same kernels
+as :func:`~sparsemh.variance.estimate_indicator` and the public estimators.
+"""
 
 from __future__ import annotations
 
@@ -12,11 +17,11 @@ from itertools import filterfalse
 from json.encoder import encode_basestring_ascii as _encode
 
 from . import __version__
-from .estimators import IndicatorKind, ratio_columns, stratum_weights
+from .estimators import IndicatorKind, _cells, _fsum, _normalized, ratio_columns
 # not called here; kept importable because perfbench/spans.py wraps them here
-from .estimators import stratum_ratios, world_comparison_row  # noqa: F401
+from .estimators import stratum_ratios, stratum_weights, world_comparison_row  # noqa: F401
 from .tables import StratifiedDataset, filter_informative
-from .variance import IndicatorEstimate, VarianceMethod, estimate_indicator
+from .variance import _DEFAULT_METHOD, IndicatorEstimate, VarianceMethod, _estimate, _indicator_sums
 
 BH_CAVEAT = "overestimates variance"
 
@@ -50,6 +55,10 @@ def build_report(
 ) -> AnalysisReport:
     """Filter, estimate every indicator, and collect the per-stratum diagnostics.
 
+    Each indicator's terms are computed once on the retained strata and
+    shared by its weights, point value and variances; the results and errors
+    are those of :func:`~sparsemh.estimators.stratum_weights` and
+    :func:`~sparsemh.variance.estimate_indicator`, raised in report order.
     ``methods`` selects the MHq variance estimators: ``skm`` is always
     sensible, ``bh`` adds the group-vs-world reconstruction (flagged as
     deprecated in all output because it overestimates the variance).
@@ -61,13 +70,18 @@ def build_report(
 
     ratios = ratio_columns(ds.counts)
 
-    weights = {kind: stratum_weights(filtered, kind) for kind in _REPORT_ORDER}
+    cells = _cells(filtered)
+    sums = {kind: _indicator_sums(kind, *cells) for kind in _REPORT_ORDER}
+    # fsum of S_i: the divisor of the weights and the denominator of the point value
+    dens = {kind: _fsum(sums[kind].s) for kind in _REPORT_ORDER}
+    weights = {kind: _normalized(kind, sums[kind].s, dens[kind]) for kind in _REPORT_ORDER}
 
-    estimates = [estimate_indicator(filtered, kind, level=level) for kind in _REPORT_ORDER]
+    pairs = [(kind, _DEFAULT_METHOD[kind]) for kind in _REPORT_ORDER]
     if "bh" in methods:
-        estimates.append(
-            estimate_indicator(filtered, IndicatorKind.MHQ, level=level, method=VarianceMethod.BH)
-        )
+        pairs.append((IndicatorKind.MHQ, VarianceMethod.BH))
+    estimates = [
+        _estimate(kind, method, level, filtered.labels, cells, sums[kind], dens[kind]) for kind, method in pairs
+    ]
 
     return AnalysisReport(
         source=source,

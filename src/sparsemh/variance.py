@@ -21,13 +21,17 @@ indexes strata), so the Monte Carlo harness can evaluate thousands of
 simulated datasets in one call. The SKM and RBG kernels come in two
 parts: per-stratum terms (``_skm_terms``, ``_rbg_terms``) and a combine
 step on their totals over strata and the indicator's MH sums
-(``_skm_combine``, ``_rbg_combine``). The data and parameter forms apply
-both to the cells at once; the coverage study computes each term once per
-distinct (a, b), sums the terms it looks up, and calls the same combine
-steps. The data and parameter forms pass the column totals a+c, b+d and the
-table total n as arrays. The simulation, whose columns are fixed by design,
-passes them as scalars. That substitution is bit-exact because sums of
-integer-valued floats below 2**53 are exact.
+(``_skm_combine``, ``_rbg_combine``). Each data-form estimator is one
+kernel per (indicator, method) pair that takes a dataset's float cells and
+the indicator's sums over them; the public ``var_*`` functions,
+:func:`estimate_indicator` and the analysis report all call these kernels,
+and a report computes each indicator's sums once for all of its estimates.
+The coverage study computes each term once per distinct (a, b), sums the
+terms it looks up, and calls the same combine steps. The data and parameter
+forms pass the column totals a+c, b+d and the table total n as arrays. The
+simulation, whose columns are fixed by design, passes them as scalars. That
+substitution is bit-exact because sums of integer-valued floats below
+2**53 are exact.
 """
 
 from __future__ import annotations
@@ -40,7 +44,9 @@ from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .estimators import INDICATOR_FN, IndicatorKind, UndefinedIndicatorError, _mhq_terms, _weighted_sums, transpose
+from .estimators import IndicatorKind, UndefinedIndicatorError, _cells, _fsum, _mh_value, _mhq_terms, _weighted_sums
+# not called here; kept importable because perfbench/spans.py wraps it here
+from .estimators import transpose  # noqa: F401
 from .tables import StratifiedDataset, StratumTable
 
 
@@ -52,7 +58,10 @@ class VarianceMethod(enum.Enum):
 
 
 def confidence_interval(value: float, log_variance: float, level: float = 0.95) -> tuple[float, float]:
-    """Two-sided normal interval on the log scale: exp(ln value +- z*sqrt(var))."""
+    """Two-sided normal interval on the log scale: exp(ln value +- z*sqrt(var)).
+
+    An upper bound past the float range is ``inf``.
+    """
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {level}")
     if value <= 0.0:
@@ -60,7 +69,11 @@ def confidence_interval(value: float, log_variance: float, level: float = 0.95) 
     if log_variance < 0.0:
         raise ValueError(f"log-scale variance must be non-negative, got {log_variance}")
     half = NormalDist().inv_cdf(0.5 + level / 2.0) * math.sqrt(log_variance)
-    return (value * math.exp(-half), value * math.exp(half))
+    try:
+        return (value * math.exp(-half), value * math.exp(half))
+    except OverflowError:  # exp(half) is past the float range; the bound exp(ln value + half) may not be
+        with np.errstate(over="ignore"):
+            return (value * math.exp(-half), float(np.exp(math.log(value) + half)))
 
 
 @dataclass(frozen=True)
@@ -107,9 +120,9 @@ def _mhq_sums(a, b, col1, col2, n) -> _Sums:
     return _Sums.of(m, *_mhq_terms(a, b, col1, col2, m))
 
 
-def _table_sums(kind: IndicatorKind, a, b, c, d) -> _Sums:
-    """Sums of an indicator whose divisor is the table total a+b+c+d (MHRR, MHCR, MHOR)."""
-    return _Sums.of(a + b + c + d, *_weighted_sums(kind, a, b, c, d))
+def _indicator_sums(kind: IndicatorKind, a, b, c, d) -> _Sums:
+    """The sums of ``kind`` over float cells a, b, c, d."""
+    return _Sums.of(*_weighted_sums(kind, a, b, c, d))
 
 
 def _skm_terms(a, b, c, d, col1, col2, n, m):
@@ -182,35 +195,49 @@ def _rbg_log_variance(a, b, c, d, sums: _Sums):
 
 
 # --------------------------------------------------------------------------
-# data forms
+# data forms: one kernel on a dataset's labels, float cells and the
+# indicator's sums, so a report that holds them for several estimates
+# computes them once
 
-def _informative_cells(ds: StratifiedDataset, op: str) -> tuple[np.ndarray, ...]:
-    """Float cells a, b, c, d of a dataset; raises naming the first stratum with an empty column."""
-    counts = ds.counts
-    col1 = counts[:, 0] + counts[:, 2]
-    col2 = counts[:, 1] + counts[:, 3]
-    empty = (col1 == 0) | (col2 == 0)
-    if empty.any():
-        i = int(empty.argmax())
+def _log_variance(kind: IndicatorKind, method: VarianceMethod, labels, a, b, c, d, sums: _Sums) -> float:
+    """``method``'s log variance of ``kind`` from a dataset's labels and float cells and ``kind``'s sums.
+
+    Raises as the public ``var_*`` function does, under its name: first for a
+    stratum with an empty column, then for a zero total. MHCR's GR variance
+    is MHRR's on the transposed tables (a, c // b, d), whose MHRR sums are
+    MHCR's, bit for bit; so it rejects a stratum with an empty row as one
+    with an empty column.
+    """
+    if kind is IndicatorKind.MHCR:
+        kind, b, c = IndicatorKind.MHRR, c, b
+    op = f"var_{method.value}_log_{kind.value}".lower()  # the public function the messages name
+    col1 = a + c
+    col2 = b + d
+    if not (col1.all() and col2.all()):
+        i = int(((col1 == 0) | (col2 == 0)).argmax())
         raise ValueError(
-            f"{op}: stratum {ds.labels[i]!r} has an empty column "
+            f"{op}: stratum {labels[i]!r} has an empty column "
             f"(a+c={int(col1[i])}, b+d={int(col2[i])}); apply filter_informative() first"
         )
-    return tuple(counts.T.astype(float))
-
-
-def _nonzero(sums: _Sums, kind: IndicatorKind, op: str) -> _Sums:
-    """``sums`` unchanged; raises if either of ``kind``'s totals is zero."""
     if sums.rt == 0.0 or sums.st == 0.0:
         side = "numerator" if sums.rt == 0.0 else "denominator"
         raise UndefinedIndicatorError(f"{op} undefined: the {kind.value} {side} sum is zero")
-    return sums
+    if method is VarianceMethod.GR:
+        # the per-stratum numerator (a+b)(c+d)(a+c) - ac*n as ad(a+b) + bc(c+d),
+        # non-negative terms that do not cancel when the products exceed 2**53
+        num = float(((a * d * (a + b) + b * c * (c + d)) / sums.t**2).sum())
+        return num / float(sums.rt * sums.st)
+    if method is VarianceMethod.RBG:
+        return float(_rbg_log_variance(a, b, c, d, sums))
+    if method is VarianceMethod.SKM:
+        return float(_skm_log_variance(a, b, c, d, col1, col2, a + b + c + d, sums))
+    return float(_rbg_log_variance(a, b, col1, col2, sums))  # BH: on the group-vs-world tables
 
 
-def _mhq_cell_sums(a, b, c, d):
-    """Array totals (a+c, b+d, a+b+c+d) of the cells and MHq's sums over them."""
-    totals = (a + c, b + d, a + b + c + d)
-    return totals, _mhq_sums(a, b, *totals)
+def _data_form(ds: StratifiedDataset, kind: IndicatorKind, method: VarianceMethod) -> float:
+    """``method``'s log variance of ``kind`` on a dataset."""
+    cells = _cells(ds)
+    return _log_variance(kind, method, ds.labels, *cells, _indicator_sums(kind, *cells))
 
 
 def var_skm_log_mhq(ds: StratifiedDataset) -> float:
@@ -219,9 +246,7 @@ def var_skm_log_mhq(ds: StratifiedDataset) -> float:
     Strata with an empty column must be filtered out beforehand; strata with
     b = 0 are tolerated (they contribute only R-side terms).
     """
-    cells = _informative_cells(ds, "var_skm_log_mhq")
-    totals, sums = _mhq_cell_sums(*cells)
-    return float(_skm_log_variance(*cells, *totals, _nonzero(sums, IndicatorKind.MHQ, "var_skm_log_mhq")))
+    return _data_form(ds, IndicatorKind.MHQ, VarianceMethod.SKM)
 
 
 def var_bh_log_mhq(ds: StratifiedDataset) -> float:
@@ -231,35 +256,22 @@ def var_bh_log_mhq(ds: StratifiedDataset) -> float:
     of each stratum (rows a, b and a+c, b+d). Kept for comparison studies;
     prefer :func:`var_skm_log_mhq` for inference.
     """
-    a, b, c, d = _informative_cells(ds, "var_bh_log_mhq")
-    (col1, col2, _), sums = _mhq_cell_sums(a, b, c, d)
-    return float(_rbg_log_variance(a, b, col1, col2, _nonzero(sums, IndicatorKind.MHQ, "var_bh_log_mhq")))
+    return _data_form(ds, IndicatorKind.MHQ, VarianceMethod.BH)
 
 
 def var_gr_log_mhrr(ds: StratifiedDataset) -> float:
-    """Sparse-data variance estimate of ln(MHRR).
-
-    The per-stratum numerator (a+b)(c+d)(a+c) - ac*n is evaluated as
-    ad(a+b) + bc(c+d), a sum of non-negative terms that does not cancel when
-    the products exceed 2**53.
-    """
-    a, b, c, d = _informative_cells(ds, "var_gr_log_mhrr")
-    sums = _nonzero(_table_sums(IndicatorKind.MHRR, a, b, c, d), IndicatorKind.MHRR, "var_gr_log_mhrr")
-    n = sums.t
-    num = float(((a * d * (a + b) + b * c * (c + d)) / n**2).sum())
-    return num / float(sums.rt * sums.st)
+    """Sparse-data variance estimate of ln(MHRR)."""
+    return _data_form(ds, IndicatorKind.MHRR, VarianceMethod.GR)
 
 
 def var_gr_log_mhcr(ds: StratifiedDataset) -> float:
     """Sparse-data variance estimate of ln(MHCR): the row form on transposed tables."""
-    return var_gr_log_mhrr(transpose(ds))
+    return _data_form(ds, IndicatorKind.MHCR, VarianceMethod.GR)
 
 
 def var_rbg_log_mhor(ds: StratifiedDataset) -> float:
     """Three-term variance estimate of ln(MHOR)."""
-    cells = _informative_cells(ds, "var_rbg_log_mhor")
-    sums = _nonzero(_table_sums(IndicatorKind.MHOR, *cells), IndicatorKind.MHOR, "var_rbg_log_mhor")
-    return float(_rbg_log_variance(*cells, sums))
+    return _data_form(ds, IndicatorKind.MHOR, VarianceMethod.RBG)
 
 
 def katz_var_log_rr(t: StratumTable, orientation: Literal["row", "column"]) -> float:
@@ -336,9 +348,9 @@ def var_skm_log_mhq_true(params: Sequence[BinomialParams]) -> float:
     expectation, so the data form is exactly the plug-in of this one at the
     empirical proportions.
     """
-    cells = _expected_cells(params)
-    totals, sums = _mhq_cell_sums(*cells)
-    return float(_skm_log_variance(*cells, *totals, sums))
+    a, b, c, d = _expected_cells(params)
+    sums = _indicator_sums(IndicatorKind.MHQ, a, b, c, d)
+    return float(_skm_log_variance(a, b, c, d, a + c, b + d, a + b + c + d, sums))
 
 
 def var_bh_log_mhq_true(params: Sequence[BinomialParams]) -> float:
@@ -347,7 +359,7 @@ def var_bh_log_mhq_true(params: Sequence[BinomialParams]) -> float:
     # the expected cells are not integers, so the group-vs-world tables get
     # their own MHOR sums rather than MHq's (see _rbg_log_variance)
     world = (a, b, a + c, b + d)
-    return float(_rbg_log_variance(*world, _table_sums(IndicatorKind.MHOR, *world)))
+    return float(_rbg_log_variance(*world, _indicator_sums(IndicatorKind.MHOR, *world)))
 
 
 # --------------------------------------------------------------------------
@@ -360,6 +372,7 @@ _DEFAULT_METHOD: dict[IndicatorKind, VarianceMethod] = {
     IndicatorKind.MHQ: VarianceMethod.SKM,
 }
 
+# the public data form of each (kind, method) pair that estimate_indicator accepts
 _VARIANCE_FN = {
     (IndicatorKind.MHRR, VarianceMethod.GR): var_gr_log_mhrr,
     (IndicatorKind.MHCR, VarianceMethod.GR): var_gr_log_mhcr,
@@ -367,6 +380,24 @@ _VARIANCE_FN = {
     (IndicatorKind.MHQ, VarianceMethod.SKM): var_skm_log_mhq,
     (IndicatorKind.MHQ, VarianceMethod.BH): var_bh_log_mhq,
 }
+
+
+def _estimate(
+    kind: IndicatorKind, method: VarianceMethod, level: float, labels, cells, sums: _Sums, den: float
+) -> IndicatorEstimate:
+    """``kind``'s estimate by ``method``.
+
+    ``labels`` and ``cells`` are a dataset's labels and float cells, ``sums``
+    are ``kind``'s sums over them, and ``den`` is the fsum of their S_i.
+    """
+    value = _mh_value(kind, sums.r, den)
+    if value <= 0.0:
+        raise UndefinedIndicatorError(
+            f"{kind.value} is {value}; a log-scale interval needs a positive point estimate"
+        )
+    log_variance = _log_variance(kind, method, labels, *cells, sums)
+    lo, hi = confidence_interval(value, log_variance, level)
+    return IndicatorEstimate(kind, value, log_variance, lo, hi, level, method)
 
 
 def estimate_indicator(
@@ -378,15 +409,8 @@ def estimate_indicator(
     """Point estimate plus interval for one indicator on a filtered dataset."""
     if method is None:
         method = _DEFAULT_METHOD[kind]
-    try:
-        variance_fn = _VARIANCE_FN[(kind, method)]
-    except KeyError:
-        raise ValueError(f"variance method {method.value} does not apply to {kind.value}") from None
-    value = INDICATOR_FN[kind](ds)
-    if value <= 0.0:
-        raise UndefinedIndicatorError(
-            f"{kind.value} is {value}; a log-scale interval needs a positive point estimate"
-        )
-    log_variance = variance_fn(ds)
-    lo, hi = confidence_interval(value, log_variance, level)
-    return IndicatorEstimate(kind, value, log_variance, lo, hi, level, method)
+    if (kind, method) not in _VARIANCE_FN:
+        raise ValueError(f"variance method {method.value} does not apply to {kind.value}")
+    cells = _cells(ds)
+    sums = _indicator_sums(kind, *cells)
+    return _estimate(kind, method, level, ds.labels, cells, sums, _fsum(sums.s))

@@ -3,9 +3,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import strategies as st
 
 from sparsemh import IndicatorKind, StratifiedDataset, StratumTable, filter_informative
 from sparsemh.datasets import load_smallworld
+from sparsemh.tables import MAX_COUNT
 
 # the ratio_columns column whose weighted average each indicator is
 RATIO_COLUMN = {
@@ -32,6 +34,15 @@ def make_dataset(*cells: tuple[int, int, int, int]) -> StratifiedDataset:
     return StratifiedDataset(
         tuple(StratumTable(f"s{i + 1}", a, b, c, d) for i, (a, b, c, d) in enumerate(cells))
     )
+
+
+# Mostly zeros: empty rows (a+b = 0 or c+d = 0), b = 0, strata excluded for
+# an empty column and single strata are all common, and each exit of analyze
+# (a report, an undefined indicator, the empty-row rejection) is frequent.
+sparse_count = st.one_of(st.sampled_from([0, 0, 0, 1, 2, 3, 7, 50]), st.integers(0, MAX_COUNT))
+sparse_datasets = st.lists(
+    st.tuples(sparse_count, sparse_count, sparse_count, sparse_count).filter(any), min_size=1, max_size=8
+).map(lambda rows: make_dataset(*rows))
 
 
 def csv_text(ds: StratifiedDataset) -> str:

@@ -28,6 +28,8 @@ from sparsemh import (
     StratumRatios,
     StratumTable,
     UndefinedIndicatorError,
+    VarianceMethod,
+    estimate_indicator,
     filter_informative,
     parse_csv,
     parse_json,
@@ -42,12 +44,12 @@ from sparsemh import (
     world_comparison_row,
 )
 from sparsemh.estimators import INDICATOR_FN, ratio_columns
-from sparsemh.report import _FloatText, build_report, render_json
+from sparsemh.report import _REPORT_ORDER, _FloatText, build_report, render_json
 from sparsemh.simulation import ExcessiveDropError, bias_study, coverage_study
 from sparsemh.tables import EXCLUDED_NO_NOT_MENTIONED, MAX_COUNT, _parse_csv_lines
-from sparsemh.variance import _mhq_cell_sums, _rbg_log_variance, _skm_log_variance, _table_sums
+from sparsemh.variance import _indicator_sums, _rbg_log_variance, _skm_log_variance
 
-from conftest import RATIO_COLUMN, csv_text, inversion_edge_ps, json_text, make_dataset
+from conftest import RATIO_COLUMN, csv_text, inversion_edge_ps, json_text, make_dataset, sparse_datasets
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -344,6 +346,45 @@ def test_render_json_matches_json_dumps_and_the_report(ds, methods):
     ]
 
 
+def public_report(ds, methods):
+    """What ``build_report(ds, methods=methods)`` holds, from the public functions, called in its order."""
+    filtered = filter_informative(ds)
+    weights = {kind: stratum_weights(filtered, kind) for kind in _REPORT_ORDER}
+    pairs = [(kind, None) for kind in _REPORT_ORDER] + [(IndicatorKind.MHQ, VarianceMethod.BH)] * ("bh" in methods)
+    return filtered, weights, [estimate_indicator(filtered, kind, method=method) for kind, method in pairs]
+
+
+def hexed(values):
+    return [None if v is None else v.hex() for v in values]
+
+
+def estimate_bits(est):
+    return (est.kind, est.method, *hexed([est.value, est.log_variance, est.ci_low, est.ci_high, est.level]))
+
+
+@PROPERTY
+@given(sparse_datasets, st.sampled_from([("skm",), ("skm", "bh")]))
+# empty rows: s2 has a+b = 0 and s3 has c+d = 0, so MHCR's GR variance rejects them
+@example(make_dataset((3, 2, 5, 7), (0, 0, 4, 6), (2, 1, 0, 0), (1, 4, 2, 9)), ("skm", "bh"))
+@example(make_dataset((0, 5, 0, 5), (3, 2, 5, 7)), ("skm",))  # an excluded empty column
+@example(make_dataset((3, 0, 5, 7)), ("skm", "bh"))  # k = 1 and b = 0: MHCR and MHq are undefined
+def test_build_report_equals_the_public_functions_bit_for_bit(ds, methods):
+    try:
+        filtered, weights, estimates = public_report(ds, methods)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            build_report(ds, methods=methods)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        return
+    report = build_report(ds, methods=methods)
+    assert report.filtered == filtered
+    assert {name: hexed(column) for name, column in report.ratios.items()} == {
+        name: hexed(column) for name, column in ratio_columns(ds.counts).items()
+    }
+    assert {kind: hexed(w) for kind, w in report.weights.items()} == {kind: hexed(w) for kind, w in weights.items()}
+    assert list(map(estimate_bits, report.estimates)) == list(map(estimate_bits, estimates))
+
+
 def reference_render_json(report) -> str:
     """The report as one ``json.dumps(..., indent=2)`` of the whole structure."""
     excluded = {t.label: reason for t, reason in report.filtered.excluded}
@@ -530,15 +571,14 @@ def array_total_estimates(a, b, n1, n2):
     as the data and parameter forms pass them.
     """
     c, d = n1 - a, n2 - b
-    _, all_sums = _mhq_cell_sums(a, b, c, d)
+    all_sums = _indicator_sums(IndicatorKind.MHQ, a, b, c, d)
     defined = (all_sums.rt > 0.0) & (all_sums.st > 0.0)
-    cells = tuple(x[defined] for x in (a, b, c, d))
-    totals, sums = _mhq_cell_sums(*cells)
-    world = (cells[0], cells[1], cells[0] + cells[2], cells[1] + cells[3])
+    a, b, c, d = (x[defined] for x in (a, b, c, d))
+    world = (a, b, a + c, b + d)
     return (
         np.log(all_sums.rt[defined] / all_sums.st[defined]),
-        _skm_log_variance(*cells, *totals, sums),
-        _rbg_log_variance(*world, _table_sums(IndicatorKind.MHOR, *world)),
+        _skm_log_variance(a, b, c, d, a + c, b + d, a + b + c + d, _indicator_sums(IndicatorKind.MHQ, a, b, c, d)),
+        _rbg_log_variance(*world, _indicator_sums(IndicatorKind.MHOR, *world)),
         int((~defined).sum()),
     )
 

@@ -26,8 +26,8 @@ from sparsemh import (
     var_skm_log_mhq,
     var_skm_log_mhq_true,
 )
-from sparsemh.estimators import _weighted_sums
-from sparsemh.variance import _Sums, _mhq_cell_sums, _rbg_log_variance, _skm_log_variance, _skm_terms
+from sparsemh.estimators import _cells, _weighted_sums
+from sparsemh.variance import _Sums, _indicator_sums, _rbg_log_variance, _skm_log_variance, _skm_terms
 
 from conftest import make_dataset
 
@@ -50,8 +50,8 @@ def random_positive_dataset(rng, k, high=30):
 def skm_terms(a, b, c, d):
     """(r, s, v, w, q) of one stratum from the array kernels."""
     cells = tuple(np.array([x], dtype=float) for x in (a, b, c, d))
-    totals, sums = _mhq_cell_sums(*cells)
-    v, w, q = _skm_terms(*cells, *totals, sums.t)
+    sums = _indicator_sums(IndicatorKind.MHQ, *cells)
+    v, w, q = _skm_terms(*cells, a + c, b + d, a + b + c + d, sums.t)
     return tuple(float(x[0]) for x in (sums.r, sums.s, v, w, q))
 
 
@@ -104,7 +104,7 @@ def test_skm_components_require_informative_columns():
 
 
 def test_dataset_components_totals(smallworld_filtered):
-    r, s = _weighted_sums(IndicatorKind.MHQ, *smallworld_filtered.counts.T)
+    _, r, s = _weighted_sums(IndicatorKind.MHQ, *_cells(smallworld_filtered))
     assert math.fsum(r) == pytest.approx(520 / 97 + 240 / 68 + 36 / 34, rel=1e-14)
     assert math.fsum(s) == pytest.approx(308 / 97 + 210 / 68 + 48 / 34, rel=1e-14)
     assert math.fsum(r) / math.fsum(s) == mhq(smallworld_filtered)
@@ -115,7 +115,9 @@ def test_kernels_square_scalar_totals_as_the_batch_does():
     # scalars, the simulation as arrays over datasets. A scalar's ** 2 calls
     # C pow, which rounds the squares of these totals differently from x * x.
     cells = (np.array([3.0, 1.0]), np.array([7.0, 2.0]), np.array([4.0, 5.0]), np.array([2.0, 9.0]))
-    totals, sums = _mhq_cell_sums(*cells)
+    a, b, c, d = cells
+    totals = (a + c, b + d, a + b + c + d)
+    sums = _indicator_sums(IndicatorKind.MHQ, *cells)
     scalar = sums._replace(rt=np.float64(61_914_041_810.0), st=np.float64(1_071_370_718_072.0))
     batch = _Sums(*(np.asarray(x)[None] for x in scalar))
     batch_cells = tuple(x[None] for x in cells)
@@ -316,6 +318,16 @@ def test_confidence_interval_validation():
         confidence_interval(0.0, 0.1, 0.95)
     with pytest.raises(ValueError, match="variance"):
         confidence_interval(1.0, -0.1, 0.95)
+
+
+def test_confidence_interval_upper_bound_past_exp_range():
+    # z * sd = 709.8 is past exp's range (709.78), but a small value brings the bound back into it
+    value, variance = 7.625205880558775e-06, 131145.99999237477
+    lo, hi = confidence_interval(value, variance, 0.95)
+    half = NormalDist().inv_cdf(0.975) * math.sqrt(variance)
+    assert math.isfinite(hi) and math.log(hi) == pytest.approx(math.log(value) + half, rel=1e-15)
+    assert lo == value * math.exp(-half)
+    assert confidence_interval(1.0, 1e6, 0.95) == (0.0, math.inf)
 
 
 def test_normal_quantile_value():
