@@ -16,7 +16,9 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .estimators import UndefinedIndicatorError
-from .report import build_report, render_csv, render_json, render_text, write_in_place
+from .report import build_report, csv_chunks, json_chunks, text_chunks, write_chunks, write_in_place
+# not called here; kept importable because perfbench/spans.py wraps it here
+from .report import render_json  # noqa: F401
 from .tables import NoInformativeStrataError, ParseError, parse_csv, parse_json
 
 if TYPE_CHECKING:
@@ -123,14 +125,25 @@ def _read_dataset(path_text: str, input_format: str):
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    """Write the report chunk by chunk as it is rendered; whatever can fail runs before the first byte."""
     ds = _read_dataset(args.input, args.input_format)
     methods = tuple(m.strip().lower() for m in args.methods.split(",") if m.strip())
     report = build_report(ds, source=args.input, level=args.level, methods=methods)
-    rendered = {"text": render_text, "json": render_json, "csv": render_csv}[args.format](report)
+    chunks = {"text": text_chunks, "json": json_chunks, "csv": csv_chunks}[args.format](report)
+    if args.format == "text":
+        # The source path and the labels are the only text that the
+        # destination's encoding may refuse (JSON and CSV output is ASCII):
+        # refuse it here, before the first byte, not part-way through.
+        if args.out:
+            encoding, errors = "utf-8", "strict"
+        else:
+            encoding, errors = getattr(sys.stdout, "encoding", None), getattr(sys.stdout, "errors", None)
+        if encoding:  # a text buffer such as io.StringIO takes any str
+            "\n".join((report.source, *ds.labels)).encode(encoding, errors or "strict")
     if args.out:
-        write_in_place(args.out, rendered)
+        write_in_place(args.out, chunks)
     else:
-        sys.stdout.write(rendered)
+        write_chunks(sys.stdout, chunks)
     return EXIT_OK
 
 

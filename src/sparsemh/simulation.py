@@ -442,8 +442,8 @@ class StudySummary:
         # plain concatenation: with_suffix would truncate prefixes like "psi0.2"
         csv_path = prefix.parent / (prefix.name + ".csv")
         json_path = prefix.parent / (prefix.name + ".json")
-        write_in_place(csv_path, self.to_csv())
-        write_in_place(json_path, self.to_json())
+        write_in_place(csv_path, [self.to_csv()])
+        write_in_place(json_path, [self.to_json()])
         return csv_path, json_path
 
 

@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,8 @@ import sparsemh
 from sparsemh import __version__, simulation
 from sparsemh.cli import _build_parser, main
 from sparsemh.datasets import smallworld_path
+from sparsemh.report import STRATA_PER_CHUNK, build_report, json_chunks, render_json, write_in_place
+from sparsemh.tables import parse_csv
 
 from conftest import csv_text, make_dataset, sparse_datasets
 
@@ -234,6 +237,16 @@ def write_one_stratum(tmp_path: Path) -> Path:
     return path
 
 
+def wide_rows(k: int) -> str:
+    """k CSV rows of the paper's desk design (100 mentioned, 1000 not), with excluded and b = 0 strata among them."""
+    rows = []
+    for i in range(k):
+        a, b = i % 37 + 1, (7 * i) % 211 + 1
+        cells = (0, 4, 0, 6) if i % 10 == 3 else (3, 0, 5, 7) if i % 7 == 5 else (a, b, 100 - a, 1000 - b)
+        rows.append("s%d,%d,%d,%d,%d\n" % (i + 1, *cells))
+    return "".join(rows)
+
+
 def test_analyze_out_over_a_longer_report_leaves_no_stale_tail(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1767225600")
     target = tmp_path / "report.json"
@@ -279,20 +292,83 @@ def test_analyze_out_bytes_equal_stdout_bytes(capsys, tmp_path, monkeypatch, fmt
         ("cat4,0,10,0,10\n", (), None, 3),                         # no informative strata
         ("s1,3,2,5,7\n", ("--level", "1.5"), None, 4),             # flag out of its domain
         ("s1,3,2,5,7\n", ("--format", "json"), "yesterday", 4),    # fails while rendering
+        (wide_rows(2 * STRATA_PER_CHUNK + 1), ("--format", "json"), "yesterday", 4),
     ],
-    ids=["no-informative-strata", "level-out-of-domain", "bad-epoch-while-rendering"],
+    ids=["no-informative-strata", "level-out-of-domain", "bad-epoch-while-rendering", "bad-epoch-past-one-chunk"],
 )
 def test_failed_analyze_leaves_the_out_file_unchanged(capsys, tmp_path, monkeypatch, rows, flags, env, expected):
     if env is not None:
         monkeypatch.setenv("SOURCE_DATE_EPOCH", env)
     path = tmp_path / "in.csv"
     path.write_text("stratum,a,b,c,d\n" + rows, encoding="utf-8")
-    target = tmp_path / "report.txt"
+    target, missing = tmp_path / "report.txt", tmp_path / "new.txt"
     target.write_bytes(b"the previous report\n")
-    code, out, err = run(capsys, "analyze", str(path), *flags, "--out", str(target))
-    assert code == expected and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    for out_path in (target, missing):
+        code, out, err = run(capsys, "analyze", str(path), *flags, "--out", str(out_path))
+        assert code == expected and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
     assert target.read_bytes() == b"the previous report\n"
+    assert not missing.exists()
+
+
+# ------------------------------------------- reports longer than one chunk
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_analyze_out_bytes_equal_stdout_bytes_past_one_chunk(capsys, tmp_path, monkeypatch, fmt):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1767225600")
+    path = tmp_path / "wide.csv"
+    path.write_text("stratum,a,b,c,d\n" + wide_rows(2 * STRATA_PER_CHUNK + 1), encoding="utf-8")
+    target = tmp_path / f"report.{fmt}"
+    target.write_bytes(b"a longer earlier report\n" * 100_000)
+    code, out, _ = run(capsys, "analyze", str(path), "--format", fmt, "--out", str(target))
+    assert code == 0 and out == ""
+    code, out, _ = run(capsys, "analyze", str(path), "--format", fmt)
+    assert code == 0
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_label_the_output_cannot_encode_past_one_chunk_touches_no_output(capsys, tmp_path):
+    # JSON input may spell a lone surrogate; text output cannot write it as UTF-8
+    rows = [{"stratum": f"s{i}", "a": 3, "b": 2, "c": 5, "d": 7} for i in range(STRATA_PER_CHUNK + 10)]
+    rows[STRATA_PER_CHUNK + 5]["stratum"] = "s\ud800"
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(rows), encoding="utf-8")
+    target, missing = tmp_path / "report.txt", tmp_path / "new.txt"
+    target.write_bytes(b"the previous report\n")
+    for argv in (["--out", str(target)], ["--out", str(missing)], []):
+        code, out, err = run(capsys, "analyze", str(path), "--format", "text", *argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: 'utf-8' codec can't encode character '\\ud800'") and err.count("\n") == 1
+    assert target.read_bytes() == b"the previous report\n"
+    assert not missing.exists()
+    code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
+    assert code == 0 and '"s\\ud800"' in out
+
+
+def test_writing_a_report_holds_no_whole_copy_of_it(tmp_path):
+    # sparse strata repeat a few tables, so the per-report memo of their
+    # text stays small and what the writer holds is a chunk at a time
+    tables = [(3, 2, 5, 7), (0, 4, 0, 6), (3, 0, 5, 7), (3, 2, 0, 7), (1, 4, 2, 9), (12, 30, 40, 55)]
+    rows = [f"s{i + 1},%d,%d,%d,%d" % tables[(i * i) % 6] for i in range(3 * STRATA_PER_CHUNK)]
+    report = build_report(parse_csv("stratum,a,b,c,d\n" + "\n".join(rows) + "\n"))
+    length = len(render_json(report))
+    target = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        write_in_place(target, json_chunks(report))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert target.stat().st_size == length
+    assert peak < length / 2
+
+
+def test_write_in_place_refuses_one_str(tmp_path):
+    target = tmp_path / "report.txt"
+    with pytest.raises(TypeError):
+        write_in_place(target, "a report")
+    assert not target.exists()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)

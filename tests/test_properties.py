@@ -44,7 +44,18 @@ from sparsemh import (
     world_comparison_row,
 )
 from sparsemh.estimators import INDICATOR_FN, ratio_columns
-from sparsemh.report import _REPORT_ORDER, _FloatText, build_report, render_json
+from sparsemh.report import (
+    _REPORT_ORDER,
+    STRATA_PER_CHUNK,
+    _FloatText,
+    build_report,
+    csv_chunks,
+    json_chunks,
+    render_csv,
+    render_json,
+    render_text,
+    text_chunks,
+)
 from sparsemh.simulation import ExcessiveDropError, bias_study, coverage_study
 from sparsemh.tables import EXCLUDED_NO_NOT_MENTIONED, MAX_COUNT, _parse_csv_lines
 from sparsemh.variance import _indicator_sums, _rbg_log_variance, _skm_log_variance
@@ -444,6 +455,70 @@ def reports_with_any_finite_estimates(draw):
 def test_render_json_equals_one_indented_json_dumps(report):
     with mock.patch.dict("os.environ", {"SOURCE_DATE_EPOCH": "1767225600"}):
         assert render_json(report) == reference_render_json(report)
+
+
+def reference_render_text(report) -> str:
+    """The text report as one list of lines, joined once."""
+    def fmt(value):
+        return "undefined" if value is None else f"{value:.2f}"
+
+    excluded = {t.label: reason for t, reason in report.filtered.excluded}
+    lines = [
+        f"dataset: {report.source}",
+        f"strata: {len(report.dataset)} read, {len(report.filtered)} used, {len(excluded)} excluded",
+        "",
+        "per-stratum ratios:",
+        f"{'stratum':<12} {'a':>6} {'b':>6} {'c':>6} {'d':>6} {'n':>7} "
+        f"{'row_rr':>10} {'col_rr':>10} {'odds_ratio':>10} {'world_row':>10}",
+    ]
+    for i, (label, (a, b, c, d)) in enumerate(zip(report.dataset.labels, report.dataset.counts.tolist())):
+        ratios = " ".join(f"{fmt(column[i]):>10}" for column in report.ratios.values())
+        lines.append(f"{label:<12} {a:>6} {b:>6} {c:>6} {d:>6} {a + b + c + d:>7} {ratios}")
+    if excluded:
+        lines += [""] + [f"excluded: {label} ({reason})" for label, reason in excluded.items()]
+    lines += ["", f"indicators ({report.level:.0%} confidence intervals):"]
+    for est in report.estimates:
+        note = "  (deprecated: overestimates variance)" if est.method.value == "BH" else ""
+        lines.append(
+            f"{est.kind.value:<5} = {est.value:.2f}  "
+            f"[{est.ci_low:.2f}, {est.ci_high:.2f}]  variance method: {est.method.value}{note}"
+        )
+    lines += ["", "normalized stratum weights:"]
+    for kind, weights in report.weights.items():
+        pairs = ", ".join(f"{label}={w:.3f}" for label, w in zip(report.filtered.labels, weights))
+        lines.append(f"{kind.value:<5} {pairs}")
+    return "\n".join(lines) + "\n"
+
+
+@PROPERTY
+@given(reports_with_any_finite_estimates(), st.integers(1, 4))
+def test_chunks_of_any_size_join_to_the_reference_report(report, size):
+    with mock.patch.dict("os.environ", {"SOURCE_DATE_EPOCH": "1767225600"}), \
+            mock.patch("sparsemh.report.STRATA_PER_CHUNK", size):
+        assert "".join(json_chunks(report)) == reference_render_json(report)
+        assert "".join(text_chunks(report)) == reference_render_text(report)
+
+
+def chunk_boundary_dataset(k: int) -> StratifiedDataset:
+    """k strata: complete, excluded, b = 0 and c = 0 tables, most repeated, under labels that need JSON escapes."""
+    rng = np.random.default_rng(k)
+    pool = [(3, 2, 5, 7), (0, 4, 0, 6), (5, 0, 2, 0), (3, 0, 5, 7), (3, 2, 0, 7)]
+    rows = [tuple(rng.integers(1, MAX_COUNT, 4).tolist()) if i % 3 == 0 else pool[i % 5] for i in range(k)]
+    labels = [f's{i}"\\\u00e9\u2028\x01' if i % 4 == 0 else f"s{i}" for i in range(k)]
+    return StratifiedDataset(StratumTable(label, *cells) for label, cells in zip(labels, rows))
+
+
+@pytest.mark.parametrize("k", [1, STRATA_PER_CHUNK - 1, STRATA_PER_CHUNK, STRATA_PER_CHUNK + 1, 2 * STRATA_PER_CHUNK + 1],
+                         ids=["1", "C-1", "C", "C+1", "2C+1"])
+@pytest.mark.parametrize("methods", [("skm",), ("skm", "bh")], ids=["skm", "skm,bh"])
+def test_chunks_join_to_the_whole_report_at_chunk_boundaries(k, methods, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1767225600")
+    report = build_report(chunk_boundary_dataset(k), source='dir\\"data\u00e9".csv', methods=methods)
+    chunks = list(json_chunks(report))
+    assert "".join(chunks) == render_json(report) == reference_render_json(report)
+    assert max(chunk.count('"stratum": ') for chunk in chunks) <= STRATA_PER_CHUNK
+    assert "".join(text_chunks(report)) == render_text(report) == reference_render_text(report)
+    assert "".join(csv_chunks(report)) == render_csv(report)
 
 
 @PROPERTY
