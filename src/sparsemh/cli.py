@@ -1,8 +1,9 @@
 """Command-line interface: dataset analysis and the Monte Carlo study suite.
 
 Exit codes: 0 success, 2 parse error, 3 undefined indicator / no informative
-strata, 4 invalid simulation design, flag or environment value, or a design
-too sparse to summarize or too large for memory, 5 I/O error.
+strata, 4 invalid simulation design, flag or environment value, a design
+too sparse to summarize or too large for memory, or an input too large for
+memory, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -216,9 +217,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             summary = coverage_study(design, threads=threads, study=args.study)
         else:
             summary = convergence_study(design, scales, replicates=args.replicates, threads=threads)
-    except (ExcessiveDropError, MemoryError) as exc:
-        # numpy's MemoryError names the allocation the design asked for
-        print(f"error: {str(exc) or 'the design does not fit in memory'}", file=sys.stderr)
+    except ExcessiveDropError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DESIGN
 
     prefix = Path(args.out) if args.out else Path(f"sparsemh_{args.study}")
@@ -251,6 +251,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        # numpy's MemoryError names the allocation the input or the design asked for
+        what = "input" if args.command == "analyze" else "design"
+        print(f"error: {str(exc) or f'the {what} does not fit in memory'}", file=sys.stderr)
+        return EXIT_DESIGN
 
 
 if __name__ == "__main__":

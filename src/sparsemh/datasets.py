@@ -4,16 +4,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .tables import StratifiedDataset, parse_csv
-
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def smallworld_path() -> Path:
     """Path to the bundled four-category small-world dataset."""
     return _DATA_DIR / "smallworld.csv"
-
-
-def load_smallworld() -> StratifiedDataset:
-    """The bundled small-world dataset, unfiltered."""
-    return parse_csv(smallworld_path().read_text(encoding="utf-8"))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,27 +46,45 @@ def _cells(ds: StratifiedDataset) -> tuple[np.ndarray, ...]:
     return tuple(ds.counts.T.astype(float))
 
 
-def _weighted_sums(kind: IndicatorKind, a, b, c, d):
-    """Per-stratum divisor t and terms (R_i, S_i) of an MH indicator.
+class _Sums(NamedTuple):
+    """An MH indicator's per-stratum divisor t and terms (R_i, S_i), with their totals over strata.
 
     The indicator is sum(R_i) / sum(S_i); S_i is the stratum's raw weight.
-    Cells are float arrays (last axis indexes strata); t is the table total
-    n = a+b+c+d, or m = a+b+n for MHq.
+    Arrays have strata on their last axis; t is the table total n =
+    a+b+c+d, or m = a+b+n for MHq.
     """
+
+    t: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
+    rt: np.ndarray
+    st: np.ndarray
+
+    @classmethod
+    def of(cls, t, r, s) -> "_Sums":
+        return cls(t, r, s, r.sum(axis=-1), s.sum(axis=-1))
+
+    def rows(self, index) -> "_Sums":
+        """The sums of the datasets picked by ``index`` (a boolean mask) on the first axis."""
+        return _Sums(*(x[index] for x in self))
+
+
+def _weighted_sums(kind: IndicatorKind, a, b, c, d) -> _Sums:
+    """The sums of ``kind`` over float cells a, b, c, d (last axis indexes strata)."""
     n = a + b + c + d
     if kind is IndicatorKind.MHRR:
-        return n, a * (c + d) / n, c * (a + b) / n
+        return _Sums.of(n, a * (c + d) / n, c * (a + b) / n)
     if kind is IndicatorKind.MHCR:
-        return n, a * (b + d) / n, b * (a + c) / n
+        return _Sums.of(n, a * (b + d) / n, b * (a + c) / n)
     if kind is IndicatorKind.MHOR:
-        return n, a * d / n, b * c / n
+        return _Sums.of(n, a * d / n, b * c / n)
+    return _mhq_sums(a, b, a + c, b + d, n)
+
+
+def _mhq_sums(a, b, col1, col2, n) -> _Sums:
+    """MHq's sums, with divisor m = a+b+n, from the cells a, b and the totals a+c, b+d, n."""
     m = a + b + n
-    return (m, *_mhq_terms(a, b, a + c, b + d, m))
-
-
-def _mhq_terms(a, b, col1, col2, m):
-    """MHq's (R_i, S_i) for kernels that already hold a+c, b+d and m = a+b+n."""
-    return a * col2 / m, b * col1 / m
+    return _Sums.of(m, a * col2 / m, b * col1 / m)
 
 
 def _ratio(num_top, num_bot, den_top, den_bot, undefined=False) -> list[float | None]:
@@ -120,8 +138,8 @@ def _mh_value(kind: IndicatorKind, r: np.ndarray, den: float) -> float:
 
 
 def _sum_ratio(ds: StratifiedDataset, kind: IndicatorKind) -> float:
-    _, r, s = _weighted_sums(kind, *_cells(ds))
-    return _mh_value(kind, r, _fsum(s))
+    sums = _weighted_sums(kind, *_cells(ds))
+    return _mh_value(kind, sums.r, _fsum(sums.s))
 
 
 def mh_row_risk_ratio(ds: StratifiedDataset) -> float:
@@ -165,7 +183,7 @@ def stratum_weights(ds: StratifiedDataset, kind: IndicatorKind) -> tuple[float, 
     ``row_rr`` for MHRR, ``odds_ratio`` for MHOR, and ``col_rr`` for MHCR and
     MHq.
     """
-    _, _, raw = _weighted_sums(kind, *_cells(ds))
+    raw = _weighted_sums(kind, *_cells(ds)).s
     return _normalized(kind, raw, _fsum(raw))
 
 

@@ -6,10 +6,10 @@ as :func:`~sparsemh.variance.estimate_indicator` and the public estimators.
 
 Each output format has one renderer, ``*_chunks``, that makes the report's
 text in order, in chunks of at most :data:`STRATA_PER_CHUNK` strata;
-``render_*`` joins them. :func:`write_in_place` and :func:`write_chunks` write
-each chunk as soon as it is made, so no whole-report string or byte copy is
-built. What can fail (the estimates, the ``SOURCE_DATE_EPOCH`` check) runs
-before the first chunk is made.
+:func:`render_json` joins the JSON ones. :func:`write_in_place` and
+:func:`write_chunks` write each chunk as soon as it is made, so no
+whole-report string or byte copy is built. What can fail (the estimates,
+the ``SOURCE_DATE_EPOCH`` check) runs before the first chunk is made.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from json.encoder import encode_basestring_ascii as _encode
 from typing import TextIO
 
 from . import __version__
-from .estimators import IndicatorKind, _cells, _fsum, _normalized, ratio_columns
+from .estimators import IndicatorKind, _cells, _fsum, _normalized, _weighted_sums, ratio_columns
 # not called here; kept importable because perfbench/spans.py wraps them here
 from .estimators import stratum_ratios, stratum_weights, world_comparison_row  # noqa: F401
 from .tables import StratifiedDataset, filter_informative
-from .variance import _DEFAULT_METHOD, IndicatorEstimate, VarianceMethod, _estimate, _indicator_sums
+from .variance import _DEFAULT_METHOD, IndicatorEstimate, VarianceMethod, _estimate
 
 BH_CAVEAT = "overestimates variance"
 
@@ -94,7 +94,7 @@ def build_report(
     cells = _cells(filtered)
     # by position in _REPORT_ORDER: each kind's sums, and the fsum of its S_i
     # (the divisor of the weights and the denominator of the point value)
-    sums = [_indicator_sums(kind, *cells) for kind in _REPORT_ORDER]
+    sums = [_weighted_sums(kind, *cells) for kind in _REPORT_ORDER]
     dens = [_fsum(kind_sums.s) for kind_sums in sums]
     weights = dict(zip(_REPORT_ORDER, map(_normalized, _REPORT_ORDER, (kind_sums.s for kind_sums in sums), dens)))
 
@@ -125,7 +125,7 @@ def _fmt(value: float | None, digits: int = 2) -> str:
 
 
 def text_chunks(report: AnalysisReport) -> Iterator[str]:
-    """The text of :func:`render_text`, in order, in chunks of at most :data:`STRATA_PER_CHUNK` strata."""
+    """The human-readable report, ratios and intervals to 2 d.p., in chunks of up to :data:`STRATA_PER_CHUNK` strata."""
     excluded = report.filtered.excluded
     k = len(report.dataset)
     yield (
@@ -164,11 +164,6 @@ def text_chunks(report: AnalysisReport) -> Iterator[str]:
             pairs = ", ".join(f"{label}={w:.3f}" for label, w in zip(labels[lo:hi], weights[lo:hi]))
             yield (", " if lo else f"{kind.value:<5} ") + pairs
         yield "\n"
-
-
-def render_text(report: AnalysisReport) -> str:
-    """Human-readable report; ratios and intervals are shown to 2 d.p."""
-    return "".join(text_chunks(report))
 
 
 class _FloatText(dict):
@@ -350,7 +345,7 @@ def render_json(report: AnalysisReport) -> str:
 
 
 def csv_chunks(report: AnalysisReport) -> list[str]:
-    """The text of :func:`render_csv` as one chunk: it holds no per-stratum rows."""
+    """The indicator table as CSV (full precision), as one chunk: it holds no per-stratum rows."""
     lines = ["kind,method,value,ci_low,ci_high,level,log_variance"]
     for est in report.estimates:
         lines.append(
@@ -358,11 +353,6 @@ def csv_chunks(report: AnalysisReport) -> list[str]:
             f"{est.ci_low!r},{est.ci_high!r},{est.level!r},{est.log_variance!r}"
         )
     return ["\n".join(lines) + "\n"]
-
-
-def render_csv(report: AnalysisReport) -> str:
-    """Indicator table as CSV (full precision)."""
-    return "".join(csv_chunks(report))
 
 
 def write_chunks(fh: TextIO, chunks: Iterable[str]) -> None:

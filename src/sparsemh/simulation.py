@@ -83,11 +83,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import _mhq_terms
+from .estimators import _mhq_sums
 from .report import write_in_place
 from .variance import (
     BinomialParams,
-    _mhq_sums,
     _rbg_combine,
     _rbg_terms,
     _skm_combine,
@@ -491,8 +490,7 @@ def _coverage_terms(a, b, n1: float, n2: float) -> tuple[np.ndarray, ...]:
     tables (a, b // n1, n2), whose MHOR sums are MHq's.
     """
     n = n1 + n2
-    m = a + b + n
-    r, s = _mhq_terms(a, b, n1, n2, m)
+    m, r, s, _, _ = _mhq_sums(a, b, n1, n2, n)
     return (r, s, *_skm_terms(a, b, n1 - a, n2 - b, n1, n2, n, m), *_rbg_terms(a, b, n1, n2, m, r, s))
 
 
@@ -577,8 +575,6 @@ def _coverage_rep(design: SimulationDesign, rep: int) -> tuple[CoverageRecord, i
     dropped = sum(drops)
     _check_drop_rate(dropped, design.datasets_per_rep)
     ln_mhq = np.concatenate(ln_parts)
-    if ln_mhq.size == 0:
-        raise ExcessiveDropError("no defined replicates; cannot estimate coverage")
     z = NormalDist().inv_cdf(0.975)
     log_psi = math.log(design.psi)
     skm_half = z * np.sqrt(np.concatenate(skm_parts))

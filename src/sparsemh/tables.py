@@ -295,8 +295,11 @@ def filter_informative(ds: StratifiedDataset) -> StratifiedDataset:
     estimation. MHCR, MHOR and MHq are insensitive to the removal, and so is
     MHRR for strata with no mentioned articles; a stratum with no
     unmentioned articles adds a*c/n to both MHRR sums. Strata with an empty
-    *row* (a+b = 0 or c+d = 0) are retained: they simply contribute zero
-    weight. Idempotent.
+    *row* (a+b = 0 or c+d = 0) are retained. One with a+b = 0 adds nothing
+    to any indicator's sums; one with c+d = 0 adds nothing to MHRR or MHOR
+    but keeps its raw weight b*(a+c)/n in MHCR and b*(a+c)/(a+b+n) in MHq.
+    MHCR's GR variance rejects both, as an empty column of the transposed
+    table. Idempotent.
     """
     a, b, c, d = ds.counts.T
     no_mentioned = a + c == 0

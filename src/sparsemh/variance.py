@@ -40,11 +40,11 @@ import enum
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
-from .estimators import IndicatorKind, UndefinedIndicatorError, _cells, _fsum, _mh_value, _mhq_terms, _weighted_sums
+from .estimators import IndicatorKind, UndefinedIndicatorError, _cells, _fsum, _mh_value, _Sums, _weighted_sums
 # not called here; kept importable because perfbench/spans.py wraps it here
 from .estimators import transpose  # noqa: F401
 from .tables import StratifiedDataset, StratumTable
@@ -95,35 +95,6 @@ class IndicatorEstimate:
 
 # --------------------------------------------------------------------------
 # array-generic kernels (cells are floats; last axis indexes strata)
-
-class _Sums(NamedTuple):
-    """An MH indicator's per-stratum divisor t and terms (R_i, S_i), with their totals over strata."""
-
-    t: np.ndarray
-    r: np.ndarray
-    s: np.ndarray
-    rt: np.ndarray
-    st: np.ndarray
-
-    @classmethod
-    def of(cls, t, r, s) -> "_Sums":
-        return cls(t, r, s, r.sum(axis=-1), s.sum(axis=-1))
-
-    def rows(self, index) -> "_Sums":
-        """The sums of the datasets picked by ``index`` (a boolean mask) on the first axis."""
-        return _Sums(*(x[index] for x in self))
-
-
-def _mhq_sums(a, b, col1, col2, n) -> _Sums:
-    """MHq's sums, with divisor m = a+b+n, from the cells a, b and the totals a+c, b+d, n."""
-    m = a + b + n
-    return _Sums.of(m, *_mhq_terms(a, b, col1, col2, m))
-
-
-def _indicator_sums(kind: IndicatorKind, a, b, c, d) -> _Sums:
-    """The sums of ``kind`` over float cells a, b, c, d."""
-    return _Sums.of(*_weighted_sums(kind, a, b, c, d))
-
 
 def _skm_terms(a, b, c, d, col1, col2, n, m):
     """Per-stratum variances and covariance (v, w, q) of MHq's weighted-count terms.
@@ -237,7 +208,7 @@ def _log_variance(kind: IndicatorKind, method: VarianceMethod, labels, a, b, c, 
 def _data_form(ds: StratifiedDataset, kind: IndicatorKind, method: VarianceMethod) -> float:
     """``method``'s log variance of ``kind`` on a dataset."""
     cells = _cells(ds)
-    return _log_variance(kind, method, ds.labels, *cells, _indicator_sums(kind, *cells))
+    return _log_variance(kind, method, ds.labels, *cells, _weighted_sums(kind, *cells))
 
 
 def var_skm_log_mhq(ds: StratifiedDataset) -> float:
@@ -349,7 +320,7 @@ def var_skm_log_mhq_true(params: Sequence[BinomialParams]) -> float:
     empirical proportions.
     """
     a, b, c, d = _expected_cells(params)
-    sums = _indicator_sums(IndicatorKind.MHQ, a, b, c, d)
+    sums = _weighted_sums(IndicatorKind.MHQ, a, b, c, d)
     return float(_skm_log_variance(a, b, c, d, a + c, b + d, a + b + c + d, sums))
 
 
@@ -359,7 +330,7 @@ def var_bh_log_mhq_true(params: Sequence[BinomialParams]) -> float:
     # the expected cells are not integers, so the group-vs-world tables get
     # their own MHOR sums rather than MHq's (see _rbg_log_variance)
     world = (a, b, a + c, b + d)
-    return float(_rbg_log_variance(*world, _indicator_sums(IndicatorKind.MHOR, *world)))
+    return float(_rbg_log_variance(*world, _weighted_sums(IndicatorKind.MHOR, *world)))
 
 
 # --------------------------------------------------------------------------
@@ -412,5 +383,5 @@ def estimate_indicator(
     if (kind, method) not in _VARIANCE_FN:
         raise ValueError(f"variance method {method.value} does not apply to {kind.value}")
     cells = _cells(ds)
-    sums = _indicator_sums(kind, *cells)
+    sums = _weighted_sums(kind, *cells)
     return _estimate(kind, method, level, ds.labels, cells, sums, _fsum(sums.s))

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import strategies as st
 
 from sparsemh import IndicatorKind, StratifiedDataset, StratumTable, filter_informative
-from sparsemh.datasets import load_smallworld
-from sparsemh.tables import MAX_COUNT
+from sparsemh.datasets import smallworld_path
+from sparsemh.tables import MAX_COUNT, parse_csv
 
 # the ratio_columns column whose weighted average each indicator is
 RATIO_COLUMN = {
@@ -58,7 +58,7 @@ def json_text(ds: StratifiedDataset) -> str:
 
 @pytest.fixture(scope="session")
 def smallworld() -> StratifiedDataset:
-    return load_smallworld()
+    return parse_csv(smallworld_path().read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="session")

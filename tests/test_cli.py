@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import sparsemh
-from sparsemh import __version__, simulation
+from sparsemh import __version__, cli, simulation
 from sparsemh.cli import _build_parser, main
 from sparsemh.datasets import smallworld_path
 from sparsemh.report import STRATA_PER_CHUNK, build_report, json_chunks, render_json, write_in_place
@@ -533,6 +533,20 @@ def test_simulate_excessive_drop_exit_code(capsys, tmp_path):
     assert not (tmp_path / "sparse.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bias", "--threads", "0"], "--threads must be at least 1, got 0"),
+        (["convergence", "--scales", "1,x"], "--scales must be comma-separated integers, got '1,x'"),
+    ],
+)
+def test_simulate_invalid_flag_exit_code(capsys, tmp_path, argv, message):
+    code, out, err = run(capsys, "simulate", *argv, "--out", str(tmp_path / "flag"))
+    assert code == 4 and out == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "flag.csv").exists()
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
 def test_simulate_invalid_threads_env_exit_code(capsys, tmp_path, monkeypatch, value):
     monkeypatch.setenv("SPARSEMH_THREADS", value)
@@ -605,6 +619,26 @@ def test_simulate_design_too_large_for_memory_exit_code(capsys, tmp_path, monkey
     assert code == 4 and out == ""
     assert err == f"error: {expected}\n"
     assert not (tmp_path / "big.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "message, expected",
+    [
+        ("Unable to allocate 9.54 GiB for an array with shape (320000000, 4) and data type int64",) * 2,
+        ("", "the input does not fit in memory"),
+    ],
+)
+def test_analyze_input_too_large_for_memory_exit_code(capsys, tmp_path, monkeypatch, message, expected):
+    # a MemoryError used to escape analyze as a traceback, exit 1
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "build_report", out_of_memory)
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, "analyze", str(write_smallworld(tmp_path)), "--format", "json", "--out", str(out_path))
+    assert code == 4 and out == ""
+    assert err == f"error: {expected}\n"
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("psi", ["inf", "nan"])

@@ -557,6 +557,10 @@ def test_convergence_check_validation():
         convergence_check(0.05, (0.5,), 10, 10, (1,), 0)
     with pytest.raises(InvalidDesignError, match="replicates"):
         convergence_check(1.0, (0.1,), 10, 10, (1,), 0, replicates=1)
+    with pytest.raises(InvalidDesignError, match="^base sample sizes must be positive$"):
+        convergence_check(1.0, (0.1,), 10, 0, (1,), 0)
+    with pytest.raises(InvalidDesignError, match="^base sample sizes must be positive$"):
+        convergence_check(1.0, (0.1,), n_mentioned=0, n_not_mentioned=10, scales=(1,), seed=0)
     with pytest.raises(InvalidDesignError, match=r"^n_mentioned \* scale must be at most 2\*\*53"):
         convergence_check(1.0, (0.1,), 10, 10, (1, 10**16), 0)
     with pytest.raises(InvalidDesignError, match=r"^n_not_mentioned \* scale must be at most 2\*\*53"):

@@ -188,6 +188,14 @@ def test_parse_json_errors():
         parse_json('[{"stratum":"x","a":' + "1" * 5000 + ',"b":2,"c":3,"d":4}]')
     with pytest.raises(ParseError, match=r"entry 2.*duplicate"):
         parse_json('[{"stratum":"x","a":1,"b":2,"c":3,"d":4},{"stratum":"x","a":1,"b":2,"c":3,"d":4}]')
+    with pytest.raises(ParseError, match=r"^entry 2: expected an object, got list$"):
+        parse_json('[{"stratum":"x","a":1,"b":2,"c":3,"d":4},["y",1,2,3,4]]')
+    with pytest.raises(ParseError, match=r"^entry 1: key 'stratum' must be a non-empty string, got 7$"):
+        parse_json('[{"stratum":7,"a":1,"b":2,"c":3,"d":4}]')
+    with pytest.raises(ParseError, match=r"^entry 1: key 'stratum' must be a non-empty string, got ''$"):
+        parse_json('[{"stratum":"","a":1,"b":2,"c":3,"d":4}]')
+    with pytest.raises(ParseError, match=r"^entry 1: stratum 'x' is empty \(all four counts are zero\)$"):
+        parse_json('[{"stratum":"x","a":0,"b":0,"c":0,"d":0}]')
 
 
 def test_json_round_trip():

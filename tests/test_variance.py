@@ -26,8 +26,8 @@ from sparsemh import (
     var_skm_log_mhq,
     var_skm_log_mhq_true,
 )
-from sparsemh.estimators import _cells, _weighted_sums
-from sparsemh.variance import _Sums, _indicator_sums, _rbg_log_variance, _skm_log_variance, _skm_terms
+from sparsemh.estimators import _cells, _Sums, _weighted_sums
+from sparsemh.variance import _rbg_log_variance, _skm_log_variance, _skm_terms
 
 from conftest import make_dataset
 
@@ -50,7 +50,7 @@ def random_positive_dataset(rng, k, high=30):
 def skm_terms(a, b, c, d):
     """(r, s, v, w, q) of one stratum from the array kernels."""
     cells = tuple(np.array([x], dtype=float) for x in (a, b, c, d))
-    sums = _indicator_sums(IndicatorKind.MHQ, *cells)
+    sums = _weighted_sums(IndicatorKind.MHQ, *cells)
     v, w, q = _skm_terms(*cells, a + c, b + d, a + b + c + d, sums.t)
     return tuple(float(x[0]) for x in (sums.r, sums.s, v, w, q))
 
@@ -104,7 +104,7 @@ def test_skm_components_require_informative_columns():
 
 
 def test_dataset_components_totals(smallworld_filtered):
-    _, r, s = _weighted_sums(IndicatorKind.MHQ, *_cells(smallworld_filtered))
+    _, r, s, _, _ = _weighted_sums(IndicatorKind.MHQ, *_cells(smallworld_filtered))
     assert math.fsum(r) == pytest.approx(520 / 97 + 240 / 68 + 36 / 34, rel=1e-14)
     assert math.fsum(s) == pytest.approx(308 / 97 + 210 / 68 + 48 / 34, rel=1e-14)
     assert math.fsum(r) / math.fsum(s) == mhq(smallworld_filtered)
@@ -117,7 +117,7 @@ def test_kernels_square_scalar_totals_as_the_batch_does():
     cells = (np.array([3.0, 1.0]), np.array([7.0, 2.0]), np.array([4.0, 5.0]), np.array([2.0, 9.0]))
     a, b, c, d = cells
     totals = (a + c, b + d, a + b + c + d)
-    sums = _indicator_sums(IndicatorKind.MHQ, *cells)
+    sums = _weighted_sums(IndicatorKind.MHQ, *cells)
     scalar = sums._replace(rt=np.float64(61_914_041_810.0), st=np.float64(1_071_370_718_072.0))
     batch = _Sums(*(np.asarray(x)[None] for x in scalar))
     batch_cells = tuple(x[None] for x in cells)
