@@ -12,6 +12,7 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -52,7 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     Every default is a constant; what the environment sets is read per call
     (``SPARSEMH_THREADS`` in :func:`_default_threads`, ``SOURCE_DATE_EPOCH``
-    when a JSON report is rendered).
+    when a JSON report is rendered). The simulation design's flags have no
+    default here: each is stored under its ``SimulationDesign`` field name
+    only when given, and the design's own defaults fill the rest.
     """
     parser = argparse.ArgumentParser(
         prog="sparsemh",
@@ -81,21 +84,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="run one of the Monte Carlo studies")
     simulate.add_argument("study", choices=("bias", "coverage", "width", "convergence"))
-    simulate.add_argument("--k", type=int, default=30, help="number of strata")
-    simulate.add_argument("--n-mentioned", type=int, default=100, help="mentioned articles per stratum")
-    simulate.add_argument(
-        "--n-not-mentioned", type=int, default=1000, help="not-mentioned articles per stratum"
+    design_flag = functools.partial(simulate.add_argument, default=argparse.SUPPRESS)
+    design_flag("--k", type=int, help="number of strata")
+    design_flag("--n-mentioned", type=int, help="mentioned articles per stratum")
+    design_flag("--n-not-mentioned", type=int, help="not-mentioned articles per stratum")
+    design_flag("--psi", type=float, help="true column risk ratio")
+    design_flag("--p1-low", type=float, help="lower bound of the p1 draw")
+    design_flag("--p1-high", type=float, help="upper bound of the p1 draw")
+    design_flag(
+        "--datasets",
+        type=int,
+        dest="datasets_per_rep",
+        metavar="DATASETS",
+        help="datasets per repetition; not used by convergence",
     )
-    simulate.add_argument("--psi", type=float, default=1.0, help="true column risk ratio")
-    simulate.add_argument("--p1-low", type=float, default=0.01, help="lower bound of the p1 draw")
-    simulate.add_argument("--p1-high", type=float, default=0.2, help="upper bound of the p1 draw")
-    simulate.add_argument(
-        "--datasets", type=int, default=10_000, help="datasets per repetition; not used by convergence"
-    )
-    simulate.add_argument(
-        "--reps", type=int, default=20, help="repetitions (fresh p1 draw each); not used by convergence"
-    )
-    simulate.add_argument("--seed", type=int, default=42, help="master seed")
+    design_flag("--reps", type=int, help="repetitions (fresh p1 draw each); not used by convergence")
+    design_flag("--seed", type=int, help="master seed")
     simulate.add_argument(
         "--threads",
         type=int,
@@ -190,17 +194,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         coverage_study,
     )
 
-    design = SimulationDesign(
-        k=args.k,
-        n_mentioned=args.n_mentioned,
-        n_not_mentioned=args.n_not_mentioned,
-        psi=args.psi,
-        p1_low=args.p1_low,
-        p1_high=args.p1_high,
-        datasets_per_rep=args.datasets,
-        reps=args.reps,
-        seed=args.seed,
-    )
+    design = SimulationDesign(**{f.name: getattr(args, f.name) for f in fields(SimulationDesign) if f.name in args})
     threads = args.threads if args.threads is not None else _default_threads()
     if threads < 1:
         raise InvalidDesignError(f"--threads must be at least 1, got {threads}")

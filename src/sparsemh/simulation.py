@@ -160,6 +160,17 @@ class ExcessiveDropError(RuntimeError):
     """More replicates were undefined than the reporting contract allows."""
 
 
+def _check_positive_ints(**values: object) -> None:
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise InvalidDesignError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _check_seed(seed: object) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise InvalidDesignError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SimulationDesign:
     """Column-binomial generator settings shared by all studies."""
@@ -175,15 +186,14 @@ class SimulationDesign:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        for name in ("k", "n_mentioned", "n_not_mentioned", "datasets_per_rep", "reps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise InvalidDesignError(f"{name} must be a positive integer, got {value!r}")
+        _check_positive_ints(
+            k=self.k, n_mentioned=self.n_mentioned, n_not_mentioned=self.n_not_mentioned,
+            datasets_per_rep=self.datasets_per_rep, reps=self.reps,
+        )
         for name in ("n_mentioned", "n_not_mentioned"):
             if getattr(self, name) > MAX_COLUMN_TOTAL:
                 raise InvalidDesignError(f"{name} must be at most 2**53, got {getattr(self, name)}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
-            raise InvalidDesignError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        _check_seed(self.seed)
         if not 0.0 < self.psi < math.inf:
             raise InvalidDesignError(f"psi must be positive and finite, got {self.psi}")
         if not 0.0 < self.p1_low <= self.p1_high <= 1.0:
@@ -271,42 +281,23 @@ def _binomial(rng: np.random.Generator, n: int, p: float, count: int) -> np.ndar
     return rng.binomial(n, p, size=count)
 
 
-def _draw_counts(
-    p1s: np.ndarray,
-    p2s: np.ndarray,
-    n1: int,
-    n2: int,
-    count: int,
-    stratum_rng: Callable[[int], np.random.Generator],
+def _draw_count_matrices_streamed(
+    p1s: np.ndarray, p2s: np.ndarray, n1: int, n2: int, count: int, seed: int, first: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``count`` datasets as stratum-major (k, count) arrays of mentioned/not-mentioned group counts.
 
     Both arrays hold the smallest unsigned integer type that fits max(n1, n2).
     Stratum i draws its mentioned column, then its not-mentioned column, from
-    ``stratum_rng(i)``, each into one contiguous row.
+    ``SeedSequence((seed, first, i))``, each into one contiguous row; ``first``
+    is the repetition, or the convergence scale.
     """
     a = np.empty((len(p1s), count), dtype=np.min_scalar_type(max(n1, n2)))
     b = np.empty_like(a)
     for i in range(len(p1s)):
-        rng = stratum_rng(i)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, first, i)))
         a[i] = _binomial(rng, n1, float(p1s[i]), count)
         b[i] = _binomial(rng, n2, float(p2s[i]), count)
     return a, b
-
-
-def _draw_count_matrices_streamed(
-    design: SimulationDesign, p1s: np.ndarray, rep: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched draws on the documented per-(rep, stratum) streams."""
-    p1s, p2s = _validated_p1_p2(design.psi, p1s, design.k)
-    return _draw_counts(
-        p1s,
-        p2s,
-        design.n_mentioned,
-        design.n_not_mentioned,
-        design.datasets_per_rep,
-        lambda i: np.random.default_rng(np.random.SeedSequence((design.seed, rep, i))),
-    )
 
 
 def _ln_mhq_from_counts(a: np.ndarray, b: np.ndarray, n1: float, n2: float):
@@ -326,30 +317,34 @@ def _defined_log_ratio(rt: np.ndarray, st: np.ndarray):
     return np.log(rt[defined] / st[defined]), defined, int(defined.size - defined.sum())
 
 
-def _ln_mhq_blocks(a: np.ndarray, b: np.ndarray, n1: float, n2: float):
-    """Yield each block of datasets as float64 (rows, k) matrices a, b and _ln_mhq_from_counts of them.
+def _blocks(a: np.ndarray, b: np.ndarray, dtype):
+    """Yield each block of datasets of the stratum-major (k, count) ``a`` and ``b`` as (rows, k) ``dtype`` matrices.
 
-    ``a`` and ``b`` are the stratum-major (k, count) arrays of
-    :func:`_draw_counts`. Each block is converted once, to C order, so its
-    rows lie as in a float64 (count, k) matrix and every ``axis=-1`` sum
-    adds the same values in the same order; integers below 2**53 convert
-    exactly. Every value depends on its own dataset only, so the blocks give
-    the same bits as the whole batch would.
+    Each block is converted once, to C order, so its rows lie as in a (count,
+    k) matrix and every ``axis=-1`` sum adds the same values in the same
+    order; integers below 2**53 convert to float64 exactly. Every value
+    depends on its own dataset only, so the blocks give the whole batch's bits.
     """
     k, count = a.shape
     step = max(1, BLOCK_CELLS // k)
     for start in range(0, count, step):
-        a_rows = a[:, start:start + step].T.astype(np.float64, order="C")
-        b_rows = b[:, start:start + step].T.astype(np.float64, order="C")
-        yield a_rows, b_rows, _ln_mhq_from_counts(a_rows, b_rows, n1, n2)
+        yield a[:, start:start + step].T.astype(dtype, order="C"), b[:, start:start + step].T.astype(dtype, order="C")
 
 
-def _check_drop_rate(dropped: int, total: int) -> None:
+def _gathered(blocks, total: int) -> tuple[list[np.ndarray], int]:
+    """The per-block arrays of ``blocks``, (array, ..., dropped) tuples, each joined, and the dropped sum.
+
+    Raises ExcessiveDropError when more than MAX_DROP_FRACTION of the
+    ``total`` replicates were dropped.
+    """
+    *parts, drops = zip(*blocks)
+    dropped = sum(drops)
     if dropped > MAX_DROP_FRACTION * total:
         raise ExcessiveDropError(
             f"{dropped} of {total} replicates had an undefined MHq "
             f"(> {MAX_DROP_FRACTION:.0%}); the sampling design is too sparse to summarize"
         )
+    return [np.concatenate(part) for part in parts], dropped
 
 
 # --------------------------------------------------------------------------
@@ -454,22 +449,22 @@ def _rep_p1s(design: SimulationDesign, rep: int) -> np.ndarray:
     return draw_p1(design, rng)
 
 
+def _rep_counts(design: SimulationDesign, rep: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Repetition ``rep``'s p1 vector and its stratum-major (k, datasets) counts, on the documented streams."""
+    p1s, p2s = _validated_p1_p2(design.psi, _rep_p1s(design, rep), design.k)
+    n1, n2, count = design.n_mentioned, design.n_not_mentioned, design.datasets_per_rep
+    return (p1s, *_draw_count_matrices_streamed(p1s, p2s, n1, n2, count, design.seed, rep))
+
+
 def _bias_rep(design: SimulationDesign, rep: int) -> tuple[BiasRecord, int]:
-    p1s = _rep_p1s(design, rep)
-    a, b = _draw_count_matrices_streamed(design, p1s, rep)
-    ln_parts, dropped = [], 0
-    for _, _, (ln_part, _, block_dropped, _) in _ln_mhq_blocks(a, b, design.n_mentioned, design.n_not_mentioned):
-        ln_parts.append(ln_part)
-        dropped += block_dropped
-    _check_drop_rate(dropped, design.datasets_per_rep)
-    ln_mhq = np.concatenate(ln_parts)
+    p1s, a, b = _rep_counts(design, rep)
+    n1, n2 = design.n_mentioned, design.n_not_mentioned
+    blocks = (_ln_mhq_from_counts(*rows, n1, n2) for rows in _blocks(a, b, np.float64))
+    (ln_mhq,), dropped = _gathered(((ln, dropped) for ln, _, dropped, _ in blocks), design.datasets_per_rep)
     if ln_mhq.size < 2:
         raise ExcessiveDropError("fewer than 2 defined replicates; cannot estimate an SD")
     true_sd = float(ln_mhq.std(ddof=1))
-    params = [
-        BinomialParams(float(p1), float(p1 / design.psi), design.n_mentioned, design.n_not_mentioned)
-        for p1 in p1s
-    ]
+    params = [BinomialParams(float(p1), float(p1 / design.psi), n1, n2) for p1 in p1s]
     skm_sd = math.sqrt(var_skm_log_mhq_true(params))
     bh_sd = math.sqrt(var_bh_log_mhq_true(params))
     record = BiasRecord(
@@ -535,29 +530,26 @@ def _coverage_blocks(a: np.ndarray, b: np.ndarray, n1: float, n2: float):
     """Yield ln(MHq), its SKM and BH variances of each block's defined datasets, and the block's undefined count.
 
     ``a`` and ``b`` are the stratum-major (k, count) arrays of
-    :func:`_draw_counts`. The terms are looked up in their
+    :func:`_draw_count_matrices_streamed`. The terms are looked up in their
     :func:`_term_table`; when it would have more than one point per
     ``LOOKUP_CELLS_PER_POINT`` cells, each block runs the data-form kernels
     instead (see the module docstring).
     """
     lookup = _term_table(a, b, n1, n2, a.size // LOOKUP_CELLS_PER_POINT)
     if lookup is None:
-        for a_rows, b_rows, (ln_mhq, defined, dropped, sums) in _ln_mhq_blocks(a, b, n1, n2):
+        for a_rows, b_rows in _blocks(a, b, np.float64):
+            ln_mhq, defined, dropped, sums = _ln_mhq_from_counts(a_rows, b_rows, n1, n2)
             if dropped:
                 a_rows, b_rows, sums = a_rows[defined], b_rows[defined], sums.rows(defined)
             skm_var = _skm_log_variance(a_rows, b_rows, n1 - a_rows, n2 - b_rows, n1, n2, n1 + n2, sums)
             yield ln_mhq, skm_var, _rbg_log_variance(a_rows, b_rows, n1, n2, sums), dropped
         return
     table, a0, base = lookup
-    k, count = a.shape
-    step = max(1, BLOCK_CELLS // k)
-    for start in range(0, count, step):
-        block = slice(start, start + step)
-        # in C order, like _ln_mhq_blocks' matrices, so each row of a gathered term is one dataset
-        index = a[:, block].T.astype(np.intp, order="C")
+    # each row of a gathered term is one dataset, as in the data forms' matrices
+    for index, b_rows in _blocks(a, b, np.intp):
         index -= a0
         index = base.take(index)
-        index += b[:, block].T.astype(np.intp)
+        index += b_rows
         # one term at a time: a gather of all eight would hold 8 * BLOCK_CELLS values
         totals = np.empty((8, len(index)))
         for row, out in zip(table, totals):
@@ -568,17 +560,13 @@ def _coverage_blocks(a: np.ndarray, b: np.ndarray, n1: float, n2: float):
 
 
 def _coverage_rep(design: SimulationDesign, rep: int) -> tuple[CoverageRecord, int]:
-    p1s = _rep_p1s(design, rep)
-    a, b = _draw_count_matrices_streamed(design, p1s, rep)
+    _, a, b = _rep_counts(design, rep)
     n1, n2 = float(design.n_mentioned), float(design.n_not_mentioned)
-    ln_parts, skm_parts, bh_parts, drops = zip(*_coverage_blocks(a, b, n1, n2))
-    dropped = sum(drops)
-    _check_drop_rate(dropped, design.datasets_per_rep)
-    ln_mhq = np.concatenate(ln_parts)
+    (ln_mhq, skm_var, bh_var), dropped = _gathered(_coverage_blocks(a, b, n1, n2), design.datasets_per_rep)
     z = NormalDist().inv_cdf(0.975)
     log_psi = math.log(design.psi)
-    skm_half = z * np.sqrt(np.concatenate(skm_parts))
-    bh_half = z * np.sqrt(np.concatenate(bh_parts))
+    skm_half = z * np.sqrt(skm_var)
+    bh_half = z * np.sqrt(bh_var)
     record = CoverageRecord(
         setting=rep,
         psi=design.psi,
@@ -663,31 +651,27 @@ def convergence_check(
     scales run on up to ``threads`` threads with the same result.
     """
     p1s, p2s = _validated_p1_p2(psi, p1s)
-    if n_mentioned < 1 or n_not_mentioned < 1:
+    if any(isinstance(n, (int, float)) and n < 1 for n in (n_mentioned, n_not_mentioned)):
         raise InvalidDesignError("base sample sizes must be positive")
+    _check_positive_ints(n_mentioned=n_mentioned, n_not_mentioned=n_not_mentioned, replicates=replicates)
     if replicates < 2:
         raise InvalidDesignError(f"need at least 2 replicates, got {replicates}")
-    scales = [int(s) for s in scales]
-    if not scales or any(s < 1 for s in scales):
+    scales = list(scales)
+    if not scales:
         raise InvalidDesignError(f"scales must be positive integers, got {scales}")
+    _check_positive_ints(**{f"scales[{j}]": s for j, s in enumerate(scales)})
+    _check_seed(seed)
     for name, n in (("n_mentioned", n_mentioned), ("n_not_mentioned", n_not_mentioned)):
         if n * max(scales) > MAX_COLUMN_TOTAL:
             raise InvalidDesignError(f"{name} * scale must be at most 2**53, got {n} * {max(scales)}")
 
     def scale_record(index: int) -> ConvergenceRecord:
         scale = scales[index]
-        n1 = n_mentioned * scale
-        n2 = n_not_mentioned * scale
-        a, b = _draw_counts(
-            p1s, p2s, n1, n2, replicates,
-            lambda i: np.random.default_rng(np.random.SeedSequence((seed, scale, i))),
-        )
-        ratios, dropped = [], 0
-        for _, _, (_, defined, block_dropped, sums) in _ln_mhq_blocks(a, b, n1, n2):
-            ratios.append(sums.rt[defined] / sums.st[defined])
-            dropped += block_dropped
-        _check_drop_rate(dropped, replicates)
-        deviations = np.abs(np.concatenate(ratios) - psi)
+        n1, n2 = n_mentioned * scale, n_not_mentioned * scale
+        a, b = _draw_count_matrices_streamed(p1s, p2s, n1, n2, replicates, seed, scale)
+        blocks = (_ln_mhq_from_counts(*rows, n1, n2) for rows in _blocks(a, b, np.float64))
+        (ratios,), _ = _gathered(((sums.rt[d] / sums.st[d], dropped) for _, d, dropped, sums in blocks), replicates)
+        deviations = np.abs(ratios - psi)
         return ConvergenceRecord(
             scale=scale,
             mean_abs_dev=float(deviations.mean()),

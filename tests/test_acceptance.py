@@ -273,7 +273,8 @@ def test_criterion_09_oracle_cross_check():
             reps=1,
             seed=24_601,
         )
-        a, b = (x.T.astype(float) for x in _draw_count_matrices_streamed(design, p1s, 0))
+        counts = _draw_count_matrices_streamed(p1s, p1s / psi, 100, 1000, design.datasets_per_rep, design.seed, 0)
+        a, b = (x.T.astype(float) for x in counts)
         ln_mhq, _, dropped, _ = _ln_mhq_from_counts(a, b, design.n_mentioned, design.n_not_mentioned)
         mc_sd = float(ln_mhq.std(ddof=1))
         params = [BinomialParams(float(p), float(p / psi), 100, 1000) for p in p1s]

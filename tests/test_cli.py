@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -456,6 +457,27 @@ def simulate_args(study: str, out: Path, *extra: str) -> list[str]:
     ]
 
 
+def test_simulate_design_defaults_are_the_design_dataclass_defaults(capsys, tmp_path, monkeypatch):
+    # the repetitions are stubbed: only the design the flags build is under test
+    def no_draws(design, rep):
+        return simulation.BiasRecord(rep, 0.0, 0.0, 0.0, 0.0, 0.0), 0
+
+    monkeypatch.setattr(simulation, "_bias_rep", no_draws)
+    for argv, want in (
+        (["simulate", "bias", "--out", str(tmp_path / "default")], simulation.SimulationDesign()),
+        (
+            simulate_args("bias", tmp_path / "given"),
+            simulation.SimulationDesign(
+                k=5, n_mentioned=40, n_not_mentioned=300, datasets_per_rep=300, reps=2, seed=7
+            ),
+        ),
+    ):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        payload = json.loads(Path(argv[argv.index("--out") + 1] + ".json").read_text(encoding="utf-8"))
+        assert payload["design"] == asdict(want)
+
+
 def test_simulate_bias_deterministic_across_threads(capsys, tmp_path):
     code1, out1, _ = run(capsys, *simulate_args("bias", tmp_path / "a"), "--threads", "1")
     code2, out2, _ = run(capsys, *simulate_args("bias", tmp_path / "b"), "--threads", "2")
@@ -614,7 +636,7 @@ def test_simulate_design_too_large_for_memory_exit_code(capsys, tmp_path, monkey
     def out_of_memory(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(simulation, "_draw_counts", out_of_memory)
+    monkeypatch.setattr(simulation, "_draw_count_matrices_streamed", out_of_memory)
     code, out, err = run(capsys, *simulate_args(study, tmp_path / "big", "--threads", threads))
     assert code == 4 and out == ""
     assert err == f"error: {expected}\n"
@@ -647,7 +669,7 @@ def test_simulate_non_finite_psi_is_rejected_before_any_draw(capsys, tmp_path, m
         raise AssertionError("drew before the design was validated")
 
     monkeypatch.setattr(simulation, "draw_p1", no_draws)
-    monkeypatch.setattr(simulation, "_draw_counts", no_draws)
+    monkeypatch.setattr(simulation, "_draw_count_matrices_streamed", no_draws)
     code, out, err = run(capsys, "simulate", "convergence", "--psi", psi, "--out", str(tmp_path / "inf"))
     assert code == 4 and out == ""
     assert err == f"error: psi must be positive and finite, got {psi}\n"

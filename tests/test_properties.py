@@ -795,7 +795,7 @@ def test_compact_draws_in_blocks_equal_float64_matrices_bit_for_bit(k, n1, n2, c
     want_skm = _skm_log_variance(a_d, b_d, f1 - a_d, f2 - b_d, f1, f2, f1 + f2, sums_d)
     want_bh = _rbg_log_variance(a_d, b_d, f1, f2, sums_d)
 
-    a, b = simulation._draw_counts(p1s, p2s, n1, n2, count, stream)
+    a, b = simulation._draw_count_matrices_streamed(p1s, p2s, n1, n2, count, seed, 0)
     assert a.shape == b.shape == (k, count)
     assert a.dtype == b.dtype == np.min_scalar_type(max(n1, n2))
     got = {"ln": [], "defined": [], "skm": [], "bh": []}
@@ -803,9 +803,10 @@ def test_compact_draws_in_blocks_equal_float64_matrices_bit_for_bit(k, n1, n2, c
     with mock.patch.object(simulation, "BLOCK_CELLS", block_cells):
         # the coverage study's terms, looked up or, for a wide spread of counts, computed per block
         got_coverage = joined(simulation._coverage_blocks(a, b, f1, f2))
-        for a_rows, b_rows, (ln, defined, block_dropped, sums) in simulation._ln_mhq_blocks(a, b, f1, f2):
+        for a_rows, b_rows in simulation._blocks(a, b, np.float64):
             assert a_rows.dtype == b_rows.dtype == np.float64
             assert a_rows.flags.c_contiguous and b_rows.flags.c_contiguous
+            ln, defined, block_dropped, sums = simulation._ln_mhq_from_counts(a_rows, b_rows, f1, f2)
             a_rows, b_rows, sums = a_rows[defined], b_rows[defined], sums.rows(defined)
             got["ln"].append(ln)
             got["defined"].append(defined)

@@ -30,6 +30,7 @@ from sparsemh.simulation import (
     _coverage_blocks,
     _draw_count_matrices_streamed,
     _ln_mhq_from_counts,
+    _rep_counts,
     _rep_p1s,
     _term_table,
     worker_count,
@@ -58,6 +59,12 @@ def small_design(**overrides) -> SimulationDesign:
     )
     base.update(overrides)
     return SimulationDesign(**base)
+
+
+def streamed_counts(design: SimulationDesign, p1s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Repetition 0's stratum-major counts of ``design`` at the given p1 vector."""
+    n1, n2, count = design.n_mentioned, design.n_not_mentioned, design.datasets_per_rep
+    return _draw_count_matrices_streamed(p1s, p1s / design.psi, n1, n2, count, design.seed, 0)
 
 
 # -------------------------------------------------------------------- design
@@ -108,7 +115,7 @@ def test_draw_p1_degenerate_interval():
 
 def test_streamed_draws_fix_column_totals():
     design = small_design()
-    a, b = _draw_count_matrices_streamed(design, _rep_p1s(design, 0), 0)
+    _, a, b = _rep_counts(design, 0)
     # stratum-major, in the smallest unsigned type that holds both column totals
     assert a.shape == b.shape == (design.k, design.datasets_per_rep)
     assert a.dtype == b.dtype == np.uint16
@@ -123,7 +130,7 @@ def test_streamed_draws_fix_column_totals():
 
 def test_streamed_draws_degenerate_probability():
     design = small_design(p1_low=1.0, p1_high=1.0, psi=1.0)
-    a, b = _draw_count_matrices_streamed(design, np.ones(design.k), 0)
+    a, b = streamed_counts(design, np.ones(design.k))
     assert np.all(a == design.n_mentioned)
     assert np.all(b == design.n_not_mentioned)
 
@@ -132,15 +139,21 @@ def test_streamed_draws_reject_invalid_p2_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("counts were drawn before the p1 vector was validated")
 
-    monkeypatch.setattr(simulation, "_draw_counts", no_sampling)
+    def p1s_of(p1s):
+        monkeypatch.setattr(simulation, "_rep_p1s", lambda design, rep: p1s)
+
+    monkeypatch.setattr(simulation, "_draw_count_matrices_streamed", no_sampling)
     design = small_design()
+    p1s_of(np.full(design.k, 1.5))
     with pytest.raises(InvalidDesignError, match="p1"):
-        _draw_count_matrices_streamed(design, np.full(design.k, 1.5), 0)
+        _rep_counts(design, 0)
     half = SimulationDesign(k=design.k, psi=0.5, p1_low=0.01, p1_high=0.5)
+    p1s_of(np.full(design.k, 0.9))
     with pytest.raises(InvalidDesignError, match="p2"):
-        _draw_count_matrices_streamed(half, np.full(design.k, 0.9), 0)
+        _rep_counts(half, 0)
+    p1s_of(np.full(2, 0.1))
     with pytest.raises(InvalidDesignError, match=r"expected 6 p1 values"):
-        _draw_count_matrices_streamed(design, np.full(2, 0.1), 0)
+        _rep_counts(design, 0)
 
 
 class CountingGenerator:
@@ -240,8 +253,7 @@ def test_generated_group_share_tracks_p1():
     # law of large numbers: the mean share of mentioned articles in the group
     # approaches the mean drawn p1 within Monte Carlo error
     design = small_design(k=30, n_mentioned=100, n_not_mentioned=1000, datasets_per_rep=10_000, seed=2)
-    p1s = _rep_p1s(design, 0)
-    a, b = _draw_count_matrices_streamed(design, p1s, 0)
+    p1s, a, b = _rep_counts(design, 0)
     shares = a / design.n_mentioned
     se = shares.std(ddof=1) / math.sqrt(shares.size)
     assert abs(shares.mean() - p1s.mean()) < 3 * se + 1e-9
@@ -258,7 +270,7 @@ def test_ground_truth_sd_needs_two_defined_replicates():
 
 def streamed_sd(design: SimulationDesign, p1s: np.ndarray) -> float:
     """Sample SD of ln(MHq) over one repetition's streamed draws at the given p1 vector."""
-    a, b = _draw_count_matrices_streamed(design, p1s, 0)
+    a, b = streamed_counts(design, p1s)
     ln_mhq = _ln_mhq_from_counts(a.T.astype(float), b.T.astype(float), design.n_mentioned, design.n_not_mentioned)[0]
     return float(ln_mhq.std(ddof=1))
 
@@ -305,8 +317,7 @@ def test_batched_kernels_match_scalar_functions():
     # enough cells per point of their counts' range that the coverage terms
     # are looked up
     design = small_design(datasets_per_rep=4000, seed=33)
-    p1s = _rep_p1s(design, 0)
-    counts = _draw_count_matrices_streamed(design, p1s, 0)
+    _, *counts = _rep_counts(design, 0)
     n1, n2 = float(design.n_mentioned), float(design.n_not_mentioned)
     assert _term_table(*counts, n1, n2, counts[0].size // LOOKUP_CELLS_PER_POINT) is not None
     ln_mhq, skm, bh, drops = zip(*_coverage_blocks(*counts, n1, n2))
@@ -531,6 +542,44 @@ def test_convergence_json_describes_the_run():
     assert again == summary.records
 
 
+def test_documented_streams_rebuild_a_bias_repetition_and_a_convergence_scale():
+    # numpy and the stream derivation the JSON states, nothing else of the simulation
+    def mhq_totals(seed, first, p1s, psi, n1, n2, count):
+        """MHq's numerator and denominator totals of each dataset drawn on SeedSequence((seed, first, i))."""
+        a, b = np.empty((count, len(p1s))), np.empty((count, len(p1s)))
+        for i, p1 in enumerate(p1s):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, first, i)))
+            a[:, i] = rng.binomial(n1, p1, size=count)
+            b[:, i] = rng.binomial(n2, p1 / psi, size=count)
+        m = a + b + float(n1 + n2)
+        rt, st = (a * n2 / m).sum(axis=-1), (b * n1 / m).sum(axis=-1)
+        defined = (rt > 0.0) & (st > 0.0)
+        return rt[defined], st[defined]
+
+    design = small_design(psi=2.0, reps=3, datasets_per_rep=500, seed=31)
+    n1, n2 = design.n_mentioned, design.n_not_mentioned
+    rep = 2
+    p1s = np.random.default_rng(np.random.SeedSequence((design.seed, rep))).uniform(
+        design.p1_low, design.p1_high, size=design.k
+    )
+    rt, st = mhq_totals(design.seed, rep, p1s, design.psi, n1, n2, design.datasets_per_rep)
+    assert bias_study(design).records[rep].true_sd == float(np.log(rt / st).std(ddof=1))
+
+    scale, replicates = 3, 400
+    p1s = np.random.default_rng(np.random.SeedSequence((design.seed,))).uniform(
+        design.p1_low, design.p1_high, size=design.k
+    )
+    rt, st = mhq_totals(design.seed, scale, p1s, design.psi, n1 * scale, n2 * scale, replicates)
+    deviations = np.abs(rt / st - design.psi)
+    want = simulation.ConvergenceRecord(
+        scale=scale,
+        mean_abs_dev=float(deviations.mean()),
+        mc_se=float(deviations.std(ddof=1) / math.sqrt(deviations.size)),
+        replicates=deviations.size,
+    )
+    assert convergence_study(design, scales=(1, scale), replicates=replicates).records[1] == want
+
+
 def test_convergence_study_writes_the_same_bytes_for_any_thread_count(monkeypatch):
     allow_cpus(monkeypatch, 4)
     design = small_design(k=4, psi=2.0, p1_low=0.2, p1_high=0.5, seed=3)
@@ -565,3 +614,21 @@ def test_convergence_check_validation():
         convergence_check(1.0, (0.1,), 10, 10, (1, 10**16), 0)
     with pytest.raises(InvalidDesignError, match=r"^n_not_mentioned \* scale must be at most 2\*\*53"):
         convergence_check(1.0, (0.1,), 1, 2**10, (2**44,), 0)
+    # each of these used to be accepted, or to fail outside InvalidDesignError
+    bad = [
+        # fractional totals, drawn as float16 counts
+        ((1.0, (0.5, 0.6, 0.7), 12.5, 20.5, (1, 2), 1), r"^n_mentioned must be a positive integer, got 12\.5$"),
+        ((1.0, (0.1,), 10, 20.5, (1,), 1), r"^n_not_mentioned must be a positive integer, got 20\.5$"),
+        # fractional scales, labelled and drawn as their integer parts
+        ((1.0, (0.5, 0.6, 0.7), 12, 20, (1.5, 2.9), 1), r"^scales\[0\] must be a positive integer, got 1\.5$"),
+        ((1.0, (0.1,), True, 10, (1,), 1), "^n_mentioned must be a positive integer, got True$"),
+        ((1.0, (0.1,), 10, 10, (2, True), 1), r"^scales\[1\] must be a positive integer, got True$"),
+        ((1.0, (0.1,), 10, 10, (1,), -1), "^seed must be a 64-bit unsigned integer, got -1$"),
+        ((1.0, (0.1,), 10, 10, (1,), 2**70), f"^seed must be a 64-bit unsigned integer, got {2**70}$"),
+        ((1.0, (0.1,), 10, 10, (1,), 1.0), r"^seed must be a 64-bit unsigned integer, got 1\.0$"),
+    ]
+    for args, message in bad:
+        with pytest.raises(InvalidDesignError, match=message):
+            convergence_check(*args, replicates=20)
+    with pytest.raises(InvalidDesignError, match=r"^replicates must be a positive integer, got 20\.0$"):
+        convergence_check(1.0, (0.1,), 10, 10, (1,), 0, replicates=20.0)
