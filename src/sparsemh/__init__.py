@@ -7,119 +7,48 @@ estimates and confidence intervals, and ships a reproducible Monte Carlo
 harness that validates the variance estimators under column-binomial
 sampling.
 
-The simulation names (``bias_study``, ``SimulationDesign``, ...) are loaded
-from :mod:`sparsemh.simulation` on first use, so analysis alone never pays
-for importing the Monte Carlo harness.
+Every public name is listed once, under its submodule, in ``_EXPORTS``, and
+loads that submodule on first use: ``import sparsemh`` alone imports neither
+numpy nor any submodule, and analysis never pays for the Monte Carlo harness.
 """
 
 __version__ = "0.1.0"
 
-from .estimators import (
-    IndicatorKind,
-    StratumRatios,
-    UndefinedIndicatorError,
-    mh_col_risk_ratio,
-    mh_odds_ratio,
-    mh_row_risk_ratio,
-    mhq,
-    stratum_ratios,
-    stratum_weights,
-    transpose,
-    world_comparison_row,
-)
-from .tables import (
-    NoInformativeStrataError,
-    ParseError,
-    StratifiedDataset,
-    StratumTable,
-    filter_informative,
-    parse_csv,
-    parse_json,
-)
-from .variance import (
-    BinomialParams,
-    IndicatorEstimate,
-    VarianceMethod,
-    confidence_interval,
-    estimate_indicator,
-    katz_var_log_rr,
-    var_bh_log_mhq,
-    var_bh_log_mhq_true,
-    var_gr_log_mhcr,
-    var_gr_log_mhrr,
-    var_rbg_log_mhor,
-    var_skm_log_mhq,
-    var_skm_log_mhq_true,
-)
+_EXPORTS = {
+    "estimators": (
+        "IndicatorKind", "StratumRatios", "UndefinedIndicatorError", "mh_col_risk_ratio", "mh_odds_ratio",
+        "mh_row_risk_ratio", "mhq", "stratum_ratios", "stratum_weights", "transpose", "world_comparison_row",
+    ),
+    "simulation": (
+        "ExcessiveDropError", "InvalidDesignError", "SimulationDesign", "StudySummary", "bias_study",
+        "convergence_check", "convergence_study", "coverage_study", "draw_p1",
+    ),
+    "tables": (
+        "NoInformativeStrataError", "ParseError", "StratifiedDataset", "StratumTable", "filter_informative",
+        "parse_csv", "parse_json",
+    ),
+    "variance": (
+        "BinomialParams", "IndicatorEstimate", "VarianceMethod", "confidence_interval", "estimate_indicator",
+        "katz_var_log_rr", "var_bh_log_mhq", "var_bh_log_mhq_true", "var_gr_log_mhcr", "var_gr_log_mhrr",
+        "var_rbg_log_mhor", "var_skm_log_mhq", "var_skm_log_mhq_true",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "BinomialParams",
-    "ExcessiveDropError",
-    "IndicatorEstimate",
-    "IndicatorKind",
-    "InvalidDesignError",
-    "NoInformativeStrataError",
-    "ParseError",
-    "SimulationDesign",
-    "StratifiedDataset",
-    "StratumRatios",
-    "StratumTable",
-    "StudySummary",
-    "UndefinedIndicatorError",
-    "VarianceMethod",
-    "bias_study",
-    "confidence_interval",
-    "convergence_check",
-    "convergence_study",
-    "coverage_study",
-    "draw_p1",
-    "estimate_indicator",
-    "filter_informative",
-    "katz_var_log_rr",
-    "mh_col_risk_ratio",
-    "mh_odds_ratio",
-    "mh_row_risk_ratio",
-    "mhq",
-    "parse_csv",
-    "parse_json",
-    "stratum_ratios",
-    "stratum_weights",
-    "transpose",
-    "var_bh_log_mhq",
-    "var_bh_log_mhq_true",
-    "var_gr_log_mhcr",
-    "var_gr_log_mhrr",
-    "var_rbg_log_mhor",
-    "var_skm_log_mhq",
-    "var_skm_log_mhq_true",
-    "world_comparison_row",
-]
-
-# resolved by __getattr__ on first use
-_SIMULATION_NAMES = frozenset({
-    "ExcessiveDropError",
-    "InvalidDesignError",
-    "SimulationDesign",
-    "StudySummary",
-    "bias_study",
-    "convergence_check",
-    "convergence_study",
-    "coverage_study",
-    "draw_p1",
-})
+__all__ = ["__version__", *sorted(_MODULE_OF)]
 
 
 def __getattr__(name: str):
-    if name == "simulation" or name in _SIMULATION_NAMES:
-        import importlib
+    module = name if name in _EXPORTS else _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
 
-        # import_module, not "from . import": that form would look the
-        # submodule up on this package first and so call back into here
-        simulation = importlib.import_module(".simulation", __name__)
-        return simulation if name == "simulation" else getattr(simulation, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not "from . import": that form would look the
+    # submodule up on this package first and so call back into here
+    submodule = importlib.import_module(f".{module}", __name__)
+    return submodule if name == module else getattr(submodule, name)
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _SIMULATION_NAMES)
+    return sorted(set(globals()) | set(_EXPORTS) | set(_MODULE_OF))

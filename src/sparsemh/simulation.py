@@ -660,6 +660,10 @@ def convergence_check(
     if not scales:
         raise InvalidDesignError(f"scales must be positive integers, got {scales}")
     _check_positive_ints(**{f"scales[{j}]": s for j, s in enumerate(scales)})
+    first = {}
+    for j, s in enumerate(scales):
+        if first.setdefault(s, j) != j:
+            raise InvalidDesignError(f"scales[{j}] repeats scale {s} of scales[{first[s]}]")
     _check_seed(seed)
     for name, n in (("n_mentioned", n_mentioned), ("n_not_mentioned", n_not_mentioned)):
         if n * max(scales) > MAX_COLUMN_TOTAL:

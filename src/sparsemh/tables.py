@@ -89,14 +89,6 @@ class StratumTable:
     def n(self) -> int:
         return self.a + self.b + self.c + self.d
 
-    @property
-    def n_mentioned(self) -> int:
-        return self.a + self.c
-
-    @property
-    def n_not_mentioned(self) -> int:
-        return self.b + self.d
-
     def cells(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 

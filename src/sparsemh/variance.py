@@ -88,10 +88,6 @@ class IndicatorEstimate:
     level: float
     method: VarianceMethod
 
-    @property
-    def width(self) -> float:
-        return self.ci_high - self.ci_low
-
 
 # --------------------------------------------------------------------------
 # array-generic kernels (cells are floats; last axis indexes strata)

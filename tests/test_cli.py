@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -560,6 +561,7 @@ def test_simulate_excessive_drop_exit_code(capsys, tmp_path):
     [
         (["bias", "--threads", "0"], "--threads must be at least 1, got 0"),
         (["convergence", "--scales", "1,x"], "--scales must be comma-separated integers, got '1,x'"),
+        (["convergence", "--scales", "5,5"], "scales[1] repeats scale 5 of scales[0]"),
     ],
 )
 def test_simulate_invalid_flag_exit_code(capsys, tmp_path, argv, message):
@@ -675,20 +677,43 @@ def test_simulate_non_finite_psi_is_rejected_before_any_draw(capsys, tmp_path, m
     assert err == f"error: psi must be positive and finite, got {psi}\n"
 
 
-def test_importing_the_cli_loads_no_process_machinery():
-    # analyze needs neither the simulation nor a pool; both load on first use
+def fresh_interpreter(code: str) -> str:
+    """stdout of ``python -c code`` in a new process that imports this checkout's sparsemh."""
     src = str(Path(sparsemh.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    # analyze needs neither the simulation nor a pool; both load on first use
     heavy = ("sparsemh.simulation", "concurrent.futures", "multiprocessing")
-    for module in ("sparsemh.cli", "sparsemh"):
-        probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith({heavy!r})))"
-        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-        assert done.stdout == "[]\n", module
+    # a bare import loads no submodule and no numpy: each name loads its own on first use
+    for module, unloaded in (("sparsemh.cli", heavy), ("sparsemh", heavy + ("sparsemh.", "numpy"))):
+        probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith({unloaded!r})))"
+        assert fresh_interpreter(probe) == "[]\n", module
 
 
 def test_simulation_names_resolve_on_first_use():
     assert sparsemh.bias_study is sparsemh.simulation.bias_study
     assert sparsemh.InvalidDesignError is simulation.InvalidDesignError
+    assert sparsemh.__all__ == [
+        "__version__", "BinomialParams", "ExcessiveDropError", "IndicatorEstimate", "IndicatorKind",
+        "InvalidDesignError", "NoInformativeStrataError", "ParseError", "SimulationDesign",
+        "StratifiedDataset", "StratumRatios", "StratumTable", "StudySummary",
+        "UndefinedIndicatorError", "VarianceMethod", "bias_study", "confidence_interval",
+        "convergence_check", "convergence_study", "coverage_study", "draw_p1", "estimate_indicator",
+        "filter_informative", "katz_var_log_rr", "mh_col_risk_ratio", "mh_odds_ratio",
+        "mh_row_risk_ratio", "mhq", "parse_csv", "parse_json", "stratum_ratios", "stratum_weights",
+        "transpose", "var_bh_log_mhq", "var_bh_log_mhq_true", "var_gr_log_mhcr", "var_gr_log_mhrr",
+        "var_rbg_log_mhor", "var_skm_log_mhq", "var_skm_log_mhq_true", "world_comparison_row",
+    ]
+    for module, names in sparsemh._EXPORTS.items():
+        for name in names:
+            assert getattr(sparsemh, name) is getattr(importlib.import_module(f"sparsemh.{module}"), name), name
+    # the submodules a bare import offers
+    submodules = ("estimators", "tables", "variance", "simulation")
+    probe = f"import sys, sparsemh; print(all(getattr(sparsemh, m) is sys.modules['sparsemh.' + m] for m in {submodules!r}))"
+    assert fresh_interpreter(probe) == "True\n"
     namespace: dict = {}
     exec("from sparsemh import *", namespace)
     assert {name: namespace[name] for name in sparsemh.__all__} == {

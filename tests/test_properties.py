@@ -199,7 +199,7 @@ def test_filter_informative_is_idempotent_and_keeps_point_estimates(ds):
     except NoInformativeStrataError:
         assert all(a + c == 0 or b + d == 0 for a, b, c, d in ds.counts.tolist())
         return
-    assert filtered.labels == tuple(t.label for t in ds.strata if t.n_mentioned and t.n_not_mentioned)
+    assert filtered.labels == tuple(t.label for t in ds.strata if t.a + t.c and t.b + t.d)
     assert filter_informative(filtered) == filtered
     kinds = [IndicatorKind.MHCR, IndicatorKind.MHOR, IndicatorKind.MHQ]
     # a stratum with no unmentioned articles (b = d = 0) adds a*c/n to both

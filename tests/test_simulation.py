@@ -626,6 +626,9 @@ def test_convergence_check_validation():
         ((1.0, (0.1,), 10, 10, (1,), -1), "^seed must be a 64-bit unsigned integer, got -1$"),
         ((1.0, (0.1,), 10, 10, (1,), 2**70), f"^seed must be a 64-bit unsigned integer, got {2**70}$"),
         ((1.0, (0.1,), 10, 10, (1,), 1.0), r"^seed must be a 64-bit unsigned integer, got 1\.0$"),
+        # a repeated scale, drawn again on the same streams as an identical record
+        ((1.0, (0.1,), 10, 10, (5, 5), 1), r"^scales\[1\] repeats scale 5 of scales\[0\]$"),
+        ((1.0, (0.1,), 10, 10, (1, 2, 3, 2), 1), r"^scales\[3\] repeats scale 2 of scales\[1\]$"),
     ]
     for args, message in bad:
         with pytest.raises(InvalidDesignError, match=message):

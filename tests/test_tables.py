@@ -34,8 +34,8 @@ def random_table(rng, label="t", low=0, high=30) -> StratumTable:
 def test_table_accessors():
     t = StratumTable("cat1", 26, 7, 18, 13)
     assert t.n == 64
-    assert t.n_mentioned == 44
-    assert t.n_not_mentioned == 20
+    assert t.a + t.c == 44
+    assert t.b + t.d == 20
     assert t.cells() == (26, 7, 18, 13)
 
 
@@ -217,6 +217,8 @@ def test_filter_informative_on_table3():
 def test_filter_informative_keeps_healthy_single_stratum():
     ds = make_dataset((5, 5, 5, 5))
     assert filter_informative(ds) == StratifiedDataset(ds.strata)
+    assert ds.__eq__(object()) is NotImplemented
+    assert ds != object()
 
 
 def test_filter_informative_all_excluded():
@@ -252,5 +254,5 @@ def test_filtered_strata_have_positive_columns_randomized():
         except NoInformativeStrataError:
             continue
         for t in filtered.strata:
-            assert t.n_mentioned >= 1
-            assert t.n_not_mentioned >= 1
+            assert t.a + t.c >= 1
+            assert t.b + t.d >= 1

@@ -76,7 +76,7 @@ def test_skm_component_signs_and_p_matches_col_ratio():
         assert r >= 0 and s >= 0
         assert v >= 0 and w >= 0
         assert q <= 0
-        col_rr = (t.a / t.n_mentioned) / (t.b / t.n_not_mentioned)
+        col_rr = (t.a / (t.a + t.c)) / (t.b / (t.b + t.d))
         assert mhq(make_dataset(t.cells())) == pytest.approx(col_rr, rel=1e-12)
 
 
@@ -350,7 +350,7 @@ def test_estimate_indicator_bounds_and_methods(smallworld_filtered):
         assert est.level == 0.95
     bh = estimate_indicator(smallworld_filtered, IndicatorKind.MHQ, method=VarianceMethod.BH)
     skm = estimate_indicator(smallworld_filtered, IndicatorKind.MHQ)
-    assert bh.width > skm.width
+    assert bh.ci_high - bh.ci_low > skm.ci_high - skm.ci_low
     with pytest.raises(ValueError, match="does not apply"):
         estimate_indicator(smallworld_filtered, IndicatorKind.MHRR, method=VarianceMethod.SKM)
 
@@ -389,7 +389,7 @@ def test_parameter_form_is_plugin_of_data_form():
         ds = random_positive_dataset(rng, int(rng.integers(1, 6)), high=40)
         params = [
             BinomialParams(
-                t.a / t.n_mentioned, t.b / t.n_not_mentioned, t.n_mentioned, t.n_not_mentioned
+                t.a / (t.a + t.c), t.b / (t.b + t.d), t.a + t.c, t.b + t.d
             )
             for t in ds.strata
         ]
