@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 parse error, 3 undefined indicator / no informative
 strata, 4 invalid simulation design, flag or environment value, a design
 too sparse to summarize or too large for memory, or an input too large for
-memory, 5 I/O error.
+memory, 5 I/O error. :func:`main` alone turns an exception into one of these.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import os
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .estimators import UndefinedIndicatorError
@@ -22,9 +21,6 @@ from .report import build_report, csv_chunks, json_chunks, text_chunks, write_ch
 # not called here; kept importable because perfbench/spans.py wraps it here
 from .report import render_json  # noqa: F401
 from .tables import NoInformativeStrataError, ParseError, parse_csv, parse_json
-
-if TYPE_CHECKING:
-    from .simulation import StudySummary
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -36,15 +32,20 @@ THREADS_ENV_VAR = "SPARSEMH_THREADS"
 
 
 def _default_threads() -> int:
-    from .simulation import InvalidDesignError
-
     raw = os.environ.get(THREADS_ENV_VAR) or "1"
     try:
         if int(raw) >= 1:
             return int(raw)
     except ValueError:
         pass
-    raise InvalidDesignError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
+    raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
+
+
+def _parse_scales(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise ValueError(f"--scales must be comma-separated integers, got {text!r}") from None
 
 
 @functools.cache
@@ -152,29 +153,28 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _digest(summary: StudySummary) -> str:
+def _digest(summary) -> str:
     records = summary.records
+
+    def mean(name: str) -> float:
+        return sum(getattr(r, name) for r in records) / len(records)
+
     if summary.study == "bias":
-        skm = sum(r.skm_bias for r in records) / len(records)
-        bh = sum(r.bh_bias for r in records) / len(records)
         return (
             f"bias: psi={summary.design.psi} reps={len(records)} "
-            f"mean_skm_bias={skm:+.5f} mean_bh_bias={bh:+.5f}"
+            f"mean_skm_bias={mean('skm_bias'):+.5f} mean_bh_bias={mean('bh_bias'):+.5f}"
         )
-    if summary.study in ("coverage", "width"):
-        skm_cov = sum(r.skm_coverage for r in records) / len(records)
-        bh_cov = sum(r.bh_coverage for r in records) / len(records)
-        skm_w = sum(r.skm_mean_width for r in records) / len(records)
-        bh_w = sum(r.bh_mean_width for r in records) / len(records)
-        ratio = bh_w / skm_w if skm_w else float("nan")
-        if summary.study == "width":
-            return (
-                f"width: psi={summary.design.psi} reps={len(records)} "
-                f"skm_mean_width={skm_w:.4f} bh_mean_width={bh_w:.4f} bh/skm={ratio:.4f}"
-            )
+    if summary.study == "coverage":
         return (
             f"coverage: psi={summary.design.psi} reps={len(records)} "
-            f"skm={skm_cov:.4f} bh={bh_cov:.4f} dropped={summary.dropped_total}"
+            f"skm={mean('skm_coverage'):.4f} bh={mean('bh_coverage'):.4f} dropped={summary.dropped_total}"
+        )
+    if summary.study == "width":
+        skm_w, bh_w = mean("skm_mean_width"), mean("bh_mean_width")
+        ratio = bh_w / skm_w if skm_w else float("nan")
+        return (
+            f"width: psi={summary.design.psi} reps={len(records)} "
+            f"skm_mean_width={skm_w:.4f} bh_mean_width={bh_w:.4f} bh/skm={ratio:.4f}"
         )
     last = records[-1]
     return (
@@ -186,8 +186,6 @@ def _digest(summary: StudySummary) -> str:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     # imported here, so that analyze never loads the simulation or its thread pool
     from .simulation import (
-        ExcessiveDropError,
-        InvalidDesignError,
         SimulationDesign,
         bias_study,
         convergence_study,
@@ -197,23 +195,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     design = SimulationDesign(**{f.name: getattr(args, f.name) for f in fields(SimulationDesign) if f.name in args})
     threads = args.threads if args.threads is not None else _default_threads()
     if threads < 1:
-        raise InvalidDesignError(f"--threads must be at least 1, got {threads}")
+        raise ValueError(f"--threads must be at least 1, got {threads}")
 
-    if args.study == "convergence":
-        try:
-            scales = [int(s) for s in args.scales.split(",") if s.strip()]
-        except ValueError:
-            raise InvalidDesignError(f"--scales must be comma-separated integers, got {args.scales!r}") from None
-    try:
-        if args.study == "bias":
-            summary = bias_study(design, threads=threads)
-        elif args.study in ("coverage", "width"):
-            summary = coverage_study(design, threads=threads, study=args.study)
-        else:
-            summary = convergence_study(design, scales, replicates=args.replicates, threads=threads)
-    except ExcessiveDropError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DESIGN
+    if args.study == "bias":
+        summary = bias_study(design, threads=threads)
+    elif args.study in ("coverage", "width"):
+        summary = coverage_study(design, threads=threads, study=args.study)
+    else:
+        summary = convergence_study(design, _parse_scales(args.scales), replicates=args.replicates, threads=threads)
 
     prefix = Path(args.out) if args.out else Path(f"sparsemh_{args.study}")
     csv_path, json_path = summary.write(prefix)
@@ -238,8 +227,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
     except ValueError as exc:
-        # invalid flag values (--level, --methods, ...) outside their domain,
-        # and InvalidDesignError, the simulation's ValueError
+        # flag and environment values (--level, --threads, ...) outside their domain,
+        # and the simulation's InvalidDesignError and ExcessiveDropError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DESIGN
     except OSError as exc:

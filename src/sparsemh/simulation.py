@@ -156,7 +156,7 @@ class InvalidDesignError(ValueError):
     """Simulation design parameters are inconsistent or out of range."""
 
 
-class ExcessiveDropError(RuntimeError):
+class ExcessiveDropError(ValueError):
     """More replicates were undefined than the reporting contract allows."""
 
 
@@ -194,6 +194,14 @@ class SimulationDesign:
             if getattr(self, name) > MAX_COLUMN_TOTAL:
                 raise InvalidDesignError(f"{name} must be at most 2**53, got {getattr(self, name)}")
         _check_seed(self.seed)
+        for name in ("psi", "p1_low", "p1_high"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InvalidDesignError(f"{name} must be a real number, got {value!r}")
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:  # an int beyond the largest float
+                raise InvalidDesignError(f"{name} must be finite, got {value}") from None
         if not 0.0 < self.psi < math.inf:
             raise InvalidDesignError(f"psi must be positive and finite, got {self.psi}")
         if not 0.0 < self.p1_low <= self.p1_high <= 1.0:
@@ -651,8 +659,6 @@ def convergence_check(
     scales run on up to ``threads`` threads with the same result.
     """
     p1s, p2s = _validated_p1_p2(psi, p1s)
-    if any(isinstance(n, (int, float)) and n < 1 for n in (n_mentioned, n_not_mentioned)):
-        raise InvalidDesignError("base sample sizes must be positive")
     _check_positive_ints(n_mentioned=n_mentioned, n_not_mentioned=n_not_mentioned, replicates=replicates)
     if replicates < 2:
         raise InvalidDesignError(f"need at least 2 replicates, got {replicates}")

@@ -82,12 +82,8 @@ class StratumTable:
             raise ValueError(f"stratum label must be a non-empty string, got {self.label!r}")
         for name in _CELLS:
             object.__setattr__(self, name, _check_count(f"stratum {self.label!r}", name, getattr(self, name)))
-        if self.n == 0:
+        if not any(self.cells()):
             raise ValueError(_empty_stratum(self.label))
-
-    @property
-    def n(self) -> int:
-        return self.a + self.b + self.c + self.d
 
     def cells(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import importlib
 import io
 import json
@@ -24,7 +25,7 @@ from sparsemh.datasets import smallworld_path
 from sparsemh.report import STRATA_PER_CHUNK, build_report, json_chunks, render_json, write_in_place
 from sparsemh.tables import parse_csv
 
-from conftest import csv_text, make_dataset, sparse_datasets
+from conftest import csv_text, json_text, make_dataset, sparse_datasets
 
 GOLDEN = Path(__file__).parent / "golden" / "smallworld_report.json"
 
@@ -99,6 +100,28 @@ def test_analyze_json_accepts_json_input(capsys, tmp_path):
         payload.pop("meta")
         payload.pop("source")
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "name, body, flag, expected",
+    [
+        ("data.txt", "json", "json", 0),  # the flag overrides the extension
+        ("table.json", "csv", "csv", 0),
+        ("TABLE.JSON", "csv", "auto", 2),  # auto reads a .json suffix in any case as JSON
+    ],
+)
+def test_analyze_input_format_flag(capsys, tmp_path, smallworld, name, body, flag, expected):
+    reference = tmp_path / "reference.csv"
+    reference.write_text(csv_text(smallworld), encoding="utf-8")
+    _, want, _ = run(capsys, "analyze", str(reference))
+    path = tmp_path / name
+    path.write_text(json_text(smallworld) if body == "json" else csv_text(smallworld), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path), "--input-format", flag)
+    assert code == expected
+    if expected == 0:
+        assert err == "" and out == want.replace(str(reference), str(path))
+    else:
+        assert out == "" and err.startswith("error: invalid JSON") and err.count("\n") == 1
 
 
 def test_analyze_bh_method_is_opt_in_and_annotated(capsys, tmp_path):
@@ -521,6 +544,48 @@ def test_simulate_convergence(capsys, tmp_path):
     assert meta["rng"]["streams"].startswith("p1 draws: SeedSequence((seed,))")
 
 
+@pytest.mark.parametrize("study", ["bias", "coverage", "width", "convergence"])
+def test_simulate_summary_line_is_built_from_the_written_csv(capsys, tmp_path, study):
+    # each CSV cell is repr(float), which reads back to the same float, so the
+    # means rebuilt here are the ones the command printed, bit for bit
+    code, out, err = run(
+        capsys, *simulate_args(study, tmp_path / "s"), "--psi", "2", "--scales", "1,5", "--replicates", "50"
+    )
+    assert code == 0 and err == ""
+    with open(tmp_path / "s.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    meta = json.loads((tmp_path / "s.json").read_text(encoding="utf-8"))
+    psi = meta["design"]["psi"]
+
+    def mean(name: str) -> float:
+        return sum(float(row[name]) for row in rows) / len(rows)
+
+    if study == "bias":
+        line = (
+            f"bias: psi={psi} reps={len(rows)} "
+            f"mean_skm_bias={mean('skm_bias'):+.5f} mean_bh_bias={mean('bh_bias'):+.5f}"
+        )
+    elif study == "coverage":
+        line = (
+            f"coverage: psi={psi} reps={len(rows)} "
+            f"skm={mean('skm_coverage'):.4f} bh={mean('bh_coverage'):.4f} dropped={meta['dropped_total']}"
+        )
+    elif study == "width":
+        skm_w, bh_w = mean("skm_mean_width"), mean("bh_mean_width")
+        ratio = bh_w / skm_w if skm_w else float("nan")
+        line = (
+            f"width: psi={psi} reps={len(rows)} "
+            f"skm_mean_width={skm_w:.4f} bh_mean_width={bh_w:.4f} bh/skm={ratio:.4f}"
+        )
+    else:
+        last = rows[-1]
+        line = (
+            f"convergence: psi={psi} scale={last['scale']} "
+            f"mean_abs_dev={float(last['mean_abs_dev']):.5f} (mc_se {float(last['mc_se']):.5f})"
+        )
+    assert out == f"{line} -> {tmp_path / 's.csv'} {tmp_path / 's.json'}\n"
+
+
 def test_simulate_help_says_convergence_ignores_the_repetition_flags(capsys):
     with pytest.raises(SystemExit) as stopped:
         main(["simulate", "--help"])
@@ -554,6 +619,8 @@ def test_simulate_excessive_drop_exit_code(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "197 of 200 replicates had an undefined MHq" in err
     assert not (tmp_path / "sparse.csv").exists()
+    # main's ValueError handler is the one that reports it
+    assert issubclass(simulation.ExcessiveDropError, ValueError)
 
 
 @pytest.mark.parametrize(

@@ -194,7 +194,7 @@ def test_world_comparison_closed_forms_agree():
         if r is None:
             continue
         direct = world_comparison_row(t)
-        f = (t.a + t.b) / t.n
+        f = (t.a + t.b) / sum(t.cells())
         assert direct == pytest.approx(r / (1.0 + f * (r - 1.0)), rel=1e-12)
         checked += 1
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,6 +92,31 @@ def test_design_rejects_bad_parameters():
     with pytest.raises(InvalidDesignError, match=r"^n_not_mentioned must be at most 2\*\*53"):
         SimulationDesign(n_not_mentioned=10**19)
     assert SimulationDesign(n_mentioned=2**53, n_not_mentioned=2**53).n_mentioned == 2**53
+
+
+def test_design_stores_its_real_fields_as_floats():
+    # the library writes the bytes the CLI, whose flags parse to float, writes
+    design = dict(k=3, datasets_per_rep=50, reps=1)
+    want = coverage_study(SimulationDesign(**design, psi=2.0))
+    for psi in (np.float64(2.0), 2):
+        got = coverage_study(SimulationDesign(**design, psi=psi))
+        assert type(got.design.psi) is float
+        assert (got.to_csv(), got.to_json()) == (want.to_csv(), want.to_json())
+    p1s = SimulationDesign(p1_low=np.float64(0.25), p1_high=1)
+    assert (type(p1s.p1_low), type(p1s.p1_high)) == (float, float)
+
+
+@pytest.mark.parametrize("field", ["psi", "p1_low", "p1_high"])
+@pytest.mark.parametrize("value", [True, Fraction(1, 2), Decimal("0.5"), "0.5", None, np.int64(1), np.float32(0.5)])
+def test_design_rejects_real_fields_that_are_not_int_or_float(field, value):
+    with pytest.raises(InvalidDesignError, match=f"^{field} must be a real number, got "):
+        SimulationDesign(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["psi", "p1_low", "p1_high"])
+def test_design_rejects_an_int_beyond_the_float_range(field):
+    with pytest.raises(InvalidDesignError, match=f"^{field} must be finite, got 1000"):
+        SimulationDesign(**{field: 10**400})
 
 
 def test_design_allows_degenerate_p1_interval():
@@ -606,9 +633,9 @@ def test_convergence_check_validation():
         convergence_check(0.05, (0.5,), 10, 10, (1,), 0)
     with pytest.raises(InvalidDesignError, match="replicates"):
         convergence_check(1.0, (0.1,), 10, 10, (1,), 0, replicates=1)
-    with pytest.raises(InvalidDesignError, match="^base sample sizes must be positive$"):
+    with pytest.raises(InvalidDesignError, match="^n_not_mentioned must be a positive integer, got 0$"):
         convergence_check(1.0, (0.1,), 10, 0, (1,), 0)
-    with pytest.raises(InvalidDesignError, match="^base sample sizes must be positive$"):
+    with pytest.raises(InvalidDesignError, match="^n_mentioned must be a positive integer, got 0$"):
         convergence_check(1.0, (0.1,), n_mentioned=0, n_not_mentioned=10, scales=(1,), seed=0)
     with pytest.raises(InvalidDesignError, match=r"^n_mentioned \* scale must be at most 2\*\*53"):
         convergence_check(1.0, (0.1,), 10, 10, (1, 10**16), 0)

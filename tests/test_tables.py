@@ -33,7 +33,7 @@ def random_table(rng, label="t", low=0, high=30) -> StratumTable:
 
 def test_table_accessors():
     t = StratumTable("cat1", 26, 7, 18, 13)
-    assert t.n == 64
+    assert sum(t.cells()) == 64
     assert t.a + t.c == 44
     assert t.b + t.d == 20
     assert t.cells() == (26, 7, 18, 13)
