@@ -1,14 +1,17 @@
 """Command-line interface: dataset analysis and the Monte Carlo study suite.
 
 Exit codes: 0 success, 2 parse error, 3 undefined indicator / no informative
-strata, 4 invalid simulation design, flag or environment value, a design
-too sparse to summarize or too large for memory, or an input too large for
-memory, 5 I/O error. :func:`main` alone turns an exception into one of these.
+strata, 4 invalid simulation design, flag or environment value, a design too
+sparse to summarize or too large for memory, or an input too large for memory,
+5 I/O error, except that a reader that closes stdout, or a named pipe given to
+``--out``, before the end is no error: the command exits 0 and prints nothing
+on stderr. :func:`main` alone turns an exception into one of these.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -130,7 +133,7 @@ def _read_dataset(path_text: str, input_format: str):
     return parse_json(data) if input_format == "json" else parse_csv(data)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> None:
     """Write the report chunk by chunk as it is rendered; whatever can fail runs before the first byte."""
     ds = _read_dataset(args.input, args.input_format)
     methods = tuple(m.strip().lower() for m in args.methods.split(",") if m.strip())
@@ -150,7 +153,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         write_in_place(args.out, chunks)
     else:
         write_chunks(sys.stdout, chunks)
-    return EXIT_OK
 
 
 def _digest(summary) -> str:
@@ -183,7 +185,7 @@ def _digest(summary) -> str:
     )
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> None:
     # imported here, so that analyze never loads the simulation or its thread pool
     from .simulation import (
         SimulationDesign,
@@ -207,7 +209,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     prefix = Path(args.out) if args.out else Path(f"sparsemh_{args.study}")
     csv_path, json_path = summary.write(prefix)
     print(f"{_digest(summary)} -> {csv_path} {json_path}")
-    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -215,10 +216,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        print(f"sparsemh {__version__}")
+            _cmd_analyze(args)
+        elif args.command == "simulate":
+            _cmd_simulate(args)
+        else:
+            print(f"sparsemh {__version__}")
+        sys.stdout.flush()  # a pipe closed early raises here, not at interpreter exit
         return EXIT_OK
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -231,6 +234,12 @@ def main(argv: list[str] | None = None) -> int:
         # and the simulation's InvalidDesignError and ExcessiveDropError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DESIGN
+    except BrokenPipeError:
+        # a reader stopped early: stdout, where it has a descriptor (io.StringIO has none), goes
+        # to os.devnull, so that the flush at interpreter exit cannot raise again
+        with contextlib.suppress(AttributeError, OSError), open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_OK
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

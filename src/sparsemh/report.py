@@ -21,7 +21,6 @@ import os
 import stat
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import filterfalse
 from json.encoder import encode_basestring_ascii as _encode
 from typing import TextIO
 
@@ -169,8 +168,8 @@ def text_chunks(report: AnalysisReport) -> Iterator[str]:
 class _FloatText(dict):
     """Per-call memo of JSON float text, in json's own spelling; ``None`` is ``null``.
 
-    Sparse strata repeat the same few tables, so most ratio and weight
-    values recur within one report.
+    Sparse strata repeat the same few tables, so most ratio and weight values recur within
+    one report. Each value costs one lookup: ``__missing__`` spells a new one, and never stores a zero.
     """
 
     def __init__(self) -> None:
@@ -188,14 +187,6 @@ class _FloatText(dict):
         if value:  # 0.0 == -0.0, so zeros would share one key
             self[value] = text
         return text
-
-    def texts(self, values: list[float | None]) -> list[str]:
-        """``[self[v] for v in values]``, with the new values spelled in one pass where all are finite."""
-        fresh = set(filterfalse(self.__contains__, values))
-        fresh.discard(0.0)  # either zero; zeros go through __missing__ every time
-        if all(map(math.isfinite, fresh)):
-            self.update(zip(fresh, map(float.__repr__, fresh)))
-        return list(map(self.__getitem__, values))
 
 
 def _generated_at() -> str:
@@ -229,14 +220,13 @@ def _strata_chunk(report: AnalysisReport, lo: int, hi: int, excluded: dict, tail
     """
     labels = report.dataset.labels[lo:hi]
     tables = list(zip(*report.dataset.counts[lo:hi].T.tolist(), map(excluded.get, labels)))
-    fresh = dict(zip(tables, range(lo, hi)))  # distinct table -> a row holding it
-    for table in fresh.keys() & tails.keys():
-        del fresh[table]
     columns = report.ratios.values()
-    # each new table's row_rr, col_rr, odds_ratio and world_row text, in one pass
-    texts = iter(memo.texts([column[i] for i in fresh.values() for column in columns]))
-    for (a, b, c, d, reason), row_rr, col_rr, odds_ratio, world_row in zip(fresh, texts, texts, texts, texts):
-        tails[a, b, c, d, reason] = f''',
+    for i, table in enumerate(tables, lo):
+        if table in tails:
+            continue
+        a, b, c, d, reason = table
+        row_rr, col_rr, odds_ratio, world_row = (memo[column[i]] for column in columns)
+        tails[table] = f''',
       "a": {a},
       "b": {b},
       "c": {c},
@@ -269,7 +259,7 @@ def _weights_json(report: AnalysisReport, memo: _FloatText) -> Iterator[str]:
             if not lo:
                 block[0] = f'{sep}\n    "{kind.value}": {{\n      '
             block[1::4] = map(_encode, labels[lo:hi])
-            block[3::4] = memo.texts(weights[lo:hi])
+            block[3::4] = map(memo.__getitem__, weights[lo:hi])
             yield "".join(block)
         sep = "\n    },"
     yield "\n    }\n  }"

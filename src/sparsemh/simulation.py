@@ -396,10 +396,6 @@ _RECORD_CLASS = {
 }
 
 
-def _csv_cell(value: object) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 @dataclass(frozen=True)
 class StudySummary:
     """Per-repetition results of one study, serializable to CSV and JSON.
@@ -418,7 +414,7 @@ class StudySummary:
 
     def to_csv(self) -> str:
         lines = [",".join(f.name for f in fields(_RECORD_CLASS[self.study]))]
-        lines.extend(",".join(map(_csv_cell, astuple(record))) for record in self.records)
+        lines.extend(",".join(map(str, astuple(record))) for record in self.records)
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:

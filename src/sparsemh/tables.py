@@ -139,11 +139,6 @@ class StratifiedDataset:
             and self.excluded == other.excluded
         )
 
-    @property
-    def strata(self) -> tuple[StratumTable, ...]:
-        """The retained strata as tables, built on each access."""
-        return tuple(StratumTable(label, *cells) for label, cells in zip(self.labels, self.counts.tolist()))
-
     def __len__(self) -> int:
         return len(self.labels)
 

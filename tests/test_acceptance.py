@@ -85,7 +85,8 @@ def test_criterion_01_smallworld_reproduction(smallworld, smallworld_filtered):
         (None, None, None),
     ]
     failures = []
-    for table, expected in zip(smallworld.strata, expected_ratios):
+    for label, row, expected in zip(smallworld.labels, smallworld.counts.tolist(), expected_ratios):
+        table = StratumTable(label, *row)
         got = stratum_ratios(table)
         for name, want in zip(("row_rr", "col_rr", "odds_ratio"), expected):
             value = getattr(got, name)

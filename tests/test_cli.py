@@ -744,10 +744,15 @@ def test_simulate_non_finite_psi_is_rejected_before_any_draw(capsys, tmp_path, m
     assert err == f"error: psi must be positive and finite, got {psi}\n"
 
 
+def checkout_env() -> dict[str, str]:
+    """This process's environment, with this checkout's sparsemh first on ``PYTHONPATH``."""
+    src = str(Path(sparsemh.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def fresh_interpreter(code: str) -> str:
     """stdout of ``python -c code`` in a new process that imports this checkout's sparsemh."""
-    src = str(Path(sparsemh.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = checkout_env()
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
 
@@ -789,6 +794,64 @@ def test_simulation_names_resolve_on_first_use():
     assert set(sparsemh.__all__) <= set(dir(sparsemh))
     with pytest.raises(AttributeError, match="no_such_name"):
         sparsemh.no_such_name
+
+
+# ------------------------------------------------- a reader that stops early
+
+def run_into_closed_pipe(cwd: Path, unbuffered: bool, *argv: str) -> subprocess.CompletedProcess:
+    """``python -m sparsemh.cli argv`` in a new process whose stdout pipe was closed by its reader before any write.
+
+    Block-buffered stdout meets the closed pipe when it is flushed, and
+    unbuffered stdout (``PYTHONUNBUFFERED``) at its first write.
+    """
+    env = checkout_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        command = [sys.executable, "-m", "sparsemh.cli", *argv]
+        return subprocess.run(command, cwd=cwd, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_simulate_into_a_closed_pipe_exits_0_and_writes_its_files(capsys, tmp_path, unbuffered):
+    flags = ("simulate", "coverage", "--k", "3", "--datasets", "50", "--reps", "1", "--out")
+    piped = run_into_closed_pipe(tmp_path, unbuffered, *flags, "piped")
+    assert (piped.returncode, piped.stderr) == (0, "")
+    assert run(capsys, *flags, str(tmp_path / "plain"))[0] == 0
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"piped{suffix}").read_bytes() == (tmp_path / f"plain{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_analyze_into_a_closed_pipe_exits_0(tmp_path, unbuffered):
+    rows = [f"s{i + 1},{i % 37 + 1},{7 * i % 211 + 1},{99 - i % 37},{999 - 7 * i % 211}" for i in range(4096)]
+    text = "stratum,a,b,c,d\n" + "\n".join(rows) + "\n"
+    (tmp_path / "wide.csv").write_text(text, encoding="utf-8")
+    assert len(render_json(build_report(parse_csv(text)))) > 1 << 20  # far past a pipe's buffer
+    piped = run_into_closed_pipe(tmp_path, unbuffered, "analyze", "wide.csv", "--format", "json")
+    assert (piped.returncode, piped.stderr) == (0, "")
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises, and it has no file descriptor."""
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self) -> None:
+        pass
+
+
+def test_main_returns_0_when_stdout_is_closed_early(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["analyze", str(write_smallworld(tmp_path)), "--format", "json"]) == 0
+    assert main(["version"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # ----------------------------------------------- one parser for every call

@@ -84,8 +84,8 @@ def test_dataset_rejects_duplicate_labels_and_emptiness():
 def test_parse_csv_table3():
     ds = parse_csv(TABLE3_CSV)
     assert ds.labels == ("cat1", "cat2", "cat3", "cat4")
-    assert ds.strata[0].cells() == (26, 7, 18, 13)
-    assert ds.strata[3].cells() == (0, 10, 0, 10)
+    assert ds.counts[0].tolist() == [26, 7, 18, 13]
+    assert ds.counts[3].tolist() == [0, 10, 0, 10]
     assert ds.excluded == ()
 
 
@@ -103,7 +103,7 @@ def test_parse_csv_ignores_utf8_bom():
 def test_parse_count_bound_csv_and_json():
     at, above = MAX_COUNT, MAX_COUNT + 1
     ds = parse_csv(f"stratum,a,b,c,d\nx,1,2,3,4\ny,{at},0,0,{at}\n")
-    assert ds.strata[1].cells() == (at, 0, 0, at)
+    assert ds.counts[1].tolist() == [at, 0, 0, at]
     assert parse_json(f'[{{"stratum":"x","a":1,"b":2,"c":3,"d":4}},{{"stratum":"y","a":{at},"b":0,"c":0,"d":{at}}}]') == ds
     with pytest.raises(ParseError, match=r"line 3: field 'd' must be at most 2\*\*26 = 67108864, got 67108865"):
         parse_csv(f"stratum,a,b,c,d\nx,1,2,3,4\ny,{at},0,0,{above}\n")
@@ -216,7 +216,7 @@ def test_filter_informative_on_table3():
 
 def test_filter_informative_keeps_healthy_single_stratum():
     ds = make_dataset((5, 5, 5, 5))
-    assert filter_informative(ds) == StratifiedDataset(ds.strata)
+    assert filter_informative(ds) == StratifiedDataset([StratumTable("s1", 5, 5, 5, 5)])
     assert ds.__eq__(object()) is NotImplemented
     assert ds != object()
 
@@ -253,6 +253,6 @@ def test_filtered_strata_have_positive_columns_randomized():
             filtered = filter_informative(ds)
         except NoInformativeStrataError:
             continue
-        for t in filtered.strata:
-            assert t.a + t.c >= 1
-            assert t.b + t.d >= 1
+        for a, b, c, d in filtered.counts.tolist():
+            assert a + c >= 1
+            assert b + d >= 1

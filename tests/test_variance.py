@@ -276,7 +276,7 @@ def test_scale_consistency_all_estimators():
     rng = np.random.default_rng(31)
     base = random_positive_dataset(rng, 3, high=20)
     for m in (2, 5):
-        repeated = make_dataset(*(t.cells() for t in base.strata for _ in range(m)))
+        repeated = make_dataset(*(row for row in base.counts.tolist() for _ in range(m)))
         for fn in (var_skm_log_mhq, var_bh_log_mhq, var_gr_log_mhrr, var_gr_log_mhcr, var_rbg_log_mhor):
             assert fn(repeated) == pytest.approx(fn(base) / m, rel=1e-8)
 
@@ -389,9 +389,9 @@ def test_parameter_form_is_plugin_of_data_form():
         ds = random_positive_dataset(rng, int(rng.integers(1, 6)), high=40)
         params = [
             BinomialParams(
-                t.a / (t.a + t.c), t.b / (t.b + t.d), t.a + t.c, t.b + t.d
+                a / (a + c), b / (b + d), a + c, b + d
             )
-            for t in ds.strata
+            for a, b, c, d in ds.counts.tolist()
         ]
         assert var_skm_log_mhq_true(params) == pytest.approx(var_skm_log_mhq(ds), rel=1e-10)
         assert var_bh_log_mhq_true(params) == pytest.approx(var_bh_log_mhq(ds), rel=1e-10)
