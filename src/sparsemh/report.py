@@ -145,7 +145,7 @@ def text_chunks(report: AnalysisReport) -> Iterator[str]:
             f"excluded: {table.label} ({reason})\n" for table, reason in excluded[lo:lo + STRATA_PER_CHUNK]
         )
 
-    lines = ["", f"indicators ({report.level:.0%} confidence intervals):"]
+    lines = ["", f"indicators ({report.level * 100:.15g}% confidence intervals):"]
     for est in report.estimates:
         note = f"  (deprecated: {BH_CAVEAT})" if est.method is VarianceMethod.BH else ""
         lines.append(

@@ -166,11 +166,6 @@ def _check_positive_ints(**values: object) -> None:
             raise InvalidDesignError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _check_seed(seed: object) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise InvalidDesignError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-
-
 @dataclass(frozen=True)
 class SimulationDesign:
     """Column-binomial generator settings shared by all studies."""
@@ -193,7 +188,8 @@ class SimulationDesign:
         for name in ("n_mentioned", "n_not_mentioned"):
             if getattr(self, name) > MAX_COLUMN_TOTAL:
                 raise InvalidDesignError(f"{name} must be at most 2**53, got {getattr(self, name)}")
-        _check_seed(self.seed)
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+            raise InvalidDesignError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         for name in ("psi", "p1_low", "p1_high"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -212,30 +208,15 @@ class SimulationDesign:
             raise InvalidDesignError(
                 f"psi={self.psi} with p1_high={self.p1_high} would make p2 = p1/psi exceed 1"
             )
+        if self.p1_low / self.psi == 0.0:
+            raise InvalidDesignError(
+                f"psi={self.psi} with p1_low={self.p1_low} would make p2 = p1/psi underflow to 0"
+            )
 
 
 def draw_p1(design: SimulationDesign, rng: np.random.Generator) -> np.ndarray:
     """One Uniform(p1_low, p1_high) draw per stratum (half-open interval)."""
     return rng.uniform(design.p1_low, design.p1_high, size=design.k)
-
-
-def _validated_p1_p2(psi: float, p1s: Sequence[float], k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``p1s`` as a float vector and p2 = p1/psi, each entry of both checked to lie in (0, 1].
-
-    The vector must hold ``k`` entries, or any positive number of them when
-    ``k`` is None.
-    """
-    if not 0.0 < psi < math.inf:
-        raise InvalidDesignError(f"psi must be positive and finite, got {psi}")
-    p1s = np.asarray(p1s, dtype=float)
-    if p1s.ndim != 1 or p1s.size == 0 or k not in (None, p1s.size):
-        raise InvalidDesignError(f"expected {k or 'a non-empty vector of'} p1 values, got shape {p1s.shape}")
-    if not np.all((p1s > 0.0) & (p1s <= 1.0)):
-        raise InvalidDesignError("every p1 must lie in (0, 1]")
-    p2s = p1s / psi
-    if not np.all((p2s > 0.0) & (p2s <= 1.0)):
-        raise InvalidDesignError(f"p2 = p1/psi must lie in (0, 1]; psi={psi} violates that")
-    return p1s, p2s
 
 
 def _inversion_thresholds(n: int, p: float) -> np.ndarray:
@@ -455,9 +436,9 @@ def _rep_p1s(design: SimulationDesign, rep: int) -> np.ndarray:
 
 def _rep_counts(design: SimulationDesign, rep: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Repetition ``rep``'s p1 vector and its stratum-major (k, datasets) counts, on the documented streams."""
-    p1s, p2s = _validated_p1_p2(design.psi, _rep_p1s(design, rep), design.k)
+    p1s = _rep_p1s(design, rep)
     n1, n2, count = design.n_mentioned, design.n_not_mentioned, design.datasets_per_rep
-    return (p1s, *_draw_count_matrices_streamed(p1s, p2s, n1, n2, count, design.seed, rep))
+    return (p1s, *_draw_count_matrices_streamed(p1s, p1s / design.psi, n1, n2, count, design.seed, rep))
 
 
 def _bias_rep(design: SimulationDesign, rep: int) -> tuple[BiasRecord, int]:
@@ -649,13 +630,22 @@ def convergence_check(
     """Mean |MHq - psi| when all sample sizes are multiplied by each scale.
 
     Parameters must be homogeneous by construction (p2_i = p1_i / psi), which
-    is what makes psi the common column risk ratio being estimated. The
-    counts of stratum i at scale s come from ``SeedSequence((seed, s, i))``,
-    so each scale's record depends on the seed and that scale alone, and the
-    scales run on up to ``threads`` threads with the same result.
+    is what makes psi the common column risk ratio being estimated. psi, the
+    sample sizes, the seed and the range of the non-empty vector ``p1s`` are
+    checked as :class:`SimulationDesign` checks its psi, sizes, seed and
+    [p1_low, p1_high]. The counts of stratum i at scale s come from
+    ``SeedSequence((seed, s, i))``, so each scale's record depends on the
+    seed and that scale alone, and the scales run on up to ``threads``
+    threads with the same result.
     """
-    p1s, p2s = _validated_p1_p2(psi, p1s)
-    _check_positive_ints(n_mentioned=n_mentioned, n_not_mentioned=n_not_mentioned, replicates=replicates)
+    p1s = np.asarray(p1s, dtype=float)
+    if p1s.ndim != 1 or p1s.size == 0:
+        raise InvalidDesignError(f"expected a non-empty vector of p1 values, got shape {p1s.shape}")
+    psi = SimulationDesign(
+        k=p1s.size, n_mentioned=n_mentioned, n_not_mentioned=n_not_mentioned, psi=psi,
+        p1_low=p1s.min(), p1_high=p1s.max(), seed=seed,
+    ).psi
+    _check_positive_ints(replicates=replicates)
     if replicates < 2:
         raise InvalidDesignError(f"need at least 2 replicates, got {replicates}")
     scales = list(scales)
@@ -666,7 +656,6 @@ def convergence_check(
     for j, s in enumerate(scales):
         if first.setdefault(s, j) != j:
             raise InvalidDesignError(f"scales[{j}] repeats scale {s} of scales[{first[s]}]")
-    _check_seed(seed)
     for name, n in (("n_mentioned", n_mentioned), ("n_not_mentioned", n_not_mentioned)):
         if n * max(scales) > MAX_COLUMN_TOTAL:
             raise InvalidDesignError(f"{name} * scale must be at most 2**53, got {n} * {max(scales)}")
@@ -674,7 +663,7 @@ def convergence_check(
     def scale_record(index: int) -> ConvergenceRecord:
         scale = scales[index]
         n1, n2 = n_mentioned * scale, n_not_mentioned * scale
-        a, b = _draw_count_matrices_streamed(p1s, p2s, n1, n2, replicates, seed, scale)
+        a, b = _draw_count_matrices_streamed(p1s, p1s / psi, n1, n2, replicates, seed, scale)
         blocks = (_ln_mhq_from_counts(*rows, n1, n2) for rows in _blocks(a, b, np.float64))
         (ratios,), _ = _gathered(((sums.rt[d] / sums.st[d], dropped) for _, d, dropped, sums in blocks), replicates)
         deviations = np.abs(ratios - psi)

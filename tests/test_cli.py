@@ -68,6 +68,13 @@ def test_analyze_default_level_flag_is_a_no_op(capsys, tmp_path):
     assert plain == explicit
 
 
+def test_analyze_text_header_prints_the_level_unrounded(capsys, tmp_path):
+    path = str(write_smallworld(tmp_path))
+    for level, header in (("0.95", "95%"), ("0.975", "97.5%"), ("0.999", "99.9%")):
+        code, out, _ = run(capsys, "analyze", path, "--level", level)
+        assert code == 0 and f"indicators ({header} confidence intervals):" in out.splitlines()
+
+
 def test_analyze_json_matches_golden(capsys, tmp_path):
     code, out, _ = run(capsys, "analyze", str(write_smallworld(tmp_path)), "--format", "json")
     assert code == 0

@@ -488,7 +488,7 @@ def reference_render_text(report) -> str:
         lines.append(f"{label:<12} {a:>6} {b:>6} {c:>6} {d:>6} {a + b + c + d:>7} {ratios}")
     if excluded:
         lines += [""] + [f"excluded: {label} ({reason})" for label, reason in excluded.items()]
-    lines += ["", f"indicators ({report.level:.0%} confidence intervals):"]
+    lines += ["", f"indicators ({report.level * 100:.15g}% confidence intervals):"]
     for est in report.estimates:
         note = "  (deprecated: overestimates variance)" if est.method.value == "BH" else ""
         lines.append(

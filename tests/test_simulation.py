@@ -92,16 +92,23 @@ def test_design_rejects_bad_parameters():
     with pytest.raises(InvalidDesignError, match=r"^n_not_mentioned must be at most 2\*\*53"):
         SimulationDesign(n_not_mentioned=10**19)
     assert SimulationDesign(n_mentioned=2**53, n_not_mentioned=2**53).n_mentioned == 2**53
+    # p2 = p1/psi underflows to 0 at the least p1 the design can draw
+    for p1_high in (5e-324, 0.5):
+        with pytest.raises(InvalidDesignError, match="p2"):
+            SimulationDesign(p1_low=5e-324, p1_high=p1_high, psi=2)
 
 
 def test_design_stores_its_real_fields_as_floats():
     # the library writes the bytes the CLI, whose flags parse to float, writes
     design = dict(k=3, datasets_per_rep=50, reps=1)
     want = coverage_study(SimulationDesign(**design, psi=2.0))
+    ladder = ((0.2, 0.3), 10, 20, (1, 2), 1)
+    want_ladder = convergence_check(2.0, *ladder, replicates=50)
     for psi in (np.float64(2.0), 2):
         got = coverage_study(SimulationDesign(**design, psi=psi))
         assert type(got.design.psi) is float
         assert (got.to_csv(), got.to_json()) == (want.to_csv(), want.to_json())
+        assert convergence_check(psi, *ladder, replicates=50) == want_ladder
     p1s = SimulationDesign(p1_low=np.float64(0.25), p1_high=1)
     assert (type(p1s.p1_low), type(p1s.p1_high)) == (float, float)
 
@@ -166,21 +173,23 @@ def test_streamed_draws_reject_invalid_p2_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("counts were drawn before the p1 vector was validated")
 
-    def p1s_of(p1s):
-        monkeypatch.setattr(simulation, "_rep_p1s", lambda design, rep: p1s)
-
     monkeypatch.setattr(simulation, "_draw_count_matrices_streamed", no_sampling)
-    design = small_design()
-    p1s_of(np.full(design.k, 1.5))
+    # a design checks its p1 range against psi when it is built, before any rep draws
     with pytest.raises(InvalidDesignError, match="p1"):
-        _rep_counts(design, 0)
-    half = SimulationDesign(k=design.k, psi=0.5, p1_low=0.01, p1_high=0.5)
-    p1s_of(np.full(design.k, 0.9))
+        small_design(p1_high=1.5)
     with pytest.raises(InvalidDesignError, match="p2"):
-        _rep_counts(half, 0)
-    p1s_of(np.full(2, 0.1))
-    with pytest.raises(InvalidDesignError, match=r"expected 6 p1 values"):
-        _rep_counts(design, 0)
+        small_design(psi=0.5, p1_low=0.01, p1_high=0.9)
+    # convergence_check checks the p1 vector it is handed the same way
+    bad = [
+        ((1.0, (0.1, 1.5)), "p1"),
+        ((0.5, (0.1, 0.9)), "p2"),
+        ((2.0, (5e-324, 0.5)), "p2"),
+        ((1.0, ()), r"expected a non-empty vector of p1 values"),
+        ((1.0, np.full((2, 2), 0.1)), r"expected a non-empty vector of p1 values"),
+    ]
+    for (psi, p1s), message in bad:
+        with pytest.raises(InvalidDesignError, match=message):
+            convergence_check(psi, p1s, 10, 10, (1,), 1, replicates=2)
 
 
 class CountingGenerator:
@@ -656,6 +665,12 @@ def test_convergence_check_validation():
         # a repeated scale, drawn again on the same streams as an identical record
         ((1.0, (0.1,), 10, 10, (5, 5), 1), r"^scales\[1\] repeats scale 5 of scales\[0\]$"),
         ((1.0, (0.1,), 10, 10, (1, 2, 3, 2), 1), r"^scales\[3\] repeats scale 2 of scales\[1\]$"),
+        # a psi that is not an int or a float, or lies beyond the float range
+        ((True, (0.1,), 10, 10, (1,), 1), "^psi must be a real number, got True$"),
+        ((Fraction(2), (0.1,), 10, 10, (1,), 1), r"^psi must be a real number, got Fraction\(2, 1\)$"),
+        ((Decimal("2"), (0.1,), 10, 10, (1,), 1), r"^psi must be a real number, got Decimal\('2'\)$"),
+        (("2", (0.1,), 10, 10, (1,), 1), "^psi must be a real number, got '2'$"),
+        ((2**1100, (0.1,), 10, 10, (1,), 1), f"^psi must be finite, got {2**1100}$"),
     ]
     for args, message in bad:
         with pytest.raises(InvalidDesignError, match=message):
