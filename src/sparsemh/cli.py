@@ -161,28 +161,20 @@ def _digest(summary) -> str:
     def mean(name: str) -> float:
         return sum(getattr(r, name) for r in records) / len(records)
 
+    if summary.study == "convergence":
+        last = records[-1]
+        return (
+            f"convergence: psi={summary.design.psi} scale={last.scale} "
+            f"mean_abs_dev={last.mean_abs_dev:.5f} (mc_se {last.mc_se:.5f})"
+        )
+    head = f"{summary.study}: psi={summary.design.psi} reps={len(records)}"
     if summary.study == "bias":
-        return (
-            f"bias: psi={summary.design.psi} reps={len(records)} "
-            f"mean_skm_bias={mean('skm_bias'):+.5f} mean_bh_bias={mean('bh_bias'):+.5f}"
-        )
+        return f"{head} mean_skm_bias={mean('skm_bias'):+.5f} mean_bh_bias={mean('bh_bias'):+.5f}"
     if summary.study == "coverage":
-        return (
-            f"coverage: psi={summary.design.psi} reps={len(records)} "
-            f"skm={mean('skm_coverage'):.4f} bh={mean('bh_coverage'):.4f} dropped={summary.dropped_total}"
-        )
-    if summary.study == "width":
-        skm_w, bh_w = mean("skm_mean_width"), mean("bh_mean_width")
-        ratio = bh_w / skm_w if skm_w else float("nan")
-        return (
-            f"width: psi={summary.design.psi} reps={len(records)} "
-            f"skm_mean_width={skm_w:.4f} bh_mean_width={bh_w:.4f} bh/skm={ratio:.4f}"
-        )
-    last = records[-1]
-    return (
-        f"convergence: psi={summary.design.psi} scale={last.scale} "
-        f"mean_abs_dev={last.mean_abs_dev:.5f} (mc_se {last.mc_se:.5f})"
-    )
+        return f"{head} skm={mean('skm_coverage'):.4f} bh={mean('bh_coverage'):.4f} dropped={summary.dropped_total}"
+    skm_w, bh_w = mean("skm_mean_width"), mean("bh_mean_width")
+    ratio = bh_w / skm_w if skm_w else float("nan")
+    return f"{head} skm_mean_width={skm_w:.4f} bh_mean_width={bh_w:.4f} bh/skm={ratio:.4f}"
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:

@@ -87,6 +87,9 @@ from .estimators import _mhq_sums
 from .report import write_in_place
 from .variance import (
     BinomialParams,
+    InvalidDesignError,
+    _check_positive_ints,
+    _real,
     _rbg_combine,
     _rbg_terms,
     _skm_combine,
@@ -152,18 +155,8 @@ INVERSION_TOLERANCE = 1e-12
 MAX_DROP_FRACTION = 0.01
 
 
-class InvalidDesignError(ValueError):
-    """Simulation design parameters are inconsistent or out of range."""
-
-
 class ExcessiveDropError(ValueError):
     """More replicates were undefined than the reporting contract allows."""
-
-
-def _check_positive_ints(**values: object) -> None:
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise InvalidDesignError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -191,13 +184,7 @@ class SimulationDesign:
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise InvalidDesignError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         for name in ("psi", "p1_low", "p1_high"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InvalidDesignError(f"{name} must be a real number, got {value!r}")
-            try:
-                object.__setattr__(self, name, float(value))
-            except OverflowError:  # an int beyond the largest float
-                raise InvalidDesignError(f"{name} must be finite, got {value}") from None
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not 0.0 < self.psi < math.inf:
             raise InvalidDesignError(f"psi must be positive and finite, got {self.psi}")
         if not 0.0 < self.p1_low <= self.p1_high <= 1.0:
@@ -449,7 +436,7 @@ def _bias_rep(design: SimulationDesign, rep: int) -> tuple[BiasRecord, int]:
     if ln_mhq.size < 2:
         raise ExcessiveDropError("fewer than 2 defined replicates; cannot estimate an SD")
     true_sd = float(ln_mhq.std(ddof=1))
-    params = [BinomialParams(float(p1), float(p1 / design.psi), n1, n2) for p1 in p1s]
+    params = [BinomialParams(p1, p1 / design.psi, n1, n2) for p1 in p1s]
     skm_sd = math.sqrt(var_skm_log_mhq_true(params))
     bh_sd = math.sqrt(var_bh_log_mhq_true(params))
     record = BiasRecord(
@@ -631,16 +618,16 @@ def convergence_check(
 
     Parameters must be homogeneous by construction (p2_i = p1_i / psi), which
     is what makes psi the common column risk ratio being estimated. psi, the
-    sample sizes, the seed and the range of the non-empty vector ``p1s`` are
-    checked as :class:`SimulationDesign` checks its psi, sizes, seed and
-    [p1_low, p1_high]. The counts of stratum i at scale s come from
-    ``SeedSequence((seed, s, i))``, so each scale's record depends on the
-    seed and that scale alone, and the scales run on up to ``threads``
-    threads with the same result.
+    sizes, the seed, each element of the non-empty vector ``p1s`` and their
+    range are checked as :class:`SimulationDesign` checks psi, its sizes,
+    seed, each p1 bound and [p1_low, p1_high]. Stratum i's counts at scale s
+    come from ``SeedSequence((seed, s, i))``, so each scale's record depends
+    on the seed and that scale alone, and the scales run on up to
+    ``threads`` threads with the same result.
     """
-    p1s = np.asarray(p1s, dtype=float)
-    if p1s.ndim != 1 or p1s.size == 0:
-        raise InvalidDesignError(f"expected a non-empty vector of p1 values, got shape {p1s.shape}")
+    if np.ndim(p1s) != 1 or np.size(p1s) == 0:
+        raise InvalidDesignError(f"expected a non-empty vector of p1 values, got shape {np.shape(p1s)}")
+    p1s = np.array([_real(f"p1s[{j}]", p1) for j, p1 in enumerate(p1s)])
     psi = SimulationDesign(
         k=p1s.size, n_mentioned=n_mentioned, n_not_mentioned=n_not_mentioned, psi=psi,
         p1_low=p1s.min(), p1_high=p1s.max(), seed=seed,

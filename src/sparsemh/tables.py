@@ -105,14 +105,14 @@ class StratifiedDataset:
     counts: np.ndarray
     excluded: tuple[tuple[StratumTable, str], ...]
 
-    def __init__(self, strata: Iterable[StratumTable], excluded: Iterable[tuple[StratumTable, str]] = ()) -> None:
+    def __init__(self, strata: Iterable[StratumTable]) -> None:
         strata = tuple(strata)
         if not strata:
             raise ValueError("a dataset needs at least one stratum")
         counts = np.array([t.cells() for t in strata], dtype=np.int64)
-        self._fill(tuple(t.label for t in strata), counts, tuple(excluded))
+        self._fill(tuple(t.label for t in strata), counts, ())
         seen: set[str] = set()
-        for label in self.labels + tuple(t.label for t, _ in self.excluded):
+        for label in self.labels:
             if label in seen:
                 raise ValueError(f"duplicate stratum label {label!r}")
             seen.add(label)

@@ -266,7 +266,27 @@ def katz_var_log_rr(t: StratumTable, orientation: Literal["row", "column"]) -> f
 
 
 # --------------------------------------------------------------------------
-# parameter forms for the column-binomial model
+# the simulation's number rules, and parameter forms for the column-binomial model
+
+class InvalidDesignError(ValueError):
+    """Simulation design parameters are inconsistent or out of range."""
+
+
+def _check_positive_ints(**values: object) -> None:
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise InvalidDesignError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _real(name: str, value: object) -> float:
+    """``value``, an ``int`` or a ``float`` (numpy's float64 is one) but not a bool, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidDesignError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the largest float
+        raise InvalidDesignError(f"{name} must be finite, got {value}") from None
+
 
 @dataclass(frozen=True)
 class BinomialParams:
@@ -284,13 +304,11 @@ class BinomialParams:
 
     def __post_init__(self) -> None:
         for name in ("p1", "p2"):
-            p = getattr(self, name)
+            p = _real(name, getattr(self, name))
             if not 0.0 < p <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {p}")
-        for name in ("n1", "n2"):
-            size = getattr(self, name)
-            if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-                raise ValueError(f"{name} must be a positive integer, got {size!r}")
+                raise InvalidDesignError(f"{name} must lie in (0, 1], got {p}")
+            object.__setattr__(self, name, p)
+        _check_positive_ints(n1=self.n1, n2=self.n2)
 
     def expected_cells(self) -> tuple[float, float, float, float]:
         return (

@@ -168,6 +168,17 @@ def test_weights_error_when_all_zero():
         stratum_weights(ds, IndicatorKind.MHOR)
 
 
+def test_weights_of_empty_row_strata_in_the_readme_example():
+    """README "Notes": empty-row strata are kept; s2 (a+b = 0) weighs nothing, s3 (c+d = 0) only in MHCR and MHq."""
+    ds = filter_informative(make_dataset((3, 2, 5, 7), (0, 0, 4, 6), (2, 1, 0, 0), (1, 4, 2, 9)))
+    assert ds.labels == ("s1", "s2", "s3", "s4")
+    weights = {kind: stratum_weights(ds, kind) for kind in IndicatorKind}
+    assert round(weights[IndicatorKind.MHCR][2], 4) == 0.2827
+    assert round(weights[IndicatorKind.MHQ][2], 4) == 0.2042
+    assert all(w[1] == 0.0 for w in weights.values())
+    assert weights[IndicatorKind.MHRR][2] == weights[IndicatorKind.MHOR][2] == 0.0
+
+
 def test_weighted_average_identity_randomized():
     # each indicator is the weighted average of its matching stratum ratios
     rng = np.random.default_rng(37)

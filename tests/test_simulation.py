@@ -671,6 +671,12 @@ def test_convergence_check_validation():
         ((Decimal("2"), (0.1,), 10, 10, (1,), 1), r"^psi must be a real number, got Decimal\('2'\)$"),
         (("2", (0.1,), 10, 10, (1,), 1), "^psi must be a real number, got '2'$"),
         ((2**1100, (0.1,), 10, 10, (1,), 1), f"^psi must be finite, got {2**1100}$"),
+        # p1 values that are not an int or a float
+        ((2.0, ("0.2", 0.3), 10, 20, (1,), 1), r"^p1s\[0\] must be a real number"),
+        ((2.0, (True, 0.3), 10, 20, (1,), 1), r"^p1s\[0\] must be a real number"),
+        ((2.0, (Fraction(1, 5), 0.3), 10, 20, (1,), 1), r"^p1s\[0\] must be a real number"),
+        ((2.0, (Decimal("0.2"), 0.3), 10, 20, (1,), 1), r"^p1s\[0\] must be a real number"),
+        ((2.0, np.array([0.2, 0.3], dtype=np.float32), 10, 20, (1,), 1), r"^p1s\[0\] must be a real number"),
     ]
     for args, message in bad:
         with pytest.raises(InvalidDesignError, match=message):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from sparsemh import (
     BinomialParams,
     IndicatorKind,
+    InvalidDesignError,
     StratumTable,
     UndefinedIndicatorError,
     VarianceMethod,
@@ -364,6 +367,15 @@ def test_binomial_params_validation():
         BinomialParams(0.5, 1.2, 10, 10)
     with pytest.raises(ValueError, match="n1"):
         BinomialParams(0.5, 0.5, 0, 10)
+    # each of these used to be accepted, or to fail outside InvalidDesignError
+    for p1 in (True, Fraction(1, 10), Decimal("0.1"), "0.1", np.float32(0.1)):
+        with pytest.raises(InvalidDesignError, match="^p1 must be a real number"):
+            BinomialParams(p1, 0.1, 10, 10)
+    with pytest.raises(InvalidDesignError, match="^p1 must be finite"):
+        BinomialParams(2**1100, 0.1, 10, 10)
+    with pytest.raises(InvalidDesignError, match="^p2 must be a real number"):
+        BinomialParams(0.1, Fraction(1, 10), 10, 10)
+    assert type(BinomialParams(1, 1, 10, 10).p1) is float
     params = BinomialParams(0.1, 0.05, 100, 1000)
     assert params.expected_cells() == pytest.approx((10.0, 50.0, 90.0, 950.0))
 
