@@ -15,7 +15,6 @@ the ``SOURCE_DATE_EPOCH`` check) runs before the first chunk is made.
 from __future__ import annotations
 
 import datetime
-import json
 import math
 import os
 import stat
@@ -313,7 +312,7 @@ def json_chunks(report: AnalysisReport) -> Iterator[str]:
 
 def _json_chunks(report: AnalysisReport, meta: str) -> Iterator[str]:
     memo = _FloatText()  # one per report: later chunks reuse the text of earlier ones' floats
-    yield f'{{\n  "source": {json.dumps(report.source)},\n  "level": {json.dumps(report.level)},\n  "strata": '
+    yield f'{{\n  "source": {_encode(report.source)},\n  "level": {memo[report.level]},\n  "strata": '
     yield from _strata_json(report, memo)
     yield ',\n  "excluded": '
     yield from _excluded_json(report)
@@ -328,8 +327,7 @@ def render_json(report: AnalysisReport) -> str:
     The bytes equal ``json.dumps(..., indent=2)`` of the same structure. The
     sections holding lists and objects are written from fixed templates
     instead of going through the pure-Python encoder that ``indent``
-    selects; the scalar ``source`` and ``level`` go through the C encoder,
-    whose text ``indent`` does not change.
+    selects.
     """
     return "".join(json_chunks(report))
 

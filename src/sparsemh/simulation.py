@@ -88,6 +88,7 @@ from .report import write_in_place
 from .variance import (
     BinomialParams,
     InvalidDesignError,
+    _check_column_totals,
     _check_positive_ints,
     _real,
     _rbg_combine,
@@ -125,10 +126,6 @@ BLOCK_CELLS = 2**13
 # VM), the lookup stopped winning at 2 to 5 cells per point; at 8 it won by
 # 5-10%, and its table (64 bytes per point) holds at most 8 bytes per cell.
 LOOKUP_CELLS_PER_POINT = 8
-
-# Largest column total: counts are converted to float64, which holds every
-# integer up to 2**53 exactly (and numpy's binomial takes no n beyond int64).
-MAX_COLUMN_TOTAL = 2**53
 
 # numpy's binomial sampler inverts, one uniform per draw, when the column's
 # mean n*min(p, 1-p) is at most this; above it, BTPE takes a varying number of
@@ -178,9 +175,7 @@ class SimulationDesign:
             k=self.k, n_mentioned=self.n_mentioned, n_not_mentioned=self.n_not_mentioned,
             datasets_per_rep=self.datasets_per_rep, reps=self.reps,
         )
-        for name in ("n_mentioned", "n_not_mentioned"):
-            if getattr(self, name) > MAX_COLUMN_TOTAL:
-                raise InvalidDesignError(f"{name} must be at most 2**53, got {getattr(self, name)}")
+        _check_column_totals(n_mentioned=self.n_mentioned, n_not_mentioned=self.n_not_mentioned)
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise InvalidDesignError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         for name in ("psi", "p1_low", "p1_high"):
@@ -643,9 +638,9 @@ def convergence_check(
     for j, s in enumerate(scales):
         if first.setdefault(s, j) != j:
             raise InvalidDesignError(f"scales[{j}] repeats scale {s} of scales[{first[s]}]")
-    for name, n in (("n_mentioned", n_mentioned), ("n_not_mentioned", n_not_mentioned)):
-        if n * max(scales) > MAX_COLUMN_TOTAL:
-            raise InvalidDesignError(f"{name} * scale must be at most 2**53, got {n} * {max(scales)}")
+    _check_column_totals(**{
+        "n_mentioned * scale": n_mentioned * max(scales), "n_not_mentioned * scale": n_not_mentioned * max(scales),
+    })
 
     def scale_record(index: int) -> ConvergenceRecord:
         scale = scales[index]

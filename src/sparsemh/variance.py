@@ -272,10 +272,21 @@ class InvalidDesignError(ValueError):
     """Simulation design parameters are inconsistent or out of range."""
 
 
+# Largest column total: counts are converted to float64, which holds every
+# integer up to 2**53 exactly (and numpy's binomial takes no n beyond int64).
+MAX_COLUMN_TOTAL = 2**53
+
+
 def _check_positive_ints(**values: object) -> None:
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise InvalidDesignError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _check_column_totals(**totals: int) -> None:
+    for name, n in totals.items():
+        if n > MAX_COLUMN_TOTAL:
+            raise InvalidDesignError(f"{name} must be at most 2**53, got {n}")
 
 
 def _real(name: str, value: object) -> float:
@@ -309,6 +320,7 @@ class BinomialParams:
                 raise InvalidDesignError(f"{name} must lie in (0, 1], got {p}")
             object.__setattr__(self, name, p)
         _check_positive_ints(n1=self.n1, n2=self.n2)
+        _check_column_totals(n1=self.n1, n2=self.n2)
 
     def expected_cells(self) -> tuple[float, float, float, float]:
         return (

@@ -376,6 +376,12 @@ def test_binomial_params_validation():
     with pytest.raises(InvalidDesignError, match="^p2 must be a real number"):
         BinomialParams(0.1, Fraction(1, 10), 10, 10)
     assert type(BinomialParams(1, 1, 10, 10).p1) is float
+    # float64 holds counts exactly only up to 2**53, as for the design's column totals
+    with pytest.raises(InvalidDesignError, match=r"^n1 must be at most 2\*\*53, got 9007199254740993$"):
+        BinomialParams(0.1, 0.1, 2**53 + 1, 10)
+    with pytest.raises(InvalidDesignError, match=r"^n2 must be at most 2\*\*53, got 9007199254740993$"):
+        BinomialParams(0.1, 0.1, 10, 2**53 + 1)
+    assert BinomialParams(0.1, 0.1, 2**53, 2**53).n1 == 2**53
     params = BinomialParams(0.1, 0.05, 100, 1000)
     assert params.expected_cells() == pytest.approx((10.0, 50.0, 90.0, 950.0))
 
