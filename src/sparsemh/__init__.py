@@ -20,17 +20,17 @@ _EXPORTS = {
         "mh_row_risk_ratio", "mhq", "stratum_ratios", "stratum_weights", "transpose", "world_comparison_row",
     ),
     "simulation": (
-        "ExcessiveDropError", "InvalidDesignError", "SimulationDesign", "StudySummary", "bias_study",
-        "convergence_check", "convergence_study", "coverage_study", "draw_p1",
+        "BinomialParams", "ExcessiveDropError", "InvalidDesignError", "SimulationDesign", "StudySummary",
+        "bias_study", "convergence_check", "convergence_study", "coverage_study", "draw_p1",
+        "var_bh_log_mhq_true", "var_skm_log_mhq_true",
     ),
     "tables": (
         "NoInformativeStrataError", "ParseError", "StratifiedDataset", "StratumTable", "filter_informative",
         "parse_csv", "parse_json",
     ),
     "variance": (
-        "BinomialParams", "IndicatorEstimate", "VarianceMethod", "confidence_interval", "estimate_indicator",
-        "katz_var_log_rr", "var_bh_log_mhq", "var_bh_log_mhq_true", "var_gr_log_mhcr", "var_gr_log_mhrr",
-        "var_rbg_log_mhor", "var_skm_log_mhq", "var_skm_log_mhq_true",
+        "IndicatorEstimate", "VarianceMethod", "confidence_interval", "estimate_indicator", "katz_var_log_rr",
+        "var_bh_log_mhq", "var_gr_log_mhcr", "var_gr_log_mhrr", "var_rbg_log_mhor", "var_skm_log_mhq",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

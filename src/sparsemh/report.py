@@ -82,6 +82,7 @@ def build_report(
     sensible, ``bh`` adds the group-vs-world reconstruction (flagged as
     deprecated in all output because it overestimates the variance).
     """
+    level = float(level)
     for method in methods:
         if method not in ("skm", "bh"):
             raise ValueError(f"unknown MHq variance method {method!r}: choose from skm, bh")

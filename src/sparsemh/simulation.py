@@ -12,6 +12,10 @@ is exactly psi in every stratum. Three studies are built on top:
 * ``convergence_study`` -- mean |MHq - psi| along a ladder of sample sizes
   (``convergence_check`` is the ladder itself, for a given p1 vector).
 
+The SKM and BH estimators also come in parameter form for column-binomial
+designs: every cell count is replaced by its expectation, which is what the
+bias study evaluates at the true generating parameters.
+
 Reproducibility contract: every stream is PCG64, derived from the master
 seed alone. For repetition r of the bias, coverage and width studies, the p1
 vector comes from ``SeedSequence((seed, r))``; the counts of stratum i come
@@ -83,23 +87,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import _mhq_sums
+from .estimators import IndicatorKind, _mhq_sums, _weighted_sums
 from .report import write_in_place
-from .variance import (
-    BinomialParams,
-    InvalidDesignError,
-    _check_column_totals,
-    _check_positive_ints,
-    _real,
-    _rbg_combine,
-    _rbg_terms,
-    _skm_combine,
-    _skm_terms,
-    _rbg_log_variance,
-    _skm_log_variance,
-    var_bh_log_mhq_true,
-    var_skm_log_mhq_true,
-)
+from .variance import _rbg_combine, _rbg_log_variance, _rbg_terms, _skm_combine, _skm_log_variance, _skm_terms
 
 RNG_ALGORITHM = "PCG64"
 STREAM_DERIVATION = (
@@ -156,6 +146,37 @@ class ExcessiveDropError(ValueError):
     """More replicates were undefined than the reporting contract allows."""
 
 
+class InvalidDesignError(ValueError):
+    """Simulation design parameters are inconsistent or out of range."""
+
+
+# Largest column total: counts are converted to float64, which holds every
+# integer up to 2**53 exactly (and numpy's binomial takes no n beyond int64).
+MAX_COLUMN_TOTAL = 2**53
+
+
+def _check_positive_ints(**values: object) -> None:
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise InvalidDesignError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _check_column_totals(**totals: int) -> None:
+    for name, n in totals.items():
+        if n > MAX_COLUMN_TOTAL:
+            raise InvalidDesignError(f"{name} must be at most 2**53, got {n}")
+
+
+def _real(name: str, value: object) -> float:
+    """``value``, an ``int`` or a ``float`` (numpy's float64 is one) but not a bool, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidDesignError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the largest float
+        raise InvalidDesignError(f"{name} must be finite, got {value}") from None
+
+
 @dataclass(frozen=True)
 class SimulationDesign:
     """Column-binomial generator settings shared by all studies."""
@@ -194,6 +215,69 @@ class SimulationDesign:
             raise InvalidDesignError(
                 f"psi={self.psi} with p1_low={self.p1_low} would make p2 = p1/psi underflow to 0"
             )
+
+
+# --------------------------------------------------------------------------
+# parameter forms for the column-binomial model
+
+@dataclass(frozen=True)
+class BinomialParams:
+    """Column-binomial parameters of one stratum.
+
+    ``p1`` is the probability that a mentioned article belongs to the group,
+    ``p2`` the same for not-mentioned articles; ``n1``/``n2`` are the fixed
+    column sample sizes. The stratum column risk ratio is p1/p2.
+    """
+
+    p1: float
+    p2: float
+    n1: int
+    n2: int
+
+    def __post_init__(self) -> None:
+        for name in ("p1", "p2"):
+            p = _real(name, getattr(self, name))
+            if not 0.0 < p <= 1.0:
+                raise InvalidDesignError(f"{name} must lie in (0, 1], got {p}")
+            object.__setattr__(self, name, p)
+        _check_positive_ints(n1=self.n1, n2=self.n2)
+        _check_column_totals(n1=self.n1, n2=self.n2)
+
+    def expected_cells(self) -> tuple[float, float, float, float]:
+        return (
+            self.n1 * self.p1,
+            self.n2 * self.p2,
+            self.n1 * (1.0 - self.p1),
+            self.n2 * (1.0 - self.p2),
+        )
+
+
+def _expected_cells(params: Sequence[BinomialParams]) -> tuple[np.ndarray, ...]:
+    if not params:
+        raise ValueError("at least one stratum of binomial parameters is required")
+    arr = np.array([p.expected_cells() for p in params], dtype=float)
+    return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
+
+
+def var_skm_log_mhq_true(params: Sequence[BinomialParams]) -> float:
+    """Corrected variance of ln(MHq) evaluated at the true binomial parameters.
+
+    Identical to :func:`var_skm_log_mhq` with every cell replaced by its
+    expectation, so the data form is exactly the plug-in of this one at the
+    empirical proportions.
+    """
+    a, b, c, d = _expected_cells(params)
+    sums = _weighted_sums(IndicatorKind.MHQ, a, b, c, d)
+    return float(_skm_log_variance(a, b, c, d, a + c, b + d, a + b + c + d, sums))
+
+
+def var_bh_log_mhq_true(params: Sequence[BinomialParams]) -> float:
+    """Group-vs-world variance of ln(MHq) at the true binomial parameters."""
+    a, b, c, d = _expected_cells(params)
+    # the expected cells are not integers, so the group-vs-world tables get
+    # their own MHOR sums rather than MHq's (see _rbg_log_variance)
+    world = (a, b, a + c, b + d)
+    return float(_rbg_log_variance(*world, _weighted_sums(IndicatorKind.MHOR, *world)))
 
 
 def draw_p1(design: SimulationDesign, rng: np.random.Generator) -> np.ndarray:
@@ -564,6 +648,7 @@ def _run_reps(work: Callable[[int], object], reps: int, threads: int) -> list:
 
     With one worker the repetitions run in order on the calling thread.
     """
+    _check_positive_ints(threads=threads)
     threads = worker_count(threads, reps)
     if threads == 1:
         return [work(rep) for rep in range(reps)]

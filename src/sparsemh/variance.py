@@ -12,10 +12,6 @@ Four estimators are provided, tagged by :class:`VarianceMethod`:
 :func:`katz_var_log_rr` gives the classical single-table log risk-ratio
 variance.
 
-The SKM and BH estimators also come in parameter form for column-binomial
-designs: every cell count is replaced by its expectation, which is what the
-simulation harness evaluates at the true generating parameters.
-
 All kernels are array-generic (cells may be numpy arrays whose last axis
 indexes strata), so the Monte Carlo harness can evaluate thousands of
 simulated datasets in one call. The SKM and RBG kernels come in two
@@ -27,11 +23,11 @@ the indicator's sums over them; the public ``var_*`` functions,
 :func:`estimate_indicator` and the analysis report all call these kernels,
 and a report computes each indicator's sums once for all of its estimates.
 The coverage study computes each term once per distinct (a, b), sums the
-terms it looks up, and calls the same combine steps. The data and parameter
-forms pass the column totals a+c, b+d and the table total n as arrays. The
-simulation, whose columns are fixed by design, passes them as scalars. That
-substitution is bit-exact because sums of integer-valued floats below
-2**53 are exact.
+terms it looks up, and calls the same combine steps. The data forms here and
+the simulation's parameter forms pass the column totals a+c, b+d and the
+table total n as arrays. The simulation's drawn datasets, whose columns are
+fixed by design, pass them as scalars. That substitution is bit-exact
+because sums of integer-valued floats below 2**53 are exact.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ import enum
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -263,100 +259,6 @@ def katz_var_log_rr(t: StratumTable, orientation: Literal["row", "column"]) -> f
             )
         return b / (a * (a + b)) + d / (c * (c + d))
     raise ValueError(f"orientation must be 'row' or 'column', got {orientation!r}")
-
-
-# --------------------------------------------------------------------------
-# the simulation's number rules, and parameter forms for the column-binomial model
-
-class InvalidDesignError(ValueError):
-    """Simulation design parameters are inconsistent or out of range."""
-
-
-# Largest column total: counts are converted to float64, which holds every
-# integer up to 2**53 exactly (and numpy's binomial takes no n beyond int64).
-MAX_COLUMN_TOTAL = 2**53
-
-
-def _check_positive_ints(**values: object) -> None:
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise InvalidDesignError(f"{name} must be a positive integer, got {value!r}")
-
-
-def _check_column_totals(**totals: int) -> None:
-    for name, n in totals.items():
-        if n > MAX_COLUMN_TOTAL:
-            raise InvalidDesignError(f"{name} must be at most 2**53, got {n}")
-
-
-def _real(name: str, value: object) -> float:
-    """``value``, an ``int`` or a ``float`` (numpy's float64 is one) but not a bool, as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidDesignError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an int beyond the largest float
-        raise InvalidDesignError(f"{name} must be finite, got {value}") from None
-
-
-@dataclass(frozen=True)
-class BinomialParams:
-    """Column-binomial parameters of one stratum.
-
-    ``p1`` is the probability that a mentioned article belongs to the group,
-    ``p2`` the same for not-mentioned articles; ``n1``/``n2`` are the fixed
-    column sample sizes. The stratum column risk ratio is p1/p2.
-    """
-
-    p1: float
-    p2: float
-    n1: int
-    n2: int
-
-    def __post_init__(self) -> None:
-        for name in ("p1", "p2"):
-            p = _real(name, getattr(self, name))
-            if not 0.0 < p <= 1.0:
-                raise InvalidDesignError(f"{name} must lie in (0, 1], got {p}")
-            object.__setattr__(self, name, p)
-        _check_positive_ints(n1=self.n1, n2=self.n2)
-        _check_column_totals(n1=self.n1, n2=self.n2)
-
-    def expected_cells(self) -> tuple[float, float, float, float]:
-        return (
-            self.n1 * self.p1,
-            self.n2 * self.p2,
-            self.n1 * (1.0 - self.p1),
-            self.n2 * (1.0 - self.p2),
-        )
-
-
-def _expected_cells(params: Sequence[BinomialParams]) -> tuple[np.ndarray, ...]:
-    if not params:
-        raise ValueError("at least one stratum of binomial parameters is required")
-    arr = np.array([p.expected_cells() for p in params], dtype=float)
-    return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-
-
-def var_skm_log_mhq_true(params: Sequence[BinomialParams]) -> float:
-    """Corrected variance of ln(MHq) evaluated at the true binomial parameters.
-
-    Identical to :func:`var_skm_log_mhq` with every cell replaced by its
-    expectation, so the data form is exactly the plug-in of this one at the
-    empirical proportions.
-    """
-    a, b, c, d = _expected_cells(params)
-    sums = _weighted_sums(IndicatorKind.MHQ, a, b, c, d)
-    return float(_skm_log_variance(a, b, c, d, a + c, b + d, a + b + c + d, sums))
-
-
-def var_bh_log_mhq_true(params: Sequence[BinomialParams]) -> float:
-    """Group-vs-world variance of ln(MHq) at the true binomial parameters."""
-    a, b, c, d = _expected_cells(params)
-    # the expected cells are not integers, so the group-vs-world tables get
-    # their own MHOR sums rather than MHq's (see _rbg_log_variance)
-    world = (a, b, a + c, b + d)
-    return float(_rbg_log_variance(*world, _weighted_sums(IndicatorKind.MHOR, *world)))
 
 
 # --------------------------------------------------------------------------

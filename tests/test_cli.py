@@ -13,8 +13,10 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
@@ -22,7 +24,9 @@ import sparsemh
 from sparsemh import __version__, cli, simulation
 from sparsemh.cli import _build_parser, main
 from sparsemh.datasets import smallworld_path
-from sparsemh.report import STRATA_PER_CHUNK, build_report, json_chunks, render_json, write_in_place
+from sparsemh.report import (
+    STRATA_PER_CHUNK, build_report, csv_chunks, json_chunks, render_json, text_chunks, write_in_place,
+)
 from sparsemh.tables import parse_csv
 
 from conftest import csv_text, json_text, make_dataset, sparse_datasets
@@ -73,6 +77,19 @@ def test_analyze_text_header_prints_the_level_unrounded(capsys, tmp_path):
     for level, header in (("0.95", "95%"), ("0.975", "97.5%"), ("0.999", "99.9%")):
         code, out, _ = run(capsys, "analyze", path, "--level", level)
         assert code == 0 and f"indicators ({header} confidence intervals):" in out.splitlines()
+
+
+def test_build_report_renders_a_level_of_any_real_type_as_its_float():
+    ds = parse_csv(smallworld_path().read_text(encoding="utf-8"))
+
+    def rendered(level) -> tuple[str, ...]:
+        report = build_report(ds, level=level)
+        json_out = "".join(json_chunks(report))
+        return "".join(text_chunks(report)), "".join(csv_chunks(report)), json_out[:json_out.index('"meta"')]
+
+    want = rendered(0.95)
+    assert rendered(np.float64(0.95)) == want
+    assert rendered(Fraction(19, 20)) == want
 
 
 def test_analyze_json_matches_golden(capsys, tmp_path):
@@ -775,6 +792,12 @@ def test_importing_the_cli_loads_no_process_machinery():
 def test_simulation_names_resolve_on_first_use():
     assert sparsemh.bias_study is sparsemh.simulation.bias_study
     assert sparsemh.InvalidDesignError is simulation.InvalidDesignError
+    # the column-binomial model lives in the simulation alone
+    moved = (
+        "BinomialParams", "InvalidDesignError", "MAX_COLUMN_TOTAL", "_check_column_totals", "_check_positive_ints",
+        "_expected_cells", "_real", "var_bh_log_mhq_true", "var_skm_log_mhq_true",
+    )
+    assert [name for name in moved if hasattr(sparsemh.variance, name)] == []
     assert sparsemh.__all__ == [
         "__version__", "BinomialParams", "ExcessiveDropError", "IndicatorEstimate", "IndicatorKind",
         "InvalidDesignError", "NoInformativeStrataError", "ParseError", "SimulationDesign",

@@ -472,6 +472,20 @@ def test_run_reps_starts_the_clamped_pool(monkeypatch):
     assert started == [3]
 
 
+@pytest.mark.parametrize("threads", [0, -1, 2.5, True, np.int64(2), "2", None])
+def test_every_study_rejects_a_thread_count_that_is_not_a_positive_int(threads):
+    design = small_design(reps=2, datasets_per_rep=50)
+    runs = (
+        lambda: bias_study(design, threads=threads),
+        lambda: coverage_study(design, threads=threads),
+        lambda: convergence_study(design, scales=(1, 2), replicates=50, threads=threads),
+        lambda: convergence_check(1.0, (0.1, 0.2), 10, 20, (1, 2), 1, replicates=50, threads=threads),
+    )
+    for run in runs:
+        with pytest.raises(InvalidDesignError, match="^threads must be a positive integer, got "):
+            run()
+
+
 def test_coverage_study_records():
     design = small_design(datasets_per_rep=600)
     summary = coverage_study(design)
