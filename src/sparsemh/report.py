@@ -119,8 +119,8 @@ def _stratum_rows(report: AnalysisReport, lo: int, hi: int):
     return zip(report.dataset.labels[lo:hi], report.dataset.counts[lo:hi].tolist(), *columns)
 
 
-def _fmt(value: float | None, digits: int = 2) -> str:
-    return "undefined" if value is None else f"{value:.{digits}f}"
+def _fmt(value: float | None) -> str:
+    return "undefined" if value is None else f"{value:.2f}"
 
 
 def text_chunks(report: AnalysisReport) -> Iterator[str]:

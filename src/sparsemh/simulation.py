@@ -434,15 +434,6 @@ class ConvergenceRecord:
     replicates: int
 
 
-# each study's record class; its fields are the CSV columns, in order
-_RECORD_CLASS = {
-    "bias": BiasRecord,
-    "coverage": CoverageRecord,
-    "width": CoverageRecord,
-    "convergence": ConvergenceRecord,
-}
-
-
 @dataclass(frozen=True)
 class StudySummary:
     """Per-repetition results of one study, serializable to CSV and JSON.
@@ -460,7 +451,8 @@ class StudySummary:
     replicates: int = 0
 
     def to_csv(self) -> str:
-        lines = [",".join(f.name for f in fields(_RECORD_CLASS[self.study]))]
+        # every study has at least one record, and its fields are the columns
+        lines = [",".join(f.name for f in fields(self.records[0]))]
         lines.extend(",".join(map(str, astuple(record))) for record in self.records)
         return "\n".join(lines) + "\n"
 
@@ -616,18 +608,15 @@ def _coverage_rep(design: SimulationDesign, rep: int) -> tuple[CoverageRecord, i
     (ln_mhq, skm_var, bh_var), dropped = _gathered(_coverage_blocks(a, b, n1, n2), design.datasets_per_rep)
     z = NormalDist().inv_cdf(0.975)
     log_psi = math.log(design.psi)
-    skm_half = z * np.sqrt(skm_var)
-    bh_half = z * np.sqrt(bh_var)
-    record = CoverageRecord(
-        setting=rep,
-        psi=design.psi,
-        skm_coverage=float(((ln_mhq - skm_half <= log_psi) & (log_psi <= ln_mhq + skm_half)).mean()),
-        bh_coverage=float(((ln_mhq - bh_half <= log_psi) & (log_psi <= ln_mhq + bh_half)).mean()),
-        skm_mean_width=float((np.exp(ln_mhq + skm_half) - np.exp(ln_mhq - skm_half)).mean()),
-        bh_mean_width=float((np.exp(ln_mhq + bh_half) - np.exp(ln_mhq - bh_half)).mean()),
-        dropped=dropped,
-    )
-    return record, dropped
+
+    def coverage_and_width(log_variance: np.ndarray) -> tuple[float, float]:
+        half = z * np.sqrt(log_variance)
+        low, high = ln_mhq - half, ln_mhq + half
+        return float(((low <= log_psi) & (log_psi <= high)).mean()), float((np.exp(high) - np.exp(low)).mean())
+
+    # (SKM, BH) coverages, then (SKM, BH) mean widths: the record's field order
+    coverage, width = zip(coverage_and_width(skm_var), coverage_and_width(bh_var))
+    return CoverageRecord(rep, design.psi, *coverage, *width, dropped), dropped
 
 
 def worker_count(threads: int, reps: int) -> int:

@@ -312,4 +312,4 @@ def estimate_indicator(
         raise ValueError(f"variance method {method.value} does not apply to {kind.value}")
     cells = _cells(ds)
     sums = _weighted_sums(kind, *cells)
-    return _estimate(kind, method, level, ds.labels, cells, sums, _fsum(sums.s))
+    return _estimate(kind, method, float(level), ds.labels, cells, sums, _fsum(sums.s))

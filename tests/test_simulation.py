@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import astuple
 from decimal import Decimal
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -28,9 +30,12 @@ from sparsemh import (
 from sparsemh import simulation
 from sparsemh.simulation import (
     LOOKUP_CELLS_PER_POINT,
+    CoverageRecord,
     _bias_rep,
     _coverage_blocks,
+    _coverage_rep,
     _draw_count_matrices_streamed,
+    _gathered,
     _ln_mhq_from_counts,
     _rep_counts,
     _rep_p1s,
@@ -499,6 +504,43 @@ def test_coverage_study_records():
         assert record.dropped == 0
     parallel = coverage_study(design, threads=2)
     assert parallel == summary
+
+
+@pytest.mark.parametrize(
+    "design, lookup",
+    [
+        (SimulationDesign(psi=0.2, reps=1), True),
+        # counts spread wider than the repetition's 150 cells: data-form kernels
+        (small_design(k=3, n_mentioned=100_000, n_not_mentioned=1_000_000, datasets_per_rep=50, reps=1), False),
+    ],
+)
+def test_coverage_record_is_the_interval_formula_on_each_variance(design, lookup):
+    _, a, b = _rep_counts(design, 0)
+    n1, n2 = float(design.n_mentioned), float(design.n_not_mentioned)
+    assert (_term_table(a, b, n1, n2, a.size // LOOKUP_CELLS_PER_POINT) is not None) is lookup
+    (ln_mhq, skm_var, bh_var), dropped = _gathered(_coverage_blocks(a, b, n1, n2), design.datasets_per_rep)
+    z = NormalDist().inv_cdf(0.975)
+    log_psi = math.log(design.psi)
+
+    def interval(log_variance):
+        lo, hi = ln_mhq - z * np.sqrt(log_variance), ln_mhq + z * np.sqrt(log_variance)
+        return float(((lo <= log_psi) & (log_psi <= hi)).mean()), float((np.exp(hi) - np.exp(lo)).mean())
+
+    skm_coverage, skm_width = interval(skm_var)
+    bh_coverage, bh_width = interval(bh_var)
+    assert bh_width > skm_width  # a swap of the two variances cannot pass
+    expected = CoverageRecord(
+        setting=0,
+        psi=design.psi,
+        skm_coverage=skm_coverage,
+        bh_coverage=bh_coverage,
+        skm_mean_width=skm_width,
+        bh_mean_width=bh_width,
+        dropped=dropped,
+    )
+    record, record_dropped = _coverage_rep(design, 0)
+    assert [float(x).hex() for x in astuple(record)] == [float(x).hex() for x in astuple(expected)]
+    assert record_dropped == dropped
 
 
 def test_csv_headers_are_pinned():

@@ -358,6 +358,16 @@ def test_estimate_indicator_bounds_and_methods(smallworld_filtered):
         estimate_indicator(smallworld_filtered, IndicatorKind.MHRR, method=VarianceMethod.SKM)
 
 
+def test_estimate_indicator_stores_level_as_float(smallworld_filtered):
+    # as build_report does, a level of any real type gives the estimate of its float
+    for kind in IndicatorKind:
+        expected = estimate_indicator(smallworld_filtered, kind)
+        for level in (Fraction(19, 20), np.float64(0.95)):
+            est = estimate_indicator(smallworld_filtered, kind, level=level)
+            assert type(est.level) is float
+            assert est == expected
+
+
 # ------------------------------------------------------------ parameter forms
 
 def test_binomial_params_validation():
