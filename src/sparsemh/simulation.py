@@ -39,20 +39,17 @@ datasets to float64 (count, k) matrices, in C order, only as the MHq sums
 reach them.
 
 The coverage and width studies avoid that copy where they can. Their
-column totals are fixed, so every per-stratum term that ln(MHq), SKM and BH add up over strata
-(R, S, SKM's v, w, q, and BH's pR, pS + qR, qS) is a function of the counts
-(a, b) alone. A repetition computes the eight terms once for each point its
-strata's count ranges cover, and looks up each cell's terms: for each value
-of a, the points run from the least to the greatest b of the strata whose
-range of a holds that value. That is a third smaller than the whole box
-[a.min..a.max] x [b.min..b.max] at psi = 0.2 on the desk design. The terms
-of a block are summed over strata from (rows, k) arrays in C order, the
-order of the data forms' matrices, and combined by the data forms' own
-functions, so every bit is theirs. When there are more points than an
-eighth of the repetition's cells (LOOKUP_CELLS_PER_POINT; wide count ranges,
-as with large column totals), looking up stops paying, and each block
-converts its counts to float64 and runs the data-form kernels
-(_skm_log_variance, _rbg_log_variance) on them instead.
+column totals are fixed, so every per-stratum term they add up over strata,
+MHq's R and S and then the terms of each variance they take from the
+variance table (SKM, then BH), is a function of the counts (a, b) alone. A
+repetition computes those terms once per (a, b) point its strata's count
+ranges cover (see _term_table) and looks up each cell's. A block's terms
+are summed over strata from (rows, k) arrays in C order, the order of the
+data forms' matrices, and each variance's own combine step takes R, S and
+its terms' totals, so every bit is the data forms'. When there are more
+points than an eighth of the repetition's cells (LOOKUP_CELLS_PER_POINT),
+as with large column totals, looking up stops paying, and each block
+converts its counts to float64 and runs the SKM and BH data forms instead.
 
 Every count is the value the installed numpy's ``Generator.binomial`` draws
 from the stream, and the stream is left where ``binomial`` leaves it; a numpy
@@ -65,17 +62,17 @@ x = bound it restarts with a fresh uniform. ``_binomial`` computes those
 columns without the per-draw walk: it recomputes the px_x by the same
 floating-point operations, sums them into thresholds, draws the column's
 uniforms with ``Generator.random`` (the same doubles the walk takes), and
-returns the first x whose threshold each uniform does not exceed. Numpy's
-running subtraction and the running sum each round by at most 2**-54 per
-step, over at most 85 steps, so a uniform farther than INVERSION_TOLERANCE
-from every threshold gets numpy's x. If any uniform of a column is nearer,
-or beyond the last threshold, the generator is rewound and numpy draws the
-column itself.
+returns the first x whose threshold each uniform does not exceed. A uniform
+farther than ``_binomial``'s margin (see INVERSION_TOLERANCE) from every
+threshold gets numpy's x. If any uniform of a column is nearer, or beyond
+the last threshold, the generator is rewound and numpy draws the column
+itself.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -89,7 +86,7 @@ import numpy as np
 
 from .estimators import IndicatorKind, _mhq_sums, _weighted_sums
 from .report import write_in_place
-from .variance import _rbg_combine, _rbg_log_variance, _rbg_terms, _skm_combine, _skm_log_variance, _skm_terms
+from .variance import _LOG_VARIANCES, VarianceMethod, _rbg_log_variance, _skm_log_variance
 
 RNG_ALGORITHM = "PCG64"
 STREAM_DERIVATION = (
@@ -117,6 +114,9 @@ BLOCK_CELLS = 2**13
 # 5-10%, and its table (64 bytes per point) holds at most 8 bytes per cell.
 LOOKUP_CELLS_PER_POINT = 8
 
+# The variances of ln(MHq) that the coverage study takes, in its records' order.
+_COVERAGE = tuple(_LOG_VARIANCES[IndicatorKind.MHQ, method] for method in (VarianceMethod.SKM, VarianceMethod.BH))
+
 # numpy's binomial sampler inverts, one uniform per draw, when the column's
 # mean n*min(p, 1-p) is at most this; above it, BTPE takes a varying number of
 # uniforms per draw and _binomial leaves the column to numpy.
@@ -131,10 +131,13 @@ LOOKUP_BUCKETS = 1024
 _BUCKET_EDGES = np.arange(LOOKUP_BUCKETS) / LOOKUP_BUCKETS
 
 # How far a uniform must lie from every inversion threshold for the lookup to
-# take numpy's decision: a hundred times the 1e-14 that rounding can move it.
-# _binomial adds n * 2**-52 for px_0 = (1-p)^n, which numpy 2.4 computes as
-# exp(n*log1p(-p)); the textbook exp(n*log(1-p)) differs from it by up to
-# n * 2**-53 relative, and the margin covers either form.
+# take numpy's decision is this plus n * 2**-52 (see _binomial). This part
+# covers the walk, whose running subtraction and running sum round by at most
+# 2**-54 per step, 2 * steps * 2**-54 in all: under 1e-14 at the 85 steps a
+# mean of 30 allows. n * 2**-52 covers px_0 = (1-p)^n, where numpy 2.4's
+# exp(n*log1p(-p)) and the textbook exp(n*log(1-p)) differ by up to n * 2**-53
+# relative. As steps <= n, the n-term alone is at least both bounds together,
+# so no draw tells the two parts apart.
 INVERSION_TOLERANCE = 1e-12
 
 # Undefined-MHq replicates are dropped and counted; a run is aborted rather
@@ -275,7 +278,7 @@ def var_bh_log_mhq_true(params: Sequence[BinomialParams]) -> float:
     """Group-vs-world variance of ln(MHq) at the true binomial parameters."""
     a, b, c, d = _expected_cells(params)
     # the expected cells are not integers, so the group-vs-world tables get
-    # their own MHOR sums rather than MHq's (see _rbg_log_variance)
+    # their own MHOR sums rather than MHq's (see the variance table)
     world = (a, b, a + c, b + d)
     return float(_rbg_log_variance(*world, _weighted_sums(IndicatorKind.MHOR, *world)))
 
@@ -522,14 +525,14 @@ def _bias_rep(design: SimulationDesign, rep: int) -> tuple[BiasRecord, int]:
 
 
 def _coverage_terms(a, b, n1: float, n2: float) -> tuple[np.ndarray, ...]:
-    """The per-cell terms R, S, v, w, q, pR, pS + qR, qS of ln(MHq), SKM and BH at float64 counts a, b.
+    """The per-cell terms R and S of ln(MHq), then those of each ``_COVERAGE`` variance, at float64 counts a, b.
 
-    c = n1 - a and d = n2 - b; BH's terms are those of the group-vs-world
-    tables (a, b // n1, n2), whose MHOR sums are MHq's.
+    c = n1 - a and d = n2 - b, so every table has the column totals n1, n2.
     """
     n = n1 + n2
-    m, r, s, _, _ = _mhq_sums(a, b, n1, n2, n)
-    return (r, s, *_skm_terms(a, b, n1 - a, n2 - b, n1, n2, n, m), *_rbg_terms(a, b, n1, n2, m, r, s))
+    sums = _mhq_sums(a, b, n1, n2, n)
+    c, d = n1 - a, n2 - b
+    return (sums.r, sums.s, *(term for entry in _COVERAGE for term in entry.terms(a, b, c, d, n1, n2, n, sums)))
 
 
 def _term_table(a: np.ndarray, b: np.ndarray, n1: float, n2: float, max_points: int):
@@ -537,7 +540,8 @@ def _term_table(a: np.ndarray, b: np.ndarray, n1: float, n2: float, max_points: 
 
     For each value of a, the points run from the least to the greatest b of
     the strata whose range of a holds that value, and the runs lie end to
-    end. Returns the float64 (8, points) table, a.min and ``base``: the
+    end (at psi = 0.2 on the desk design, a third fewer than the whole box).
+    Returns the float64 (terms, points) table, a.min and ``base``: the
     terms of (a, b) are column base[a - a.min] + b.
     """
     a_low, a_high, b_low, b_high = (f(x, axis=1).tolist() for x in (a, b) for f in (np.min, np.max))
@@ -556,7 +560,7 @@ def _term_table(a: np.ndarray, b: np.ndarray, n1: float, n2: float, max_points: 
     if ends[-1] > max_points:
         return None
     base = ends - widths - low
-    table = np.empty((8, ends[-1]))
+    table = np.empty((2 + sum(entry.count for entry in _COVERAGE), ends[-1]))
     # a quarter block of points at a time: _coverage_terms holds about a
     # dozen arrays of that many values alive, 200 KiB against 760 KiB
     step = max(1, BLOCK_CELLS // 4)
@@ -570,13 +574,13 @@ def _term_table(a: np.ndarray, b: np.ndarray, n1: float, n2: float, max_points: 
 
 
 def _coverage_blocks(a: np.ndarray, b: np.ndarray, n1: float, n2: float):
-    """Yield ln(MHq), its SKM and BH variances of each block's defined datasets, and the block's undefined count.
+    """Yield ln(MHq), its ``_COVERAGE`` variances of each block's defined datasets, and the block's undefined count.
 
     ``a`` and ``b`` are the stratum-major (k, count) arrays of
     :func:`_draw_count_matrices_streamed`. The terms are looked up in their
     :func:`_term_table`; when it would have more than one point per
-    ``LOOKUP_CELLS_PER_POINT`` cells, each block runs the data-form kernels
-    instead (see the module docstring).
+    ``LOOKUP_CELLS_PER_POINT`` cells, each block runs the data forms of
+    ``_COVERAGE``'s SKM and BH instead (see the module docstring).
     """
     lookup = _term_table(a, b, n1, n2, a.size // LOOKUP_CELLS_PER_POINT)
     if lookup is None:
@@ -593,19 +597,20 @@ def _coverage_blocks(a: np.ndarray, b: np.ndarray, n1: float, n2: float):
         index -= a0
         index = base.take(index)
         index += b_rows
-        # one term at a time: a gather of all eight would hold 8 * BLOCK_CELLS values
-        totals = np.empty((8, len(index)))
+        # one term at a time: gathering all at once would hold BLOCK_CELLS values per term
+        totals = np.empty((len(table), len(index)))
         for row, out in zip(table, totals):
             row.take(index).sum(axis=-1, out=out)
         ln_mhq, defined, dropped = _defined_log_ratio(totals[0], totals[1])
-        rt, st, vt, wt, qt, prt, pqt, qst = totals[:, defined] if dropped else totals
-        yield ln_mhq, _skm_combine(rt, st, vt, wt, qt), _rbg_combine(rt, st, prt, pqt, qst), dropped
+        rt, st, *terms = totals[:, defined] if dropped else totals
+        terms = iter(terms)  # each variance combines the next `count` totals
+        yield ln_mhq, *(entry.combine(rt, st, *itertools.islice(terms, entry.count)) for entry in _COVERAGE), dropped
 
 
 def _coverage_rep(design: SimulationDesign, rep: int) -> tuple[CoverageRecord, int]:
     _, a, b = _rep_counts(design, rep)
     n1, n2 = float(design.n_mentioned), float(design.n_not_mentioned)
-    (ln_mhq, skm_var, bh_var), dropped = _gathered(_coverage_blocks(a, b, n1, n2), design.datasets_per_rep)
+    (ln_mhq, *variances), dropped = _gathered(_coverage_blocks(a, b, n1, n2), design.datasets_per_rep)
     z = NormalDist().inv_cdf(0.975)
     log_psi = math.log(design.psi)
 
@@ -614,8 +619,8 @@ def _coverage_rep(design: SimulationDesign, rep: int) -> tuple[CoverageRecord, i
         low, high = ln_mhq - half, ln_mhq + half
         return float(((low <= log_psi) & (log_psi <= high)).mean()), float((np.exp(high) - np.exp(low)).mean())
 
-    # (SKM, BH) coverages, then (SKM, BH) mean widths: the record's field order
-    coverage, width = zip(coverage_and_width(skm_var), coverage_and_width(bh_var))
+    # the coverages, then the mean widths, each in _COVERAGE's order (SKM, BH): the record's field order
+    coverage, width = zip(*map(coverage_and_width, variances))
     return CoverageRecord(rep, design.psi, *coverage, *width, dropped), dropped
 
 

@@ -12,22 +12,19 @@ Four estimators are provided, tagged by :class:`VarianceMethod`:
 :func:`katz_var_log_rr` gives the classical single-table log risk-ratio
 variance.
 
-All kernels are array-generic (cells may be numpy arrays whose last axis
+All variances are array-generic (cells may be numpy arrays whose last axis
 indexes strata), so the Monte Carlo harness can evaluate thousands of
-simulated datasets in one call. The SKM and RBG kernels come in two
-parts: per-stratum terms (``_skm_terms``, ``_rbg_terms``) and a combine
-step on their totals over strata and the indicator's MH sums
-(``_skm_combine``, ``_rbg_combine``). Each data-form estimator is one
-kernel per (indicator, method) pair that takes a dataset's float cells and
-the indicator's sums over them; the public ``var_*`` functions,
-:func:`estimate_indicator` and the analysis report all call these kernels,
-and a report computes each indicator's sums once for all of its estimates.
-The coverage study computes each term once per distinct (a, b), sums the
-terms it looks up, and calls the same combine steps. The data forms here and
-the simulation's parameter forms pass the column totals a+c, b+d and the
-table total n as arrays. The simulation's drawn datasets, whose columns are
-fixed by design, pass them as scalars. That substitution is bit-exact
-because sums of integer-valued floats below 2**53 are exact.
+simulated datasets in one call. One table holds each (indicator, method)
+variance as per-stratum terms of the float cells, their column totals a+c
+and b+d, table total n and the indicator's MH sums, and a combine step on
+the terms' totals over strata and the indicator's totals R and S. The
+public ``var_*`` functions, :func:`estimate_indicator`, the analysis report
+and the coverage study all read it: a report computes each indicator's sums
+once for all of its estimates, and the coverage study computes its terms
+once per distinct (a, b). The data forms here and the simulation's
+parameter forms pass the column totals and n as arrays; the simulation's
+drawn datasets, whose columns are fixed by design, pass scalars. That is
+bit-exact because sums of integer-valued floats below 2**53 are exact.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ import enum
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Literal
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
@@ -86,27 +83,21 @@ class IndicatorEstimate:
 
 
 # --------------------------------------------------------------------------
-# array-generic kernels (cells are floats; last axis indexes strata)
+# the table of variances (cells are floats; last axis indexes strata)
 
-def _skm_terms(a, b, c, d, col1, col2, n, m):
-    """Per-stratum variances and covariance (v, w, q) of MHq's weighted-count terms.
+def _skm_terms(a, b, c, d, col1, col2, n, sums: _Sums):
+    """Per-stratum variances and covariance (v, w, q) of MHq's terms R_i and S_i in ``sums``.
 
     R_i = a(b+d)/m and S_i = b(a+c)/m, with m = a+b+n, are the numerator and
     denominator contributions of MHq; v, w, q estimate Var[R_i], Var[S_i],
     and Cov[R_i, S_i] by Taylor linearization of the column-binomial model.
     Requires positive column totals col1 = a+c and col2 = b+d; b = 0 is fine
     (it only zeroes the S-side terms -- no cell appears as a bare divisor).
-
-    The totals col1, col2 and n = a+b+c+d may be arrays shaped like the
-    cells or, when every stratum of every dataset shares them (the fixed
-    columns of the simulation design), scalars that numpy broadcasts. The
-    substitution is bit-exact: sums of integer-valued floats below 2**53 are
-    exact, so a+c computed cell by cell equals the scalar column total, and
-    every later operation sees the same operands. Squares are written as
-    products because a float scalar's ``**`` calls C ``pow``, which does not
-    always round x*x the way an array's ``**2`` does.
+    The totals and n = a+b+c+d may be scalars (see the module docstring), so
+    squares of them are written as products: a float scalar's ``**`` calls C
+    ``pow``, which does not always round x*x the way an array's ``**2`` does.
     """
-    m4 = m**4
+    m4 = sums.t**4
     var_a = a * c / col1
     var_b = b * d / col2
     v = col2 * col2 * ((n + b) ** 2 * var_a + a**2 * var_b) / m4
@@ -126,21 +117,13 @@ def _skm_combine(rt, st, vt, wt, qt):
     return vt / (rt * rt) + wt / (st * st) - 2.0 * qt / (rt * st)
 
 
-def _skm_log_variance(a, b, c, d, col1, col2, n, sums: _Sums):
-    """:func:`_skm_combine` of the :func:`_skm_terms` of the cells, with MHq's ``sums``."""
-    v, w, q = _skm_terms(a, b, c, d, col1, col2, n, sums.t)
-    return _skm_combine(sums.rt, sums.st, v.sum(axis=-1), w.sum(axis=-1), q.sum(axis=-1))
-
-
-def _rbg_terms(a, b, c, d, t, r, s):
+def _rbg_terms(a, b, c, d, sums: _Sums):
     """Per-stratum terms pR_i, pS_i + qR_i and qS_i of the three-term variance of tables (a, b // c, d).
 
-    p = (a+d)/t and q = (b+c)/t; t, R_i and S_i are the tables' MHOR divisor
-    and terms: t = a+b+c+d, R_i = ad/t, S_i = bc/t. For the group-vs-world
-    tables (a, b // a+c, b+d) these are exactly MHq's m, R_i and S_i of
-    (a, b, c, d) when the cells are integer-valued, so the BH estimator
-    reuses MHq's.
+    p = (a+d)/t and q = (b+c)/t; t, R_i and S_i in ``sums`` are the tables'
+    MHOR divisor and terms: t = a+b+c+d, R_i = ad/t, S_i = bc/t.
     """
+    t, r, s, _, _ = sums
     p = (a + d) / t
     q = (b + c) / t
     return p * r, p * s + q * r, q * s
@@ -151,26 +134,64 @@ def _rbg_combine(rt, st, prt, pqt, qst):
     return prt / (2.0 * (rt * rt)) + pqt / (2.0 * rt * st) + qst / (2.0 * (st * st))
 
 
+def _gr_terms(a, b, c, d, col1, col2, n, sums: _Sums):
+    """GR's per-stratum numerator of ln(MHRR), ((a+b)(c+d)(a+c) - ac*n) / n**2 with n = ``sums.t``."""
+    # as ad(a+b) + bc(c+d): non-negative terms that do not cancel when the products exceed 2**53
+    return ((a * d * (a + b) + b * c * (c + d)) / sums.t**2,)
+
+
+class _LogVariance(NamedTuple):
+    """``terms(a, b, c, d, a+c, b+d, n, sums)``, ``count`` arrays, and ``combine(R, S, *their totals over strata)``."""
+
+    count: int
+    terms: Callable
+    combine: Callable
+
+    def __call__(self, a, b, c, d, col1, col2, n, sums: _Sums):
+        terms = self.terms(a, b, c, d, col1, col2, n, sums)
+        return self.combine(sums.rt, sums.st, *(term.sum(axis=-1) for term in terms))
+
+
+# Every variance by (indicator, method). MHCR's is MHRR's on the transposed
+# tables (a, c // b, d), whose MHRR sums are MHCR's, bit for bit. BH is RBG
+# on the group-vs-world tables (a, b // a+c, b+d), whose MHOR sums are MHq's
+# for integer-valued cells.
+_LOG_VARIANCES: dict[tuple[IndicatorKind, VarianceMethod], _LogVariance] = {
+    (IndicatorKind.MHRR, VarianceMethod.GR): _LogVariance(1, _gr_terms, lambda rt, st, numt: numt / (rt * st)),
+    (IndicatorKind.MHOR, VarianceMethod.RBG): _LogVariance(
+        3, lambda a, b, c, d, col1, col2, n, sums: _rbg_terms(a, b, c, d, sums), _rbg_combine
+    ),
+    (IndicatorKind.MHQ, VarianceMethod.SKM): _LogVariance(3, _skm_terms, _skm_combine),
+    (IndicatorKind.MHQ, VarianceMethod.BH): _LogVariance(
+        3, lambda a, b, c, d, col1, col2, n, sums: _rbg_terms(a, b, col1, col2, sums), _rbg_combine
+    ),
+}
+_LOG_VARIANCES[IndicatorKind.MHCR, VarianceMethod.GR] = _LOG_VARIANCES[IndicatorKind.MHRR, VarianceMethod.GR]
+
+
+def _skm_log_variance(a, b, c, d, col1, col2, n, sums: _Sums):
+    """The SKM log variance of MHq from its table entry, with MHq's ``sums``."""
+    return _LOG_VARIANCES[IndicatorKind.MHQ, VarianceMethod.SKM](a, b, c, d, col1, col2, n, sums)
+
+
 def _rbg_log_variance(a, b, c, d, sums: _Sums):
-    """:func:`_rbg_combine` of the :func:`_rbg_terms` of tables (a, b // c, d), with their MHOR ``sums``."""
-    pr, pq, qs = _rbg_terms(a, b, c, d, sums.t, sums.r, sums.s)
-    return _rbg_combine(sums.rt, sums.st, pr.sum(axis=-1), pq.sum(axis=-1), qs.sum(axis=-1))
+    """The RBG log variance of tables (a, b // c, d) from its table entry, with their MHOR ``sums``."""
+    return _LOG_VARIANCES[IndicatorKind.MHOR, VarianceMethod.RBG](a, b, c, d, None, None, None, sums)
 
 
 # --------------------------------------------------------------------------
-# data forms: one kernel on a dataset's labels, float cells and the
-# indicator's sums, so a report that holds them for several estimates
-# computes them once
+# data forms: the table on a dataset's labels, float cells and the
+# indicator's sums, which a report computes once for several estimates
 
 def _log_variance(kind: IndicatorKind, method: VarianceMethod, labels, a, b, c, d, sums: _Sums) -> float:
     """``method``'s log variance of ``kind`` from a dataset's labels and float cells and ``kind``'s sums.
 
     Raises as the public ``var_*`` function does, under its name: first for a
     stratum with an empty column, then for a zero total. MHCR's GR variance
-    is MHRR's on the transposed tables (a, c // b, d), whose MHRR sums are
-    MHCR's, bit for bit; so it rejects a stratum with an empty row as one
-    with an empty column.
+    is MHRR's on the transposed tables, so it rejects a stratum with an empty
+    row as one with an empty column.
     """
+    entry = _LOG_VARIANCES[kind, method]
     if kind is IndicatorKind.MHCR:
         kind, b, c = IndicatorKind.MHRR, c, b
     op = f"var_{method.value}_log_{kind.value}".lower()  # the public function the messages name
@@ -185,16 +206,7 @@ def _log_variance(kind: IndicatorKind, method: VarianceMethod, labels, a, b, c, 
     if sums.rt == 0.0 or sums.st == 0.0:
         side = "numerator" if sums.rt == 0.0 else "denominator"
         raise UndefinedIndicatorError(f"{op} undefined: the {kind.value} {side} sum is zero")
-    if method is VarianceMethod.GR:
-        # the per-stratum numerator (a+b)(c+d)(a+c) - ac*n as ad(a+b) + bc(c+d),
-        # non-negative terms that do not cancel when the products exceed 2**53
-        num = float(((a * d * (a + b) + b * c * (c + d)) / sums.t**2).sum())
-        return num / float(sums.rt * sums.st)
-    if method is VarianceMethod.RBG:
-        return float(_rbg_log_variance(a, b, c, d, sums))
-    if method is VarianceMethod.SKM:
-        return float(_skm_log_variance(a, b, c, d, col1, col2, a + b + c + d, sums))
-    return float(_rbg_log_variance(a, b, col1, col2, sums))  # BH: on the group-vs-world tables
+    return float(entry(a, b, c, d, col1, col2, a + b + c + d, sums))
 
 
 def _data_form(ds: StratifiedDataset, kind: IndicatorKind, method: VarianceMethod) -> float:
@@ -264,14 +276,10 @@ def katz_var_log_rr(t: StratumTable, orientation: Literal["row", "column"]) -> f
 # --------------------------------------------------------------------------
 # convenience: indicator + variance + interval in one call
 
-_DEFAULT_METHOD: dict[IndicatorKind, VarianceMethod] = {
-    IndicatorKind.MHRR: VarianceMethod.GR,
-    IndicatorKind.MHCR: VarianceMethod.GR,
-    IndicatorKind.MHOR: VarianceMethod.RBG,
-    IndicatorKind.MHQ: VarianceMethod.SKM,
-}
+# each kind's default method is its first one in the table
+_DEFAULT_METHOD: dict[IndicatorKind, VarianceMethod] = dict(reversed(_LOG_VARIANCES))
 
-# the public data form of each (kind, method) pair that estimate_indicator accepts
+# each pair's public data form: unread here, but perfbench/spans.py wraps the functions in it
 _VARIANCE_FN = {
     (IndicatorKind.MHRR, VarianceMethod.GR): var_gr_log_mhrr,
     (IndicatorKind.MHCR, VarianceMethod.GR): var_gr_log_mhcr,
@@ -308,7 +316,7 @@ def estimate_indicator(
     """Point estimate plus interval for one indicator on a filtered dataset."""
     if method is None:
         method = _DEFAULT_METHOD[kind]
-    if (kind, method) not in _VARIANCE_FN:
+    if (kind, method) not in _LOG_VARIANCES:
         raise ValueError(f"variance method {method.value} does not apply to {kind.value}")
     cells = _cells(ds)
     sums = _weighted_sums(kind, *cells)

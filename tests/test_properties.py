@@ -56,7 +56,7 @@ from sparsemh.report import (
 )
 from sparsemh.simulation import ExcessiveDropError, bias_study, coverage_study
 from sparsemh.tables import EXCLUDED_NO_NOT_MENTIONED, MAX_COUNT, _parse_csv_lines
-from sparsemh.variance import _rbg_log_variance, _skm_log_variance
+from sparsemh.variance import _LOG_VARIANCES, _log_variance, _rbg_log_variance, _skm_log_variance
 
 from conftest import RATIO_COLUMN, csv_text, inversion_edge_ps, json_text, make_dataset, sparse_datasets
 
@@ -750,6 +750,44 @@ def test_coverage_lookup_and_fallback_equal_the_array_total_form_bit_for_bit(dra
     if max_points == 0 or box <= max_points:
         assert (tables[0] is None) == (max_points == 0)
     assert_same_estimates(got, array_total_estimates(a, b, n1, n2))
+
+
+@PROPERTY
+@given(coverage_draws())
+@example(LARGE_DRAWS)
+def test_every_table_variance_looked_up_per_count_pair_equals_its_data_form_bit_for_bit(draws):
+    # each (indicator, method) variance from its terms and its indicator's own
+    # R and S at each distinct (a, b), gathered and summed over strata in
+    # (rows, k) order, as the coverage study does for SKM and BH
+    a, b, n1, n2 = draws
+    f1, f2 = float(n1), float(n2)
+    labels = tuple(f"s{i}" for i in range(a.shape[1]))
+    points, index = np.unique(np.stack([a, b], axis=-1).reshape(-1, 2), axis=0, return_inverse=True)
+    index = index.reshape(a.shape)
+    pa, pb = points.T
+    compared = 0
+    for (kind, method), entry in _LOG_VARIANCES.items():
+        sums = _weighted_sums(kind, pa, pb, f1 - pa, f2 - pb)
+        if kind is IndicatorKind.MHCR:
+            # MHRR's GR on the transposed tables (a, c // b, d), whose columns are not fixed
+            cells = (pa, f1 - pa, pb, f2 - pb)
+            totals = (pa + pb, (f1 - pa) + (f2 - pb), f1 + f2)
+        else:
+            cells = (pa, pb, f1 - pa, f2 - pb)
+            totals = (f1, f2, f1 + f2)
+        terms = entry.terms(*cells, *totals, sums)
+        rt, st, *term_totals = (x.take(index).sum(axis=-1) for x in (sums.r, sums.s, *terms))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            looked_up = entry.combine(rt, st, *term_totals)
+        for row in range(a.shape[0]):
+            row_cells = (a[row], b[row], f1 - a[row], f2 - b[row])
+            try:
+                want = _log_variance(kind, method, labels, *row_cells, _weighted_sums(kind, *row_cells))
+            except ValueError:  # a zero total, or an empty row that MHCR's transpose rejects
+                continue
+            assert float(looked_up[row]).hex() == want.hex(), (kind, method, row)
+            compared += 1
+    assume(compared)
 
 
 # ------------------------------------------ compact stratum-major count storage

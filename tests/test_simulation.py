@@ -5,6 +5,7 @@ import math
 from dataclasses import astuple
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -380,6 +381,43 @@ def test_batched_kernels_match_scalar_functions():
         # the variances are the same terms and combine steps on the same operands
         assert skm[row] == var_skm_log_mhq(ds)
         assert bh[row] == var_bh_log_mhq(ds)
+
+
+def test_exact_coverage_of_the_readme_design_is_the_quoted_0_958():
+    # README's design k = 2, n = (4, 20), p1 = (0.3, 0.5), psi = 2: all
+    # 105**2 datasets through the coverage study's term lookup, each weighted
+    # by its exact binomial probability
+    n1, n2, psi, p1s = 4, 20, 2.0, (0.3, 0.5)
+
+    def pmf(n, p, x):
+        return math.comb(n, x) * p**x * (1.0 - p) ** (n - x)
+
+    pairs = [(x, y) for x in range(n1 + 1) for y in range(n2 + 1)]
+    datasets = [(first, second) for first in pairs for second in pairs]
+    a = np.array([[tables[i][0] for tables in datasets] for i in range(2)], dtype=np.uint8)
+    b = np.array([[tables[i][1] for tables in datasets] for i in range(2)], dtype=np.uint8)
+    weight = np.array([
+        math.prod(pmf(n1, p1, x) * pmf(n2, p1 / psi, y) for p1, (x, y) in zip(p1s, tables)) for tables in datasets
+    ])
+    assert a.shape == (2, 11_025) and math.fsum(weight) == pytest.approx(1.0, abs=1e-12)
+    assert _term_table(a, b, float(n1), float(n2), a.size // LOOKUP_CELLS_PER_POINT) is not None
+    *arrays, drops = zip(*_coverage_blocks(a, b, float(n1), float(n2)))
+    ln_mhq, skm, bh = map(np.concatenate, arrays)
+    defined = (a.sum(axis=0) > 0) & (b.sum(axis=0) > 0)  # some a and some b: R and S both positive
+    assert sum(drops) == int((~defined).sum()) and ln_mhq.size == int(defined.sum())
+    z = NormalDist().inv_cdf(0.975)
+
+    def coverage(log_variance):
+        half = z * np.sqrt(log_variance)
+        covered = (ln_mhq - half <= math.log(psi)) & (math.log(psi) <= ln_mhq + half)
+        return math.fsum(weight[defined][covered]) / math.fsum(weight[defined])
+
+    skm_coverage, bh_coverage = coverage(skm), coverage(bh)
+    assert round(skm_coverage, 3) == 0.958
+    assert bh_coverage > skm_coverage  # BH overestimates the variance
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").split())
+    notes = readme[readme.index("## Notes and limitations"):]
+    assert f"psi = 2, the SKM interval covered {skm_coverage:.3f}," in notes
 
 
 # -------------------------------------------------------------------- studies

@@ -54,7 +54,7 @@ def skm_terms(a, b, c, d):
     """(r, s, v, w, q) of one stratum from the array kernels."""
     cells = tuple(np.array([x], dtype=float) for x in (a, b, c, d))
     sums = _weighted_sums(IndicatorKind.MHQ, *cells)
-    v, w, q = _skm_terms(*cells, a + c, b + d, a + b + c + d, sums.t)
+    v, w, q = _skm_terms(*cells, a + c, b + d, a + b + c + d, sums)
     return tuple(float(x[0]) for x in (sums.r, sums.s, v, w, q))
 
 
