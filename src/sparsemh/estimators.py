@@ -71,11 +71,12 @@ class _Sums(NamedTuple):
 
 def _weighted_sums(kind: IndicatorKind, a, b, c, d) -> _Sums:
     """The sums of ``kind`` over float cells a, b, c, d (last axis indexes strata)."""
+    if kind is IndicatorKind.MHCR:
+        # MHRR's on the transposed tables (a, c // b, d), whose n = a+c+b+d is exact on integer-valued cells
+        return _weighted_sums(IndicatorKind.MHRR, a, c, b, d)
     n = a + b + c + d
     if kind is IndicatorKind.MHRR:
         return _Sums.of(n, a * (c + d) / n, c * (a + b) / n)
-    if kind is IndicatorKind.MHCR:
-        return _Sums.of(n, a * (b + d) / n, b * (a + c) / n)
     if kind is IndicatorKind.MHOR:
         return _Sums.of(n, a * d / n, b * c / n)
     return _mhq_sums(a, b, a + c, b + d, n)

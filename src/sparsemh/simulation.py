@@ -270,8 +270,7 @@ def var_skm_log_mhq_true(params: Sequence[BinomialParams]) -> float:
     empirical proportions.
     """
     a, b, c, d = _expected_cells(params)
-    sums = _weighted_sums(IndicatorKind.MHQ, a, b, c, d)
-    return float(_skm_log_variance(a, b, c, d, a + c, b + d, a + b + c + d, sums))
+    return float(_skm_log_variance(a, b, c, d, _weighted_sums(IndicatorKind.MHQ, a, b, c, d)))
 
 
 def var_bh_log_mhq_true(params: Sequence[BinomialParams]) -> float:
@@ -529,10 +528,9 @@ def _coverage_terms(a, b, n1: float, n2: float) -> tuple[np.ndarray, ...]:
 
     c = n1 - a and d = n2 - b, so every table has the column totals n1, n2.
     """
-    n = n1 + n2
-    sums = _mhq_sums(a, b, n1, n2, n)
+    sums = _mhq_sums(a, b, n1, n2, n1 + n2)
     c, d = n1 - a, n2 - b
-    return (sums.r, sums.s, *(term for entry in _COVERAGE for term in entry.terms(a, b, c, d, n1, n2, n, sums)))
+    return (sums.r, sums.s, *(term for entry in _COVERAGE for term in entry.terms(a, b, c, d, sums)))
 
 
 def _term_table(a: np.ndarray, b: np.ndarray, n1: float, n2: float, max_points: int):
@@ -588,7 +586,8 @@ def _coverage_blocks(a: np.ndarray, b: np.ndarray, n1: float, n2: float):
             ln_mhq, defined, dropped, sums = _ln_mhq_from_counts(a_rows, b_rows, n1, n2)
             if dropped:
                 a_rows, b_rows, sums = a_rows[defined], b_rows[defined], sums.rows(defined)
-            skm_var = _skm_log_variance(a_rows, b_rows, n1 - a_rows, n2 - b_rows, n1, n2, n1 + n2, sums)
+            skm_var = _skm_log_variance(a_rows, b_rows, n1 - a_rows, n2 - b_rows, sums)
+            # BH: RBG on the group-vs-world tables (a, b // n1, n2)
             yield ln_mhq, skm_var, _rbg_log_variance(a_rows, b_rows, n1, n2, sums), dropped
         return
     table, a0, base = lookup

@@ -15,16 +15,14 @@ variance.
 All variances are array-generic (cells may be numpy arrays whose last axis
 indexes strata), so the Monte Carlo harness can evaluate thousands of
 simulated datasets in one call. One table holds each (indicator, method)
-variance as per-stratum terms of the float cells, their column totals a+c
-and b+d, table total n and the indicator's MH sums, and a combine step on
-the terms' totals over strata and the indicator's totals R and S. The
-public ``var_*`` functions, :func:`estimate_indicator`, the analysis report
-and the coverage study all read it: a report computes each indicator's sums
-once for all of its estimates, and the coverage study computes its terms
-once per distinct (a, b). The data forms here and the simulation's
-parameter forms pass the column totals and n as arrays; the simulation's
-drawn datasets, whose columns are fixed by design, pass scalars. That is
-bit-exact because sums of integer-valued floats below 2**53 are exact.
+variance as per-stratum terms and a combine step on the terms' totals over
+strata and the indicator's totals R and S. Every entry is called as
+``(a, b, c, d, sums)``: the float cells and the indicator's MH sums over
+them, and an entry works out any column or table total it needs from the
+cells. The public ``var_*`` functions, :func:`estimate_indicator`, the
+analysis report and the coverage study all read it: a report computes each
+indicator's sums once for all of its estimates, and the coverage study
+computes its terms once per distinct (a, b).
 """
 
 from __future__ import annotations
@@ -85,18 +83,19 @@ class IndicatorEstimate:
 # --------------------------------------------------------------------------
 # the table of variances (cells are floats; last axis indexes strata)
 
-def _skm_terms(a, b, c, d, col1, col2, n, sums: _Sums):
+def _skm_terms(a, b, c, d, sums: _Sums):
     """Per-stratum variances and covariance (v, w, q) of MHq's terms R_i and S_i in ``sums``.
 
-    R_i = a(b+d)/m and S_i = b(a+c)/m, with m = a+b+n, are the numerator and
-    denominator contributions of MHq; v, w, q estimate Var[R_i], Var[S_i],
-    and Cov[R_i, S_i] by Taylor linearization of the column-binomial model.
-    Requires positive column totals col1 = a+c and col2 = b+d; b = 0 is fine
-    (it only zeroes the S-side terms -- no cell appears as a bare divisor).
-    The totals and n = a+b+c+d may be scalars (see the module docstring), so
-    squares of them are written as products: a float scalar's ``**`` calls C
-    ``pow``, which does not always round x*x the way an array's ``**2`` does.
+    R_i = a(b+d)/m and S_i = b(a+c)/m, with m = a+b+n and n = a+b+c+d, are
+    the numerator and denominator contributions of MHq; v, w, q estimate
+    Var[R_i], Var[S_i], and Cov[R_i, S_i] by Taylor linearization of the
+    column-binomial model. Requires positive column totals col1 = a+c and
+    col2 = b+d; b = 0 is fine (it only zeroes the S-side terms -- no cell
+    appears as a bare divisor).
     """
+    col1 = a + c
+    col2 = b + d
+    n = a + b + c + d
     m4 = sums.t**4
     var_a = a * c / col1
     var_b = b * d / col2
@@ -134,49 +133,41 @@ def _rbg_combine(rt, st, prt, pqt, qst):
     return prt / (2.0 * (rt * rt)) + pqt / (2.0 * rt * st) + qst / (2.0 * (st * st))
 
 
-def _gr_terms(a, b, c, d, col1, col2, n, sums: _Sums):
+def _gr_terms(a, b, c, d, sums: _Sums):
     """GR's per-stratum numerator of ln(MHRR), ((a+b)(c+d)(a+c) - ac*n) / n**2 with n = ``sums.t``."""
     # as ad(a+b) + bc(c+d): non-negative terms that do not cancel when the products exceed 2**53
     return ((a * d * (a + b) + b * c * (c + d)) / sums.t**2,)
 
 
 class _LogVariance(NamedTuple):
-    """``terms(a, b, c, d, a+c, b+d, n, sums)``, ``count`` arrays, and ``combine(R, S, *their totals over strata)``."""
+    """``terms(a, b, c, d, sums)``: ``count`` arrays; ``combine(R, S, *their totals over strata)``; a call runs both."""
 
     count: int
     terms: Callable
     combine: Callable
 
-    def __call__(self, a, b, c, d, col1, col2, n, sums: _Sums):
-        terms = self.terms(a, b, c, d, col1, col2, n, sums)
+    def __call__(self, a, b, c, d, sums: _Sums):
+        terms = self.terms(a, b, c, d, sums)
         return self.combine(sums.rt, sums.st, *(term.sum(axis=-1) for term in terms))
 
 
 # Every variance by (indicator, method). MHCR's is MHRR's on the transposed
-# tables (a, c // b, d), whose MHRR sums are MHCR's, bit for bit. BH is RBG
+# tables (a, c // b, d), whose MHRR sums are MHCR's by construction. BH is RBG
 # on the group-vs-world tables (a, b // a+c, b+d), whose MHOR sums are MHq's
 # for integer-valued cells.
 _LOG_VARIANCES: dict[tuple[IndicatorKind, VarianceMethod], _LogVariance] = {
     (IndicatorKind.MHRR, VarianceMethod.GR): _LogVariance(1, _gr_terms, lambda rt, st, numt: numt / (rt * st)),
-    (IndicatorKind.MHOR, VarianceMethod.RBG): _LogVariance(
-        3, lambda a, b, c, d, col1, col2, n, sums: _rbg_terms(a, b, c, d, sums), _rbg_combine
-    ),
+    (IndicatorKind.MHOR, VarianceMethod.RBG): _LogVariance(3, _rbg_terms, _rbg_combine),
     (IndicatorKind.MHQ, VarianceMethod.SKM): _LogVariance(3, _skm_terms, _skm_combine),
     (IndicatorKind.MHQ, VarianceMethod.BH): _LogVariance(
-        3, lambda a, b, c, d, col1, col2, n, sums: _rbg_terms(a, b, col1, col2, sums), _rbg_combine
+        3, lambda a, b, c, d, sums: _rbg_terms(a, b, a + c, b + d, sums), _rbg_combine
     ),
 }
 _LOG_VARIANCES[IndicatorKind.MHCR, VarianceMethod.GR] = _LOG_VARIANCES[IndicatorKind.MHRR, VarianceMethod.GR]
 
-
-def _skm_log_variance(a, b, c, d, col1, col2, n, sums: _Sums):
-    """The SKM log variance of MHq from its table entry, with MHq's ``sums``."""
-    return _LOG_VARIANCES[IndicatorKind.MHQ, VarianceMethod.SKM](a, b, c, d, col1, col2, n, sums)
-
-
-def _rbg_log_variance(a, b, c, d, sums: _Sums):
-    """The RBG log variance of tables (a, b // c, d) from its table entry, with their MHOR ``sums``."""
-    return _LOG_VARIANCES[IndicatorKind.MHOR, VarianceMethod.RBG](a, b, c, d, None, None, None, sums)
+# the entries the simulation calls by name: SKM on MHq's sums, RBG on tables (a, b // c, d) and their MHOR sums
+_skm_log_variance = _LOG_VARIANCES[IndicatorKind.MHQ, VarianceMethod.SKM]
+_rbg_log_variance = _LOG_VARIANCES[IndicatorKind.MHOR, VarianceMethod.RBG]
 
 
 # --------------------------------------------------------------------------
@@ -203,10 +194,11 @@ def _log_variance(kind: IndicatorKind, method: VarianceMethod, labels, a, b, c, 
             f"{op}: stratum {labels[i]!r} has an empty column "
             f"(a+c={int(col1[i])}, b+d={int(col2[i])}); apply filter_informative() first"
         )
+    del col1, col2  # not held through the kernel, which works out its own
     if sums.rt == 0.0 or sums.st == 0.0:
         side = "numerator" if sums.rt == 0.0 else "denominator"
         raise UndefinedIndicatorError(f"{op} undefined: the {kind.value} {side} sum is zero")
-    return float(entry(a, b, c, d, col1, col2, a + b + c + d, sums))
+    return float(entry(a, b, c, d, sums))
 
 
 def _data_form(ds: StratifiedDataset, kind: IndicatorKind, method: VarianceMethod) -> float:

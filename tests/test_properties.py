@@ -40,6 +40,7 @@ from sparsemh import (
     var_bh_log_mhq,
     var_gr_log_mhcr,
     var_gr_log_mhrr,
+    var_rbg_log_mhor,
     var_skm_log_mhq,
     world_comparison_row,
 )
@@ -627,6 +628,62 @@ def test_gr_variance_is_non_negative_and_matches_the_exact_value(ds):
     assert variance == pytest.approx(ref_var_gr_log_mhrr(kept.counts.tolist()), rel=1e-12, abs=0)
 
 
+def ref_var_skm_log_mhq(rows) -> float:
+    """Exact rational SKM variance from each stratum's v, w and q, with m = a+b+n."""
+    v = w = q = r = s = Fraction(0)
+    for a, b, c, d in rows:
+        col1, col2, n = a + c, b + d, a + b + c + d
+        m = a + b + n
+        var_a, var_b = Fraction(a * c, col1), Fraction(b * d, col2)
+        v += col2 * col2 * ((n + b) ** 2 * var_a + a * a * var_b) / m**4
+        w += col1 * col1 * (b * b * var_a + (n + a) ** 2 * var_b) / m**4
+        q -= Fraction(col1 * col2, m**4) * (Fraction(a * b * c * (b + n), col1) + Fraction(a * b * d * (a + n), col2))
+        r += Fraction(a * col2, m)
+        s += Fraction(b * col1, m)
+    return float(v / (r * r) + w / (s * s) - 2 * q / (r * s))
+
+
+def ref_var_rbg_log_mhor(rows) -> float:
+    """Exact rational RBG variance from the totals of pR, pS+qR and qS, with p = (a+d)/n and q = (b+c)/n."""
+    pr = psqr = qs = r = s = Fraction(0)
+    for a, b, c, d in rows:
+        n = a + b + c + d
+        p, q = Fraction(a + d, n), Fraction(b + c, n)
+        ri, si = Fraction(a * d, n), Fraction(b * c, n)
+        pr, psqr, qs, r, s = pr + p * ri, psqr + p * si + q * ri, qs + q * si, r + ri, s + si
+    return float(pr / (2 * r * r) + psqr / (2 * r * s) + qs / (2 * s * s))
+
+
+def ref_var_bh_log_mhq(rows) -> float:
+    """Exact rational BH variance: RBG on the group-vs-world tables (a, b // a+c, b+d)."""
+    return ref_var_rbg_log_mhor([(a, b, a + c, b + d) for a, b, c, d in rows])
+
+
+b_zero_cells = st.tuples(count, st.just(0), count, count).filter(any)
+
+
+@PROPERTY
+@pytest.mark.parametrize(
+    "variance, reference",
+    [(var_skm_log_mhq, ref_var_skm_log_mhq), (var_bh_log_mhq, ref_var_bh_log_mhq),
+     (var_rbg_log_mhor, ref_var_rbg_log_mhor)],
+    ids=["skm", "bh", "rbg"],
+)
+# strata with b = 0 zero SKM's S-side terms
+@given(ds=st.lists(st.one_of(cells, b_zero_cells), min_size=1, max_size=8).map(lambda rows: make_dataset(*rows)))
+@example(ds=make_dataset((26, 7, 18, 13)))  # k = 1
+@example(ds=make_dataset((3, 0, 5, 7), (2, 4, 1, 9)))
+@example(ds=make_dataset((MAX_COUNT, MAX_COUNT - 1, MAX_COUNT - 2, MAX_COUNT), (MAX_COUNT - 3, 0, 1, MAX_COUNT)))
+@example(ds=make_dataset((MAX_COUNT - 1, 1, MAX_COUNT, MAX_COUNT - 2)))  # k = 1 near the bound
+def test_variance_matches_its_exact_value(variance, reference, ds):
+    try:
+        kept = filter_informative(ds)
+        got = variance(kept)
+    except (NoInformativeStrataError, UndefinedIndicatorError):
+        return
+    assert got == pytest.approx(reference(kept.counts.tolist()), rel=1e-12, abs=0)
+
+
 # ------------------------------------------------ the coverage study's kernels
 
 @st.composite
@@ -669,7 +726,7 @@ def array_total_estimates(a, b, n1, n2):
     world = (a, b, a + c, b + d)
     return (
         np.log(all_sums.rt[defined] / all_sums.st[defined]),
-        _skm_log_variance(a, b, c, d, a + c, b + d, a + b + c + d, _weighted_sums(IndicatorKind.MHQ, a, b, c, d)),
+        _skm_log_variance(a, b, c, d, _weighted_sums(IndicatorKind.MHQ, a, b, c, d)),
         _rbg_log_variance(*world, _weighted_sums(IndicatorKind.MHOR, *world)),
         int((~defined).sum()),
     )
@@ -771,11 +828,9 @@ def test_every_table_variance_looked_up_per_count_pair_equals_its_data_form_bit_
         if kind is IndicatorKind.MHCR:
             # MHRR's GR on the transposed tables (a, c // b, d), whose columns are not fixed
             cells = (pa, f1 - pa, pb, f2 - pb)
-            totals = (pa + pb, (f1 - pa) + (f2 - pb), f1 + f2)
         else:
             cells = (pa, pb, f1 - pa, f2 - pb)
-            totals = (f1, f2, f1 + f2)
-        terms = entry.terms(*cells, *totals, sums)
+        terms = entry.terms(*cells, sums)
         rt, st, *term_totals = (x.take(index).sum(axis=-1) for x in (sums.r, sums.s, *terms))
         with np.errstate(divide="ignore", invalid="ignore"):
             looked_up = entry.combine(rt, st, *term_totals)
@@ -833,7 +888,7 @@ def test_compact_draws_in_blocks_equal_float64_matrices_bit_for_bit(k, n1, n2, c
     f1, f2 = float(n1), float(n2)
     want_ln, want_defined, want_dropped, want_sums = simulation._ln_mhq_from_counts(want_a, want_b, f1, f2)
     a_d, b_d, sums_d = want_a[want_defined], want_b[want_defined], want_sums.rows(want_defined)
-    want_skm = _skm_log_variance(a_d, b_d, f1 - a_d, f2 - b_d, f1, f2, f1 + f2, sums_d)
+    want_skm = _skm_log_variance(a_d, b_d, f1 - a_d, f2 - b_d, sums_d)
     want_bh = _rbg_log_variance(a_d, b_d, f1, f2, sums_d)
 
     a, b = simulation._draw_count_matrices_streamed(p1s, p2s, n1, n2, count, seed, 0)
@@ -851,7 +906,7 @@ def test_compact_draws_in_blocks_equal_float64_matrices_bit_for_bit(k, n1, n2, c
             a_rows, b_rows, sums = a_rows[defined], b_rows[defined], sums.rows(defined)
             got["ln"].append(ln)
             got["defined"].append(defined)
-            got["skm"].append(_skm_log_variance(a_rows, b_rows, f1 - a_rows, f2 - b_rows, f1, f2, f1 + f2, sums))
+            got["skm"].append(_skm_log_variance(a_rows, b_rows, f1 - a_rows, f2 - b_rows, sums))
             got["bh"].append(_rbg_log_variance(a_rows, b_rows, f1, f2, sums))
             dropped += block_dropped
     assert dropped == want_dropped

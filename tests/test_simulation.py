@@ -163,7 +163,7 @@ def test_streamed_draws_fix_column_totals():
     assert a.min() >= 0 and a.max() <= design.n_mentioned
     assert b.min() >= 0 and b.max() <= design.n_not_mentioned
     # c = n1 - a and d = n2 - b complete the columns exactly, which is what
-    # lets the coverage kernels take the column totals as scalars
+    # lets MHq's sums take the column totals as scalars
     assert np.all(a + (design.n_mentioned - a) == design.n_mentioned)
     assert np.all(b + (design.n_not_mentioned - b) == design.n_not_mentioned)
 

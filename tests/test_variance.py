@@ -54,7 +54,7 @@ def skm_terms(a, b, c, d):
     """(r, s, v, w, q) of one stratum from the array kernels."""
     cells = tuple(np.array([x], dtype=float) for x in (a, b, c, d))
     sums = _weighted_sums(IndicatorKind.MHQ, *cells)
-    v, w, q = _skm_terms(*cells, a + c, b + d, a + b + c + d, sums)
+    v, w, q = _skm_terms(*cells, sums)
     return tuple(float(x[0]) for x in (sums.r, sums.s, v, w, q))
 
 
@@ -118,14 +118,11 @@ def test_kernels_square_scalar_totals_as_the_batch_does():
     # scalars, the simulation as arrays over datasets. A scalar's ** 2 calls
     # C pow, which rounds the squares of these totals differently from x * x.
     cells = (np.array([3.0, 1.0]), np.array([7.0, 2.0]), np.array([4.0, 5.0]), np.array([2.0, 9.0]))
-    a, b, c, d = cells
-    totals = (a + c, b + d, a + b + c + d)
     sums = _weighted_sums(IndicatorKind.MHQ, *cells)
     scalar = sums._replace(rt=np.float64(61_914_041_810.0), st=np.float64(1_071_370_718_072.0))
     batch = _Sums(*(np.asarray(x)[None] for x in scalar))
     batch_cells = tuple(x[None] for x in cells)
-    batch_totals = tuple(x[None] for x in totals)
-    assert _skm_log_variance(*batch_cells, *batch_totals, batch)[0] == _skm_log_variance(*cells, *totals, scalar)
+    assert _skm_log_variance(*batch_cells, batch)[0] == _skm_log_variance(*cells, scalar)
     assert _rbg_log_variance(*batch_cells, batch)[0] == _rbg_log_variance(*cells, scalar)
 
 
