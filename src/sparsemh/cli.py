@@ -15,12 +15,12 @@ import contextlib
 import functools
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
 from .estimators import UndefinedIndicatorError
-from .report import build_report, csv_chunks, json_chunks, text_chunks, write_chunks, write_in_place
+from .report import _mhq_methods, build_report, csv_chunks, json_chunks, text_chunks, write_chunks, write_in_place
 # not called here; kept importable because perfbench/spans.py wraps it here
 from .report import render_json  # noqa: F401
 from .tables import NoInformativeStrataError, ParseError, parse_csv, parse_json
@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--methods",
         default="skm",
-        help="comma-separated MHq variance methods: skm (default) or skm,bh",
+        help=f"comma-separated MHq variance methods: skm (default) or {','.join(_mhq_methods())}",
     )
     analyze.add_argument("--out", help="write the report here instead of stdout")
 
@@ -193,10 +193,10 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 
     if args.study == "bias":
         summary = bias_study(design, threads=threads)
-    elif args.study in ("coverage", "width"):
-        summary = coverage_study(design, threads=threads, study=args.study)
-    else:
+    elif args.study == "convergence":
         summary = convergence_study(design, _parse_scales(args.scales), replicates=args.replicates, threads=threads)
+    else:  # coverage, or width: the coverage study's records under that label
+        summary = replace(coverage_study(design, threads=threads), study=args.study)
 
     prefix = Path(args.out) if args.out else Path(f"sparsemh_{args.study}")
     csv_path, json_path = summary.write(prefix)

@@ -28,15 +28,11 @@ from .estimators import IndicatorKind, _cells, _fsum, _normalized, _weighted_sum
 # not called here; kept importable because perfbench/spans.py wraps them here
 from .estimators import stratum_ratios, stratum_weights, world_comparison_row  # noqa: F401
 from .tables import StratifiedDataset, filter_informative
-from .variance import _DEFAULT_METHOD, IndicatorEstimate, VarianceMethod, _estimate
+from .variance import _DEFAULT_METHOD, _LOG_VARIANCES, IndicatorEstimate, VarianceMethod, _estimate
 
 BH_CAVEAT = "overestimates variance"
 
 _REPORT_ORDER = (IndicatorKind.MHRR, IndicatorKind.MHCR, IndicatorKind.MHOR, IndicatorKind.MHQ)
-# (position in _REPORT_ORDER, kind, variance method) of every estimate in a
-# report: the default one per kind, then the opt-in BH estimate of MHq
-_REPORT_PAIRS = tuple((i, kind, _DEFAULT_METHOD[kind]) for i, kind in enumerate(_REPORT_ORDER))
-_BH_PAIR = (_REPORT_ORDER.index(IndicatorKind.MHQ), IndicatorKind.MHQ, VarianceMethod.BH)
 
 # Renderers make a report's text in chunks of at most this many strata, so
 # that a writer never builds the whole text as one string or one byte copy.
@@ -66,6 +62,11 @@ class AnalysisReport:
     estimates: tuple[IndicatorEstimate, ...]
 
 
+def _mhq_methods() -> dict[str, VarianceMethod]:
+    """The MHq methods of the variance table by lowercase name, in table order: the names ``analyze`` takes."""
+    return {method.value.lower(): method for kind, method in _LOG_VARIANCES if kind is IndicatorKind.MHQ}
+
+
 def build_report(
     ds: StratifiedDataset,
     source: str = "<memory>",
@@ -78,28 +79,29 @@ def build_report(
     shared by its weights, point value and variances; the results and errors
     are those of :func:`~sparsemh.estimators.stratum_weights` and
     :func:`~sparsemh.variance.estimate_indicator`, raised in report order.
-    ``methods`` selects the MHq variance estimators: ``skm`` is always
-    sensible, ``bh`` adds the group-vs-world reconstruction (flagged as
-    deprecated in all output because it overestimates the variance).
+    ``methods`` names MHq variance methods to report after each kind's
+    default, in table order: ``skm`` is the default, ``bh`` the group-vs-world
+    reconstruction (flagged as deprecated because it overestimates the variance).
     """
     level = float(level)
-    for method in methods:
-        if method not in ("skm", "bh"):
-            raise ValueError(f"unknown MHq variance method {method!r}: choose from skm, bh")
+    named = _mhq_methods()
+    if unknown := [method for method in methods if method not in named]:
+        raise ValueError(f"unknown MHq variance method {unknown[0]!r}: choose from {', '.join(named)}")
     filtered = filter_informative(ds)
 
     ratios = ratio_columns(ds.counts)
 
     cells = _cells(filtered)
-    # by position in _REPORT_ORDER: each kind's sums, and the fsum of its S_i
-    # (the divisor of the weights and the denominator of the point value)
-    sums = [_weighted_sums(kind, *cells) for kind in _REPORT_ORDER]
-    dens = [_fsum(kind_sums.s) for kind_sums in sums]
-    weights = dict(zip(_REPORT_ORDER, map(_normalized, _REPORT_ORDER, (kind_sums.s for kind_sums in sums), dens)))
+    # each kind's sums, and the fsum of its S_i: the weights' divisor and the value's denominator
+    sums = {kind: _weighted_sums(kind, *cells) for kind in _REPORT_ORDER}
+    dens = {kind: _fsum(kind_sums.s) for kind, kind_sums in sums.items()}
+    weights = {kind: _normalized(kind, sums[kind].s, dens[kind]) for kind in _REPORT_ORDER}
 
-    pairs = _REPORT_PAIRS + (_BH_PAIR,) * ("bh" in methods)
+    # keys in order, so a method named twice, or the default named, is reported once
+    pairs = dict.fromkeys((kind, _DEFAULT_METHOD[kind]) for kind in _REPORT_ORDER)
+    pairs |= dict.fromkeys((IndicatorKind.MHQ, method) for name, method in named.items() if name in methods)
     estimates = tuple(
-        _estimate(kind, method, level, filtered.labels, cells, sums[i], dens[i]) for i, kind, method in pairs
+        _estimate(kind, method, level, filtered.labels, cells, sums[kind], dens[kind]) for kind, method in pairs
     )
 
     return AnalysisReport(

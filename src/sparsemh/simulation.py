@@ -670,11 +670,9 @@ def bias_study(design: SimulationDesign, threads: int = 1) -> StudySummary:
     return _rep_study("bias", _bias_rep, design, threads)
 
 
-def coverage_study(design: SimulationDesign, threads: int = 1, study: str = "coverage") -> StudySummary:
+def coverage_study(design: SimulationDesign, threads: int = 1) -> StudySummary:
     """Coverage of psi and mean width of the nominal 95% intervals per setting."""
-    if study not in ("coverage", "width"):
-        raise ValueError(f"study must be 'coverage' or 'width', got {study!r}")
-    return _rep_study(study, _coverage_rep, design, threads)
+    return _rep_study("coverage", _coverage_rep, design, threads)
 
 
 def convergence_check(

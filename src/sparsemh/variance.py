@@ -19,10 +19,10 @@ variance as per-stratum terms and a combine step on the terms' totals over
 strata and the indicator's totals R and S. Every entry is called as
 ``(a, b, c, d, sums)``: the float cells and the indicator's MH sums over
 them, and an entry works out any column or table total it needs from the
-cells. The public ``var_*`` functions, :func:`estimate_indicator`, the
-analysis report and the coverage study all read it: a report computes each
-indicator's sums once for all of its estimates, and the coverage study
-computes its terms once per distinct (a, b).
+cells. The public ``var_*`` functions, the report and the coverage study
+read it; a new MHq method is one entry, which :func:`estimate_indicator` and
+``analyze --methods`` both read. A report computes each indicator's sums once
+for all its estimates, and the coverage study its terms per distinct (a, b).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,13 +21,14 @@ import pytest
 from hypothesis import example, given, settings
 
 import sparsemh
-from sparsemh import __version__, cli, simulation
+from sparsemh import IndicatorKind, VarianceMethod, __version__, cli, simulation
 from sparsemh.cli import _build_parser, main
 from sparsemh.datasets import smallworld_path
 from sparsemh.report import (
     STRATA_PER_CHUNK, build_report, csv_chunks, json_chunks, render_json, text_chunks, write_in_place,
 )
 from sparsemh.tables import parse_csv
+from sparsemh.variance import _LOG_VARIANCES
 
 from conftest import csv_text, json_text, make_dataset, sparse_datasets
 
@@ -162,6 +163,20 @@ def test_analyze_bh_method_is_opt_in_and_annotated(capsys, tmp_path):
 
     _, text_out, _ = run(capsys, "analyze", path, "--methods", "skm,bh")
     assert "deprecated: overestimates variance" in text_out
+
+
+def test_build_report_takes_every_mhq_method_of_the_variance_table(smallworld, monkeypatch):
+    # a new MHq method is one table entry: here RBG names SKM's entry
+    skm_entry = _LOG_VARIANCES[IndicatorKind.MHQ, VarianceMethod.SKM]
+    monkeypatch.setitem(_LOG_VARIANCES, (IndicatorKind.MHQ, VarianceMethod.RBG), skm_entry)
+    estimates = build_report(smallworld, methods=("rbg",)).estimates
+    assert len(estimates) == 5
+    skm, rbg = estimates[3:]
+    assert (skm.kind, skm.method) == (IndicatorKind.MHQ, VarianceMethod.SKM)
+    assert rbg == replace(skm, method=VarianceMethod.RBG)
+    with pytest.raises(ValueError) as raised:
+        build_report(smallworld, methods=("nope",))
+    assert str(raised.value) == "unknown MHq variance method 'nope': choose from skm, bh, rbg"
 
 
 def test_analyze_csv_output(capsys, tmp_path):
@@ -608,6 +623,13 @@ def test_simulate_summary_line_is_built_from_the_written_csv(capsys, tmp_path, s
             f"mean_abs_dev={float(last['mean_abs_dev']):.5f} (mc_se {float(last['mc_se']):.5f})"
         )
     assert out == f"{line} -> {tmp_path / 's.csv'} {tmp_path / 's.json'}\n"
+
+
+def test_simulate_rejects_an_unknown_study(capsys):
+    with pytest.raises(SystemExit) as stopped:
+        main(["simulate", "bogus"])
+    assert stopped.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_simulate_help_says_convergence_ignores_the_repetition_flags(capsys):

@@ -939,7 +939,7 @@ def test_studies_write_the_same_bytes_for_any_thread_count(design):
             if study == "bias":
                 summary = bias_study(design, threads=threads)
             else:
-                summary = coverage_study(design, threads=threads, study=study)
+                summary = dataclasses.replace(coverage_study(design, threads=threads), study=study)
         except ExcessiveDropError as exc:  # too sparse to summarize: the same error either way
             return f"{type(exc).__name__}: {exc}"
         return summary.to_csv(), summary.to_json()

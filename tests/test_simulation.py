@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -45,6 +45,7 @@ from sparsemh.simulation import (
 )
 
 from conftest import inversion_edge_ps
+from exact import all_datasets, exact_coverage
 
 
 def allow_cpus(monkeypatch, cpus: int) -> None:
@@ -387,37 +388,53 @@ def test_exact_coverage_of_the_readme_design_is_the_quoted_0_958():
     # README's design k = 2, n = (4, 20), p1 = (0.3, 0.5), psi = 2: all
     # 105**2 datasets through the coverage study's term lookup, each weighted
     # by its exact binomial probability
-    n1, n2, psi, p1s = 4, 20, 2.0, (0.3, 0.5)
-
-    def pmf(n, p, x):
-        return math.comb(n, x) * p**x * (1.0 - p) ** (n - x)
-
-    pairs = [(x, y) for x in range(n1 + 1) for y in range(n2 + 1)]
-    datasets = [(first, second) for first in pairs for second in pairs]
-    a = np.array([[tables[i][0] for tables in datasets] for i in range(2)], dtype=np.uint8)
-    b = np.array([[tables[i][1] for tables in datasets] for i in range(2)], dtype=np.uint8)
-    weight = np.array([
-        math.prod(pmf(n1, p1, x) * pmf(n2, p1 / psi, y) for p1, (x, y) in zip(p1s, tables)) for tables in datasets
-    ])
-    assert a.shape == (2, 11_025) and math.fsum(weight) == pytest.approx(1.0, abs=1e-12)
-    assert _term_table(a, b, float(n1), float(n2), a.size // LOOKUP_CELLS_PER_POINT) is not None
-    *arrays, drops = zip(*_coverage_blocks(a, b, float(n1), float(n2)))
-    ln_mhq, skm, bh = map(np.concatenate, arrays)
-    defined = (a.sum(axis=0) > 0) & (b.sum(axis=0) > 0)  # some a and some b: R and S both positive
-    assert sum(drops) == int((~defined).sum()) and ln_mhq.size == int(defined.sum())
-    z = NormalDist().inv_cdf(0.975)
-
-    def coverage(log_variance):
-        half = z * np.sqrt(log_variance)
-        covered = (ln_mhq - half <= math.log(psi)) & (math.log(psi) <= ln_mhq + half)
-        return math.fsum(weight[defined][covered]) / math.fsum(weight[defined])
-
-    skm_coverage, bh_coverage = coverage(skm), coverage(bh)
+    a, b = all_datasets(4, 20, 2)
+    assert a.shape == (2, 11_025)
+    assert _term_table(a, b, 4.0, 20.0, a.size // LOOKUP_CELLS_PER_POINT) is not None
+    _, skm_coverage, bh_coverage = exact_coverage(4, 20, 2.0, (0.3, 0.5))
     assert round(skm_coverage, 3) == 0.958
     assert bh_coverage > skm_coverage  # BH overestimates the variance
     readme = " ".join((Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").split())
     notes = readme[readme.index("## Notes and limitations"):]
     assert f"psi = 2, the SKM interval covered {skm_coverage:.3f}," in notes
+
+
+def p_undefined(n1, n2, psi, p1s):
+    """P(every a = 0 or every b = 0), by inclusion-exclusion: MHq is undefined exactly then."""
+    no_a = math.prod((1.0 - p1) ** n1 for p1 in p1s)
+    no_b = math.prod((1.0 - p1 / psi) ** n2 for p1 in p1s)
+    return no_a + no_b - no_a * no_b
+
+
+@pytest.mark.parametrize(
+    "n1, n2, p1s, want",
+    [
+        (3, 12, (0.2, 0.3, 0.4), (0.0379, 0.9363, 0.9977)),  # the ROADMAP Baseline's k = 3 design
+        (5, 20, (0.3,), (0.1687, 0.9500, 0.9974)),
+        (3, 9, (0.1, 0.2), (0.4058, 0.9638, 0.9984)),  # sparse: MHq is undefined in 41% of datasets
+    ],
+)
+def test_exact_coverage_of_tiny_designs(n1, n2, p1s, want):
+    got = exact_coverage(n1, n2, 1.0, p1s)
+    assert tuple(round(x, 4) for x in got) == want
+    assert got[0] == pytest.approx(p_undefined(n1, n2, 1.0, p1s), rel=0, abs=1e-12)
+    assert got[2] >= got[1]  # BH covers at least as often as SKM
+
+
+def test_drawn_sparse_design_agrees_with_exact_enumeration():
+    # k = 2, n = (3, 9), p1 = (0.1, 0.2), psi = 1: the undefined fraction and
+    # the SKM coverage of 20,000 drawn datasets lie within 4 Monte Carlo SEs
+    # of the exact values
+    n1, n2, p1s, count = 3, 9, np.array([0.1, 0.2]), 20_000
+    exact_undefined, exact_skm, _ = exact_coverage(n1, n2, 1.0, tuple(p1s))
+    a, b = _draw_count_matrices_streamed(p1s, p1s, n1, n2, count, 42, 0)
+    *arrays, drops = zip(*_coverage_blocks(a, b, float(n1), float(n2)))
+    ln_mhq, skm, _ = map(np.concatenate, arrays)
+    undefined = sum(drops) / count
+    assert abs(undefined - exact_undefined) <= 4 * math.sqrt(exact_undefined * (1 - exact_undefined) / count)
+    half = NormalDist().inv_cdf(0.975) * np.sqrt(skm)
+    covered = float(((ln_mhq - half <= 0.0) & (0.0 <= ln_mhq + half)).mean())
+    assert abs(covered - exact_skm) <= 4 * math.sqrt(exact_skm * (1 - exact_skm) / ln_mhq.size)
 
 
 # -------------------------------------------------------------------- studies
@@ -607,15 +624,10 @@ def test_summary_json_metadata():
 
 def test_summary_write_creates_csv_and_json(tmp_path):
     design = small_design(reps=2, datasets_per_rep=150)
-    summary = coverage_study(design, study="width")
+    summary = replace(coverage_study(design), study="width")
     csv_path, json_path = summary.write(tmp_path / "out" / "study")
     assert csv_path.read_text().startswith("setting,psi,")
     assert json.loads(json_path.read_text())["study"] == "width"
-
-
-def test_coverage_study_rejects_unknown_label():
-    with pytest.raises(ValueError, match="study"):
-        coverage_study(small_design(), study="bias")
 
 
 # ---------------------------------------------------------------- convergence
