@@ -19,11 +19,12 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
-from .estimators import UndefinedIndicatorError
+from .estimators import IndicatorKind, UndefinedIndicatorError
 from .report import _mhq_methods, build_report, csv_chunks, json_chunks, text_chunks, write_chunks, write_in_place
 # not called here; kept importable because perfbench/spans.py wraps it here
 from .report import render_json  # noqa: F401
 from .tables import NoInformativeStrataError, ParseError, parse_csv, parse_json
+from .variance import _DEFAULT_METHOD
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -32,6 +33,8 @@ EXIT_DESIGN = 4
 EXIT_IO = 5
 
 THREADS_ENV_VAR = "SPARSEMH_THREADS"
+
+_RENDERERS = {"text": text_chunks, "json": json_chunks, "csv": csv_chunks}  # each --format choice, in --help order
 
 
 def _default_threads() -> int:
@@ -75,14 +78,13 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="input schema; 'auto' decides by file extension (default)",
     )
-    analyze.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text", help="output format"
-    )
+    analyze.add_argument("--format", choices=tuple(_RENDERERS), default="text", help="output format")
     analyze.add_argument("--level", type=float, default=0.95, help="confidence level (default 0.95)")
+    default_method = _DEFAULT_METHOD[IndicatorKind.MHQ].value.lower()
     analyze.add_argument(
         "--methods",
-        default="skm",
-        help=f"comma-separated MHq variance methods: skm (default) or {','.join(_mhq_methods())}",
+        default=default_method,
+        help=f"comma-separated MHq variance methods: {default_method} (default) or {','.join(_mhq_methods())}",
     )
     analyze.add_argument("--out", help="write the report here instead of stdout")
 
@@ -138,7 +140,7 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
     ds = _read_dataset(args.input, args.input_format)
     methods = tuple(m.strip().lower() for m in args.methods.split(",") if m.strip())
     report = build_report(ds, source=args.input, level=args.level, methods=methods)
-    chunks = {"text": text_chunks, "json": json_chunks, "csv": csv_chunks}[args.format](report)
+    chunks = _RENDERERS[args.format](report)
     if args.format == "text":
         # The source path and the labels are the only text that the
         # destination's encoding may refuse (JSON and CSV output is ASCII):

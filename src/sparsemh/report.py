@@ -30,8 +30,6 @@ from .estimators import stratum_ratios, stratum_weights, world_comparison_row  #
 from .tables import StratifiedDataset, filter_informative
 from .variance import _DEFAULT_METHOD, _LOG_VARIANCES, IndicatorEstimate, VarianceMethod, _estimate
 
-BH_CAVEAT = "overestimates variance"
-
 _REPORT_ORDER = (IndicatorKind.MHRR, IndicatorKind.MHCR, IndicatorKind.MHOR, IndicatorKind.MHQ)
 
 # Renderers make a report's text in chunks of at most this many strata, so
@@ -71,7 +69,7 @@ def build_report(
     ds: StratifiedDataset,
     source: str = "<memory>",
     level: float = 0.95,
-    methods: tuple[str, ...] = ("skm",),
+    methods: tuple[str, ...] = (),
 ) -> AnalysisReport:
     """Filter, estimate every indicator, and collect the per-stratum diagnostics.
 
@@ -79,9 +77,9 @@ def build_report(
     shared by its weights, point value and variances; the results and errors
     are those of :func:`~sparsemh.estimators.stratum_weights` and
     :func:`~sparsemh.variance.estimate_indicator`, raised in report order.
-    ``methods`` names MHq variance methods to report after each kind's
-    default, in table order: ``skm`` is the default, ``bh`` the group-vs-world
-    reconstruction (flagged as deprecated because it overestimates the variance).
+    ``methods`` names the extra MHq variance methods to report after each
+    kind's default (its first in the variance table), in table order; a
+    method whose table entry has a caveat is flagged as deprecated.
     """
     level = float(level)
     named = _mhq_methods()
@@ -149,7 +147,8 @@ def text_chunks(report: AnalysisReport) -> Iterator[str]:
 
     lines = ["", f"indicators ({report.level * 100:.15g}% confidence intervals):"]
     for est in report.estimates:
-        note = f"  (deprecated: {BH_CAVEAT})" if est.method is VarianceMethod.BH else ""
+        caveat = _LOG_VARIANCES[est.kind, est.method].caveat
+        note = f"  (deprecated: {caveat})" if caveat else ""
         lines.append(
             f"{est.kind.value:<5} = {est.value:.2f}  "
             f"[{est.ci_low:.2f}, {est.ci_high:.2f}]  variance method: {est.method.value}{note}"
@@ -281,7 +280,8 @@ def _excluded_json(report: AnalysisReport) -> Iterator[str]:
 def _indicators_json(report: AnalysisReport, memo: _FloatText) -> str:
     items = []
     for est in report.estimates:
-        deprecated = f',\n      "deprecated": {_encode(BH_CAVEAT)}' if est.method is VarianceMethod.BH else ""
+        caveat = _LOG_VARIANCES[est.kind, est.method].caveat
+        deprecated = f',\n      "deprecated": {_encode(caveat)}' if caveat else ""
         items.append(f'''
     {{
       "kind": {_encode(est.kind.value)},

@@ -21,8 +21,9 @@ strata and the indicator's totals R and S. Every entry is called as
 them, and an entry works out any column or table total it needs from the
 cells. The public ``var_*`` functions, the report and the coverage study
 read it; a new MHq method is one entry, which :func:`estimate_indicator` and
-``analyze --methods`` both read. A report computes each indicator's sums once
-for all its estimates, and the coverage study its terms per distinct (a, b).
+``analyze --methods`` both read; each kind's first entry is its default, and
+an entry's caveat marks it deprecated. A report computes each indicator's sums
+once for all its estimates, and the coverage study its terms per distinct (a, b).
 """
 
 from __future__ import annotations
@@ -145,6 +146,7 @@ class _LogVariance(NamedTuple):
     count: int
     terms: Callable
     combine: Callable
+    caveat: str = ""  # why a report marks the method deprecated; none if empty
 
     def __call__(self, a, b, c, d, sums: _Sums):
         terms = self.terms(a, b, c, d, sums)
@@ -160,7 +162,7 @@ _LOG_VARIANCES: dict[tuple[IndicatorKind, VarianceMethod], _LogVariance] = {
     (IndicatorKind.MHOR, VarianceMethod.RBG): _LogVariance(3, _rbg_terms, _rbg_combine),
     (IndicatorKind.MHQ, VarianceMethod.SKM): _LogVariance(3, _skm_terms, _skm_combine),
     (IndicatorKind.MHQ, VarianceMethod.BH): _LogVariance(
-        3, lambda a, b, c, d, sums: _rbg_terms(a, b, a + c, b + d, sums), _rbg_combine
+        3, lambda a, b, c, d, sums: _rbg_terms(a, b, a + c, b + d, sums), _rbg_combine, "overestimates variance"
     ),
 }
 _LOG_VARIANCES[IndicatorKind.MHCR, VarianceMethod.GR] = _LOG_VARIANCES[IndicatorKind.MHRR, VarianceMethod.GR]

@@ -28,7 +28,7 @@ from sparsemh.report import (
     STRATA_PER_CHUNK, build_report, csv_chunks, json_chunks, render_json, text_chunks, write_in_place,
 )
 from sparsemh.tables import parse_csv
-from sparsemh.variance import _LOG_VARIANCES
+from sparsemh.variance import _DEFAULT_METHOD, _LOG_VARIANCES
 
 from conftest import csv_text, json_text, make_dataset, sparse_datasets
 
@@ -177,6 +177,35 @@ def test_build_report_takes_every_mhq_method_of_the_variance_table(smallworld, m
     with pytest.raises(ValueError) as raised:
         build_report(smallworld, methods=("nope",))
     assert str(raised.value) == "unknown MHq variance method 'nope': choose from skm, bh, rbg"
+
+
+@pytest.fixture
+def fresh_parser():
+    """The parser is built anew in the test, and again after it: a test that edits the variance table changes its help."""
+    _build_parser.cache_clear()
+    yield
+    _build_parser.cache_clear()
+
+
+def test_analyze_takes_the_mhq_default_from_the_variance_table(capsys, tmp_path, monkeypatch, fresh_parser):
+    monkeypatch.setitem(_DEFAULT_METHOD, IndicatorKind.MHQ, VarianceMethod.BH)
+    code, out, _ = run(capsys, "analyze", str(write_smallworld(tmp_path)), "--format", "csv")
+    assert code == 0
+    assert [line.split(",")[1] for line in out.splitlines() if line.startswith("MHq,")] == ["BH"]
+    with pytest.raises(SystemExit):
+        main(["analyze", "--help"])
+    assert "bh (default)" in " ".join(capsys.readouterr().out.split())
+
+
+def test_analyze_takes_each_deprecation_note_from_the_variance_table(capsys, tmp_path, monkeypatch, fresh_parser):
+    key = (IndicatorKind.MHQ, VarianceMethod.SKM)
+    monkeypatch.setitem(_LOG_VARIANCES, key, _LOG_VARIANCES[key]._replace(caveat="test caveat"))
+    path = str(write_smallworld(tmp_path))
+    _, out, _ = run(capsys, "analyze", path, "--format", "json")
+    marked = [(i["kind"], i["method"], i["deprecated"]) for i in json.loads(out)["indicators"] if "deprecated" in i]
+    assert marked == [("MHq", "SKM", "test caveat")]
+    _, text, _ = run(capsys, "analyze", path)
+    assert "variance method: SKM  (deprecated: test caveat)\n" in text
 
 
 def test_analyze_csv_output(capsys, tmp_path):

@@ -45,7 +45,7 @@ from sparsemh.simulation import (
 )
 
 from conftest import inversion_edge_ps
-from exact import all_datasets, exact_coverage
+from exact import all_datasets, exact_study
 
 
 def allow_cpus(monkeypatch, cpus: int) -> None:
@@ -391,7 +391,7 @@ def test_exact_coverage_of_the_readme_design_is_the_quoted_0_958():
     a, b = all_datasets(4, 20, 2)
     assert a.shape == (2, 11_025)
     assert _term_table(a, b, 4.0, 20.0, a.size // LOOKUP_CELLS_PER_POINT) is not None
-    _, skm_coverage, bh_coverage = exact_coverage(4, 20, 2.0, (0.3, 0.5))
+    _, skm_coverage, bh_coverage = exact_study(4, 20, 2.0, (0.3, 0.5))[:3]
     assert round(skm_coverage, 3) == 0.958
     assert bh_coverage > skm_coverage  # BH overestimates the variance
     readme = " ".join((Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").split())
@@ -409,16 +409,50 @@ def p_undefined(n1, n2, psi, p1s):
 @pytest.mark.parametrize(
     "n1, n2, p1s, want",
     [
-        (3, 12, (0.2, 0.3, 0.4), (0.0379, 0.9363, 0.9977)),  # the ROADMAP Baseline's k = 3 design
-        (5, 20, (0.3,), (0.1687, 0.9500, 0.9974)),
-        (3, 9, (0.1, 0.2), (0.4058, 0.9638, 0.9984)),  # sparse: MHq is undefined in 41% of datasets
+        # P(undefined); given a defined MHq, the SKM and BH coverage, the mean
+        # and SD of ln MHq, and the SKM and BH mean width exp(high) - exp(low)
+        (3, 12, (0.2, 0.3, 0.4), (0.0379, 0.9363, 0.9977, -0.0459, 0.5822, 2.5424, 5.1105)),  # the Baseline's k = 3
+        (5, 20, (0.3,), (0.1687, 0.9500, 0.9974, 0.1450, 0.6012, 5.8550, 10.5710)),
+        (3, 9, (0.1, 0.2), (0.4058, 0.9638, 0.9984, 0.4598, 0.6700, 12.9102, 25.1993)),  # sparse: 41% undefined
+        (8, 20, (0.35, 0.35), (0.0010, 0.9560, 0.9979, -0.0422, 0.4546, 1.8222, 3.0239)),  # the studies' design
     ],
 )
 def test_exact_coverage_of_tiny_designs(n1, n2, p1s, want):
-    got = exact_coverage(n1, n2, 1.0, p1s)
+    exact = exact_study(n1, n2, 1.0, p1s)
+    got = (*exact[:3], exact.mean, exact.sd, exact.skm_width, exact.bh_width)
     assert tuple(round(x, 4) for x in got) == want
-    assert got[0] == pytest.approx(p_undefined(n1, n2, 1.0, p1s), rel=0, abs=1e-12)
-    assert got[2] >= got[1]  # BH covers at least as often as SKM
+    assert exact.undefined == pytest.approx(p_undefined(n1, n2, 1.0, p1s), rel=0, abs=1e-12)
+    # BH overestimates the variance: its intervals cover at least as often, and are at least as wide on average
+    assert exact.bh_coverage >= exact.skm_coverage and exact.bh_width >= exact.skm_width
+
+
+def test_coverage_and_bias_studies_match_exact_enumeration():
+    # k = 2, n = (8, 20), p1 = 0.35 in both strata (equal bounds draw exactly
+    # 0.35), psi = 1: each study value lies within 4 Monte Carlo SEs of its
+    # exact value, each SE taken from the exact distribution
+    design = SimulationDesign(
+        k=2, n_mentioned=8, n_not_mentioned=20, psi=1.0, p1_low=0.35, p1_high=0.35,
+        datasets_per_rep=20_000, reps=1, seed=42,
+    )
+    exact = exact_study(8, 20, 1.0, (0.35, 0.35))
+    count = design.datasets_per_rep
+    summary = coverage_study(design)
+    (record,) = summary.records
+    defined = count - summary.dropped_total
+    assert abs(summary.dropped_total - count * exact.undefined) <= 4 * math.sqrt(
+        count * exact.undefined * (1 - exact.undefined)
+    )
+    for got, p in ((record.skm_coverage, exact.skm_coverage), (record.bh_coverage, exact.bh_coverage)):
+        assert abs(got - p) <= 4 * math.sqrt(p * (1 - p) / defined)
+    for got, mean, sd in (
+        (record.skm_mean_width, exact.skm_width, exact.skm_width_sd),
+        (record.bh_mean_width, exact.bh_width, exact.bh_width_sd),
+    ):
+        assert abs(got - mean) <= 4 * sd / math.sqrt(defined)
+    bias = bias_study(design)
+    (bias_record,) = bias.records
+    sigma, defined = exact.sd, count - bias.dropped_total
+    assert abs(bias_record.true_sd - sigma) <= 4 * math.sqrt((exact.mu4 - sigma**4) / defined) / (2 * sigma)
 
 
 def test_drawn_sparse_design_agrees_with_exact_enumeration():
@@ -426,7 +460,7 @@ def test_drawn_sparse_design_agrees_with_exact_enumeration():
     # the SKM coverage of 20,000 drawn datasets lie within 4 Monte Carlo SEs
     # of the exact values
     n1, n2, p1s, count = 3, 9, np.array([0.1, 0.2]), 20_000
-    exact_undefined, exact_skm, _ = exact_coverage(n1, n2, 1.0, tuple(p1s))
+    exact_undefined, exact_skm, _ = exact_study(n1, n2, 1.0, tuple(p1s))[:3]
     a, b = _draw_count_matrices_streamed(p1s, p1s, n1, n2, count, 42, 0)
     *arrays, drops = zip(*_coverage_blocks(a, b, float(n1), float(n2)))
     ln_mhq, skm, _ = map(np.concatenate, arrays)
