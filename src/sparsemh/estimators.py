@@ -104,9 +104,9 @@ def _ratio(num_top, num_bot, den_top, den_bot, undefined=False) -> list[float | 
 def ratio_columns(counts: np.ndarray) -> dict[str, list[float | None]]:
     """Row and column risk ratios, odds ratio and world comparison of every stratum.
 
-    ``counts`` is a (k, 4) array of a, b, c, d per stratum. A value is
-    ``None`` where it is undefined; the world comparison is defined exactly
-    where the row risk ratio is (a+b > 0 and c > 0).
+    ``counts`` is a (k, 4) array of a, b, c, d per stratum. A value is ``None``
+    where it is undefined; the world comparison is defined exactly where the row
+    risk ratio is (a+b > 0 and c > 0). Reports print these columns in this order.
     """
     a, b, c, d = counts.T
     return {

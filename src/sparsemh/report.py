@@ -47,8 +47,8 @@ class AnalysisReport:
 
     Per-stratum rows cover the dataset in input order, including strata that
     were excluded from estimation; estimates and weights are computed on the
-    retained strata only. ``ratios`` maps each per-stratum column (row_rr,
-    col_rr, odds_ratio, world_row) to its values, ``None`` where undefined.
+    retained strata only. ``ratios`` is the dataset's :func:`~sparsemh.estimators.ratio_columns`.
+    The renderers print ``ratios`` and ``weights`` in their order.
     """
 
     source: str
@@ -114,7 +114,7 @@ def build_report(
 
 
 def _stratum_rows(report: AnalysisReport, lo: int, hi: int):
-    """(label, cells, row_rr, col_rr, odds_ratio, world_row) per stratum lo..hi-1, in input order."""
+    """(label, cells, *ratios) per stratum lo..hi-1, in input order."""
     columns = (column[lo:hi] for column in report.ratios.values())
     return zip(report.dataset.labels[lo:hi], report.dataset.counts[lo:hi].tolist(), *columns)
 
@@ -132,7 +132,7 @@ def text_chunks(report: AnalysisReport) -> Iterator[str]:
         f"strata: {k} read, {len(report.filtered)} used, {len(excluded)} excluded\n"
         "\nper-stratum ratios:\n"
         f"{'stratum':<12} {'a':>6} {'b':>6} {'c':>6} {'d':>6} {'n':>7} "
-        f"{'row_rr':>10} {'col_rr':>10} {'odds_ratio':>10} {'world_row':>10}\n"
+        + " ".join(f"{name:>10}" for name in report.ratios) + "\n"
     )
     for lo in range(0, k, STRATA_PER_CHUNK):
         yield "".join(
@@ -157,8 +157,7 @@ def text_chunks(report: AnalysisReport) -> Iterator[str]:
     yield "\n".join(lines)
 
     labels = report.filtered.labels
-    for kind in _REPORT_ORDER:
-        weights = report.weights[kind]
+    for kind, weights in report.weights.items():
         for lo in range(0, len(labels), STRATA_PER_CHUNK):
             hi = lo + STRATA_PER_CHUNK
             pairs = ", ".join(f"{label}={w:.3f}" for label, w in zip(labels[lo:hi], weights[lo:hi]))
@@ -221,22 +220,18 @@ def _strata_chunk(report: AnalysisReport, lo: int, hi: int, excluded: dict, tail
     """
     labels = report.dataset.labels[lo:hi]
     tables = list(zip(*report.dataset.counts[lo:hi].T.tolist(), map(excluded.get, labels)))
-    columns = report.ratios.values()
+    columns = [(f"\n      {_encode(name)}: ", column) for name, column in report.ratios.items()]
     for i, table in enumerate(tables, lo):
         if table in tails:
             continue
         a, b, c, d, reason = table
-        row_rr, col_rr, odds_ratio, world_row = (memo[column[i]] for column in columns)
+        ratios = "".join([f"{key}{memo[column[i]]}," for key, column in columns])
         tails[table] = f''',
       "a": {a},
       "b": {b},
       "c": {c},
       "d": {d},
-      "n": {a + b + c + d},
-      "row_rr": {row_rr},
-      "col_rr": {col_rr},
-      "odds_ratio": {odds_ratio},
-      "world_row": {world_row},
+      "n": {a + b + c + d},{ratios}
       "excluded": {"false" if reason is None else "true"},
       "exclusion_reason": {"null" if reason is None else _encode(reason)}
     }}'''
@@ -252,8 +247,7 @@ def _strata_chunk(report: AnalysisReport, lo: int, hi: int, excluded: dict, tail
 def _weights_json(report: AnalysisReport, memo: _FloatText) -> Iterator[str]:
     labels = report.filtered.labels
     sep = "{"
-    for kind in _REPORT_ORDER:
-        weights = report.weights[kind]
+    for kind, weights in report.weights.items():
         for lo in range(0, len(labels), STRATA_PER_CHUNK):
             hi = lo + STRATA_PER_CHUNK
             block = [",\n      ", "", ": ", ""] * len(labels[lo:hi])

@@ -105,6 +105,20 @@ def test_analyze_json_matches_golden(capsys, tmp_path):
     assert got == want
 
 
+def test_analyze_json_bytes_match_the_golden_report(capsys, tmp_path):
+    # json.loads cannot see key order or float spelling, so the bytes are
+    # compared too, after masking the two lines that name the run
+    code, out, _ = run(capsys, "analyze", str(write_smallworld(tmp_path)), "--format", "json")
+    assert code == 0
+
+    def masked(text: str) -> str:
+        text, count = re.subn(r'^(  "source"|    "generated_at"): .*$', r"\1: <masked>", text, flags=re.M)
+        assert count == 2
+        return text
+
+    assert masked(out) + "\n" == masked(GOLDEN.read_text(encoding="utf-8"))
+
+
 def test_analyze_json_accepts_json_input(capsys, tmp_path):
     csv_code, csv_out, _ = run(
         capsys, "analyze", str(write_smallworld(tmp_path)), "--format", "json"

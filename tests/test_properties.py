@@ -482,7 +482,7 @@ def reference_render_text(report) -> str:
         "",
         "per-stratum ratios:",
         f"{'stratum':<12} {'a':>6} {'b':>6} {'c':>6} {'d':>6} {'n':>7} "
-        f"{'row_rr':>10} {'col_rr':>10} {'odds_ratio':>10} {'world_row':>10}",
+        + " ".join(f"{name:>10}" for name in report.ratios),
     ]
     for i, (label, (a, b, c, d)) in enumerate(zip(report.dataset.labels, report.dataset.counts.tolist())):
         ratios = " ".join(f"{fmt(column[i]):>10}" for column in report.ratios.values())
@@ -509,6 +509,18 @@ def test_chunks_of_any_size_join_to_the_reference_report(report, size):
     with mock.patch.dict("os.environ", {"SOURCE_DATE_EPOCH": "1767225600"}), \
             mock.patch("sparsemh.report.STRATA_PER_CHUNK", size):
         assert "".join(json_chunks(report)) == reference_render_json(report)
+        assert "".join(text_chunks(report)) == reference_render_text(report)
+
+
+@PROPERTY
+@given(reports_with_any_finite_estimates())
+def test_renderers_follow_the_order_of_the_reports_ratios_and_weights(report):
+    # the names and order a renderer prints are the report's, not a list of its own
+    report = dataclasses.replace(
+        report, ratios=dict(reversed(report.ratios.items())), weights=dict(reversed(report.weights.items()))
+    )
+    with mock.patch.dict("os.environ", {"SOURCE_DATE_EPOCH": "1767225600"}):
+        assert render_json(report) == "".join(json_chunks(report)) == reference_render_json(report)
         assert "".join(text_chunks(report)) == reference_render_text(report)
 
 

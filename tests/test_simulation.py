@@ -14,10 +14,12 @@ import pytest
 from sparsemh import (
     BinomialParams,
     ExcessiveDropError,
+    IndicatorKind,
     InvalidDesignError,
     SimulationDesign,
     StratifiedDataset,
     StratumTable,
+    VarianceMethod,
     bias_study,
     convergence_check,
     convergence_study,
@@ -45,7 +47,7 @@ from sparsemh.simulation import (
 )
 
 from conftest import inversion_edge_ps
-from exact import all_datasets, exact_study
+from exact import all_datasets, exact_interval, exact_study
 
 
 def allow_cpus(monkeypatch, cpus: int) -> None:
@@ -394,9 +396,13 @@ def test_exact_coverage_of_the_readme_design_is_the_quoted_0_958():
     _, skm_coverage, bh_coverage = exact_study(4, 20, 2.0, (0.3, 0.5))[:3]
     assert round(skm_coverage, 3) == 0.958
     assert bh_coverage > skm_coverage  # BH overestimates the variance
+    assert f"psi = 2, the SKM interval covered {skm_coverage:.3f}," in readme_notes()
+
+
+def readme_notes() -> str:
+    """README's "Notes and limitations" section, its whitespace runs as single spaces."""
     readme = " ".join((Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").split())
-    notes = readme[readme.index("## Notes and limitations"):]
-    assert f"psi = 2, the SKM interval covered {skm_coverage:.3f}," in notes
+    return readme[readme.index("## Notes and limitations"):]
 
 
 def p_undefined(n1, n2, psi, p1s):
@@ -424,6 +430,37 @@ def test_exact_coverage_of_tiny_designs(n1, n2, p1s, want):
     assert exact.undefined == pytest.approx(p_undefined(n1, n2, 1.0, p1s), rel=0, abs=1e-12)
     # BH overestimates the variance: its intervals cover at least as often, and are at least as wide on average
     assert exact.bh_coverage >= exact.skm_coverage and exact.bh_width >= exact.skm_width
+
+
+@pytest.mark.parametrize(
+    "n1, n2, psi, p1s, gr, rbg",
+    [
+        # P(undefined), the target and the coverage of the target given a
+        # defined value, of GR on MHRR and of RBG on MHOR
+        (3, 12, 1.0, (0.2, 0.3, 0.4), (0.038022, 1.0, 0.975748), (0.038139, 1.0, 0.976001)),
+        (5, 20, 1.0, (0.3,), (0.170500, 1.0, 0.971612), (0.171162, 1.0, 0.980230)),
+        (3, 9, 1.0, (0.1, 0.2), (0.375584, 1.0, 0.895128), (0.408608, 1.0, 0.984955)),  # sparse: GR under-covers
+        (8, 20, 1.0, (0.35, 0.35), (0.001015, 1.0, 0.965101), (0.001016, 1.0, 0.958324)),
+        (4, 20, 2.0, (0.3, 0.5), (0.016096, 2.337793, 0.986987), (0.018052, 2.739130, 0.981057)),  # README's 0.958
+    ],
+)
+def test_exact_coverage_of_the_gr_and_rbg_intervals(n1, n2, psi, p1s, gr, rbg):
+    # MHCR is left out: its GR rejects a stratum with an empty row, which
+    # the sparse designs draw often (ROADMAP item 1)
+    got_gr = exact_interval(IndicatorKind.MHRR, VarianceMethod.GR, n1, n2, psi, p1s)
+    got_rbg = exact_interval(IndicatorKind.MHOR, VarianceMethod.RBG, n1, n2, psi, p1s)
+    assert got_gr == pytest.approx(gr, rel=0, abs=1e-6) and got_rbg == pytest.approx(rbg, rel=0, abs=1e-6)
+    # the same helper on MHq's SKM is exact_study's; MHq's target is psi at
+    # psi = 1, but 2.0137 at README's psi = 2, where the two cover different values
+    skm = exact_interval(IndicatorKind.MHQ, VarianceMethod.SKM, n1, n2, psi, p1s)
+    exact = exact_study(n1, n2, psi, p1s)
+    assert skm.undefined == pytest.approx(exact.undefined, rel=0, abs=1e-12)
+    if psi == 1.0:
+        assert skm.target == pytest.approx(1.0, rel=0, abs=1e-12)
+        assert skm.coverage == pytest.approx(exact.skm_coverage, rel=0, abs=1e-12)
+    if (n1, n2) == (3, 9):  # README quotes the sparse design's coverages
+        quoted = f"GR on MHRR {got_gr.coverage:.4f}, RBG on MHOR {got_rbg.coverage:.4f} and SKM on MHq {skm.coverage:.4f}"
+        assert quoted in readme_notes()
 
 
 def test_coverage_and_bias_studies_match_exact_enumeration():
