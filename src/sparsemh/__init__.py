@@ -21,16 +21,15 @@ _EXPORTS = {
     ),
     "simulation": (
         "BinomialParams", "ExcessiveDropError", "InvalidDesignError", "SimulationDesign", "StudySummary",
-        "bias_study", "convergence_check", "convergence_study", "coverage_study", "draw_p1",
-        "var_bh_log_mhq_true", "var_skm_log_mhq_true",
+        "bias_study", "convergence_study", "coverage_study", "var_bh_log_mhq_true", "var_skm_log_mhq_true",
     ),
     "tables": (
         "NoInformativeStrataError", "ParseError", "StratifiedDataset", "StratumTable", "filter_informative",
         "parse_csv", "parse_json",
     ),
     "variance": (
-        "IndicatorEstimate", "VarianceMethod", "confidence_interval", "estimate_indicator", "katz_var_log_rr",
-        "var_bh_log_mhq", "var_gr_log_mhcr", "var_gr_log_mhrr", "var_rbg_log_mhor", "var_skm_log_mhq",
+        "IndicatorEstimate", "VarianceMethod", "confidence_interval", "estimate_indicator", "var_bh_log_mhq",
+        "var_gr_log_mhcr", "var_gr_log_mhrr", "var_rbg_log_mhor", "var_skm_log_mhq",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

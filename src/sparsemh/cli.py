@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import os
 import sys
 from dataclasses import fields, replace
@@ -141,7 +142,9 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
     methods = tuple(m.strip().lower() for m in args.methods.split(",") if m.strip())
     report = build_report(ds, source=args.input, level=args.level, methods=methods)
     chunks = _RENDERERS[args.format](report)
-    if args.format == "text":
+    if args.format == "json":
+        chunks = itertools.chain(chunks, ("\n",))  # the text, as json.dumps's, ends at its closing brace
+    elif args.format == "text":
         # The source path and the labels are the only text that the
         # destination's encoding may refuse (JSON and CSV output is ASCII):
         # refuse it here, before the first byte, not part-way through.

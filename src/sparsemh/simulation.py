@@ -9,8 +9,7 @@ is exactly psi in every stratum. Three studies are built on top:
   corrected and the group-vs-world formulas evaluated at the true parameters;
 * ``coverage_study`` -- empirical coverage and width of nominal 95% intervals
   computed from each simulated dataset;
-* ``convergence_study`` -- mean |MHq - psi| along a ladder of sample sizes
-  (``convergence_check`` is the ladder itself, for a given p1 vector).
+* ``convergence_study`` -- mean |MHq - psi| along a ladder of sample sizes.
 
 The SKM and BH estimators also come in parameter form for column-binomial
 designs: every cell count is replaced by its expectation, which is what the
@@ -282,8 +281,9 @@ def var_bh_log_mhq_true(params: Sequence[BinomialParams]) -> float:
     return float(_rbg_log_variance(*world, _weighted_sums(IndicatorKind.MHOR, *world)))
 
 
-def draw_p1(design: SimulationDesign, rng: np.random.Generator) -> np.ndarray:
-    """One Uniform(p1_low, p1_high) draw per stratum (half-open interval)."""
+def _draw_p1(design: SimulationDesign, *key: int) -> np.ndarray:
+    """One Uniform(p1_low, p1_high) draw per stratum (half-open interval), from ``SeedSequence((seed, *key))``."""
+    rng = np.random.default_rng(np.random.SeedSequence((design.seed, *key)))
     return rng.uniform(design.p1_low, design.p1_high, size=design.k)
 
 
@@ -490,8 +490,7 @@ class StudySummary:
 # studies
 
 def _rep_p1s(design: SimulationDesign, rep: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence((design.seed, rep)))
-    return draw_p1(design, rng)
+    return _draw_p1(design, rep)
 
 
 def _rep_counts(design: SimulationDesign, rep: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -675,34 +674,18 @@ def coverage_study(design: SimulationDesign, threads: int = 1) -> StudySummary:
     return _rep_study("coverage", _coverage_rep, design, threads)
 
 
-def convergence_check(
-    psi: float,
-    p1s: Sequence[float],
-    n_mentioned: int,
-    n_not_mentioned: int,
-    scales: Sequence[int],
-    seed: int,
-    replicates: int = 1000,
-    threads: int = 1,
+def _convergence_ladder(
+    design: SimulationDesign, p1s: np.ndarray, scales: Sequence[int], replicates: int, threads: int
 ) -> tuple[ConvergenceRecord, ...]:
-    """Mean |MHq - psi| when all sample sizes are multiplied by each scale.
+    """Mean |MHq - psi| at the p1 vector ``p1s`` when the design's sample sizes are multiplied by each scale.
 
-    Parameters must be homogeneous by construction (p2_i = p1_i / psi), which
-    is what makes psi the common column risk ratio being estimated. psi, the
-    sizes, the seed, each element of the non-empty vector ``p1s`` and their
-    range are checked as :class:`SimulationDesign` checks psi, its sizes,
-    seed, each p1 bound and [p1_low, p1_high]. Stratum i's counts at scale s
+    psi, the sample sizes and the seed are the design's; its p1 bounds must
+    hold ``p1s``, so that p2_i = p1_i / psi is a probability and psi the
+    common column risk ratio being estimated. Stratum i's counts at scale s
     come from ``SeedSequence((seed, s, i))``, so each scale's record depends
     on the seed and that scale alone, and the scales run on up to
     ``threads`` threads with the same result.
     """
-    if np.ndim(p1s) != 1 or np.size(p1s) == 0:
-        raise InvalidDesignError(f"expected a non-empty vector of p1 values, got shape {np.shape(p1s)}")
-    p1s = np.array([_real(f"p1s[{j}]", p1) for j, p1 in enumerate(p1s)])
-    psi = SimulationDesign(
-        k=p1s.size, n_mentioned=n_mentioned, n_not_mentioned=n_not_mentioned, psi=psi,
-        p1_low=p1s.min(), p1_high=p1s.max(), seed=seed,
-    ).psi
     _check_positive_ints(replicates=replicates)
     if replicates < 2:
         raise InvalidDesignError(f"need at least 2 replicates, got {replicates}")
@@ -714,6 +697,7 @@ def convergence_check(
     for j, s in enumerate(scales):
         if first.setdefault(s, j) != j:
             raise InvalidDesignError(f"scales[{j}] repeats scale {s} of scales[{first[s]}]")
+    psi, n_mentioned, n_not_mentioned = design.psi, design.n_mentioned, design.n_not_mentioned
     _check_column_totals(**{
         "n_mentioned * scale": n_mentioned * max(scales), "n_not_mentioned * scale": n_not_mentioned * max(scales),
     })
@@ -721,7 +705,7 @@ def convergence_check(
     def scale_record(index: int) -> ConvergenceRecord:
         scale = scales[index]
         n1, n2 = n_mentioned * scale, n_not_mentioned * scale
-        a, b = _draw_count_matrices_streamed(p1s, p1s / psi, n1, n2, replicates, seed, scale)
+        a, b = _draw_count_matrices_streamed(p1s, p1s / psi, n1, n2, replicates, design.seed, scale)
         blocks = (_ln_mhq_from_counts(*rows, n1, n2) for rows in _blocks(a, b, np.float64))
         (ratios,), _ = _gathered(((sums.rt[d] / sums.st[d], dropped) for _, d, dropped, sums in blocks), replicates)
         deviations = np.abs(ratios - psi)
@@ -738,16 +722,14 @@ def convergence_check(
 def convergence_study(
     design: SimulationDesign, scales: Sequence[int], replicates: int = 1000, threads: int = 1
 ) -> StudySummary:
-    """:func:`convergence_check` at one p1 draw from ``design``, on the streams described above.
+    """Mean |MHq - psi| along the ladder of ``scales`` at one p1 draw from ``design``, on the streams described above.
 
     Uses the design's k, sample sizes, psi, p1 bounds and seed; its reps and
-    datasets_per_rep do not apply.
+    datasets_per_rep do not apply. ``scales`` must be distinct positive
+    integers that keep each column total times a scale at most 2**53, and
+    ``replicates`` an integer of at least 2.
     """
-    p1s = draw_p1(design, np.random.default_rng(np.random.SeedSequence((design.seed,))))
-    records = convergence_check(
-        design.psi, p1s, design.n_mentioned, design.n_not_mentioned, scales, design.seed,
-        replicates=replicates, threads=threads,
-    )
+    records = _convergence_ladder(design, _draw_p1(design), scales, replicates, threads)
     return StudySummary(
         study="convergence",
         design=design,

@@ -9,9 +9,6 @@ Four estimators are provided, tagged by :class:`VarianceMethod`:
 * ``GR``  -- sparse-data variance for ln(MHRR) (and its transpose for MHCR),
 * ``RBG`` -- three-term variance for ln(MHOR).
 
-:func:`katz_var_log_rr` gives the classical single-table log risk-ratio
-variance.
-
 All variances are array-generic (cells may be numpy arrays whose last axis
 indexes strata), so the Monte Carlo harness can evaluate thousands of
 simulated datasets in one call. One table holds each (indicator, method)
@@ -32,14 +29,14 @@ import enum
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Literal, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .estimators import IndicatorKind, UndefinedIndicatorError, _cells, _fsum, _mh_value, _Sums, _weighted_sums
 # not called here; kept importable because perfbench/spans.py wraps it here
 from .estimators import transpose  # noqa: F401
-from .tables import StratifiedDataset, StratumTable
+from .tables import StratifiedDataset
 
 
 class VarianceMethod(enum.Enum):
@@ -241,30 +238,6 @@ def var_gr_log_mhcr(ds: StratifiedDataset) -> float:
 def var_rbg_log_mhor(ds: StratifiedDataset) -> float:
     """Three-term variance estimate of ln(MHOR)."""
     return _data_form(ds, IndicatorKind.MHOR, VarianceMethod.RBG)
-
-
-def katz_var_log_rr(t: StratumTable, orientation: Literal["row", "column"]) -> float:
-    """Classical single-table variance of a log risk ratio.
-
-    ``column``: 1/a - 1/(a+c) + 1/b - 1/(b+d) (needs a > 0 and b > 0);
-    ``row``:    1/a - 1/(a+b) + 1/c - 1/(c+d) (needs a > 0 and c > 0).
-    Each pair is evaluated as c/(a(a+c)), which does not cancel when a is
-    much larger than c.
-    """
-    a, b, c, d = t.cells()
-    if orientation == "column":
-        if a == 0 or b == 0:
-            raise UndefinedIndicatorError(
-                f"Katz column variance undefined for stratum {t.label!r}: needs a > 0 and b > 0"
-            )
-        return c / (a * (a + c)) + d / (b * (b + d))
-    if orientation == "row":
-        if a == 0 or c == 0:
-            raise UndefinedIndicatorError(
-                f"Katz row variance undefined for stratum {t.label!r}: needs a > 0 and c > 0"
-            )
-        return b / (a * (a + b)) + d / (c * (c + d))
-    raise ValueError(f"orientation must be 'row' or 'column', got {orientation!r}")
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import strategies as st
 
-from sparsemh import IndicatorKind, StratifiedDataset, StratumTable, filter_informative
+from sparsemh import IndicatorKind, StratifiedDataset, StratumTable, UndefinedIndicatorError, filter_informative
 from sparsemh.datasets import smallworld_path
 from sparsemh.tables import MAX_COUNT, parse_csv
 
@@ -28,6 +28,30 @@ def inversion_edge_ps(n: int) -> list[float]:
     ps = [cut * (1 - 1e-6), cut, cut * (1 + 1e-6)]
     ps += [1.0 - p for p in ps] + [1.0 - 1e-9, 1.0]
     return [p for p in ps if 0.0 < p <= 1.0]
+
+
+def katz_var_log_rr(t: StratumTable, orientation: str) -> float:
+    """Classical single-table variance of a log risk ratio: the reference for the one-stratum reductions.
+
+    ``column``: 1/a - 1/(a+c) + 1/b - 1/(b+d) (needs a > 0 and b > 0);
+    ``row``:    1/a - 1/(a+b) + 1/c - 1/(c+d) (needs a > 0 and c > 0).
+    Each pair is evaluated as c/(a(a+c)), which does not cancel when a is
+    much larger than c.
+    """
+    a, b, c, d = t.cells()
+    if orientation == "column":
+        if a == 0 or b == 0:
+            raise UndefinedIndicatorError(
+                f"Katz column variance undefined for stratum {t.label!r}: needs a > 0 and b > 0"
+            )
+        return c / (a * (a + c)) + d / (b * (b + d))
+    if orientation == "row":
+        if a == 0 or c == 0:
+            raise UndefinedIndicatorError(
+                f"Katz row variance undefined for stratum {t.label!r}: needs a > 0 and c > 0"
+            )
+        return b / (a * (a + b)) + d / (c * (c + d))
+    raise ValueError(f"orientation must be 'row' or 'column', got {orientation!r}")
 
 
 def make_dataset(*cells: tuple[int, int, int, int]) -> StratifiedDataset:

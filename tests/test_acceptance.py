@@ -19,9 +19,7 @@ from sparsemh import (
     StratumTable,
     bias_study,
     confidence_interval,
-    convergence_check,
     coverage_study,
-    katz_var_log_rr,
     mh_col_risk_ratio,
     mh_odds_ratio,
     mh_row_risk_ratio,
@@ -38,9 +36,9 @@ from sparsemh import (
 )
 from sparsemh.cli import main
 from sparsemh.estimators import INDICATOR_FN, ratio_columns
-from sparsemh.simulation import _draw_count_matrices_streamed, _ln_mhq_from_counts
+from sparsemh.simulation import _convergence_ladder, _draw_count_matrices_streamed, _ln_mhq_from_counts
 
-from conftest import RATIO_COLUMN, make_dataset
+from conftest import RATIO_COLUMN, katz_var_log_rr, make_dataset
 
 PSIS = (0.2, 1.0, 10.0)
 
@@ -234,15 +232,8 @@ def test_criterion_07_width_comparison(coverage_summaries):
 
 def test_criterion_08_convergence():
     psi = 2.0
-    records = convergence_check(
-        psi=psi,
-        p1s=(0.2, 0.3, 0.4, 0.5),
-        n_mentioned=100,
-        n_not_mentioned=1000,
-        scales=(1, 10, 100),
-        seed=4242,
-        replicates=1000,
-    )
+    design = SimulationDesign(k=4, n_mentioned=100, n_not_mentioned=1000, psi=psi, p1_low=0.2, p1_high=0.5, seed=4242)
+    records = _convergence_ladder(design, np.array([0.2, 0.3, 0.4, 0.5]), scales=(1, 10, 100), replicates=1000, threads=1)
     failures = []
     for prev, curr in zip(records, records[1:]):
         slack = 2 * math.sqrt(prev.mc_se**2 + curr.mc_se**2)

@@ -116,7 +116,7 @@ def test_analyze_json_bytes_match_the_golden_report(capsys, tmp_path):
         assert count == 2
         return text
 
-    assert masked(out) + "\n" == masked(GOLDEN.read_text(encoding="utf-8"))
+    assert masked(out) == masked(GOLDEN.read_text(encoding="utf-8"))
 
 
 def test_analyze_json_accepts_json_input(capsys, tmp_path):
@@ -826,7 +826,7 @@ def test_simulate_non_finite_psi_is_rejected_before_any_draw(capsys, tmp_path, m
     def no_draws(*args, **kwargs):
         raise AssertionError("drew before the design was validated")
 
-    monkeypatch.setattr(simulation, "draw_p1", no_draws)
+    monkeypatch.setattr(simulation, "_draw_p1", no_draws)
     monkeypatch.setattr(simulation, "_draw_count_matrices_streamed", no_draws)
     code, out, err = run(capsys, "simulate", "convergence", "--psi", psi, "--out", str(tmp_path / "inf"))
     assert code == 4 and out == ""
@@ -868,8 +868,8 @@ def test_simulation_names_resolve_on_first_use():
         "InvalidDesignError", "NoInformativeStrataError", "ParseError", "SimulationDesign",
         "StratifiedDataset", "StratumRatios", "StratumTable", "StudySummary",
         "UndefinedIndicatorError", "VarianceMethod", "bias_study", "confidence_interval",
-        "convergence_check", "convergence_study", "coverage_study", "draw_p1", "estimate_indicator",
-        "filter_informative", "katz_var_log_rr", "mh_col_risk_ratio", "mh_odds_ratio",
+        "convergence_study", "coverage_study", "estimate_indicator",
+        "filter_informative", "mh_col_risk_ratio", "mh_odds_ratio",
         "mh_row_risk_ratio", "mhq", "parse_csv", "parse_json", "stratum_ratios", "stratum_weights",
         "transpose", "var_bh_log_mhq", "var_bh_log_mhq_true", "var_gr_log_mhcr", "var_gr_log_mhrr",
         "var_rbg_log_mhor", "var_skm_log_mhq", "var_skm_log_mhq_true", "world_comparison_row",

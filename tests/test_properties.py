@@ -35,7 +35,6 @@ from sparsemh import (
     parse_json,
     stratum_ratios,
     stratum_weights,
-    katz_var_log_rr,
     transpose,
     var_bh_log_mhq,
     var_gr_log_mhcr,
@@ -59,7 +58,9 @@ from sparsemh.simulation import ExcessiveDropError, bias_study, coverage_study
 from sparsemh.tables import EXCLUDED_NO_NOT_MENTIONED, MAX_COUNT, _parse_csv_lines
 from sparsemh.variance import _LOG_VARIANCES, _log_variance, _rbg_log_variance, _skm_log_variance
 
-from conftest import RATIO_COLUMN, csv_text, inversion_edge_ps, json_text, make_dataset, sparse_datasets
+from conftest import (
+    RATIO_COLUMN, csv_text, inversion_edge_ps, json_text, katz_var_log_rr, make_dataset, sparse_datasets,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 

@@ -21,10 +21,8 @@ from sparsemh import (
     StratumTable,
     VarianceMethod,
     bias_study,
-    convergence_check,
     convergence_study,
     coverage_study,
-    draw_p1,
     mhq,
     var_bh_log_mhq,
     var_skm_log_mhq,
@@ -35,9 +33,11 @@ from sparsemh.simulation import (
     LOOKUP_CELLS_PER_POINT,
     CoverageRecord,
     _bias_rep,
+    _convergence_ladder,
     _coverage_blocks,
     _coverage_rep,
     _draw_count_matrices_streamed,
+    _draw_p1,
     _gathered,
     _ln_mhq_from_counts,
     _rep_counts,
@@ -45,9 +45,10 @@ from sparsemh.simulation import (
     _term_table,
     worker_count,
 )
+from sparsemh.variance import _LOG_VARIANCES
 
 from conftest import inversion_edge_ps
-from exact import all_datasets, exact_interval, exact_study
+from exact import all_datasets, enumeration, exact_interval, exact_study, sparse_bias, stratum_moments, table_terms
 
 
 def allow_cpus(monkeypatch, cpus: int) -> None:
@@ -101,6 +102,26 @@ def test_design_rejects_bad_parameters():
     with pytest.raises(InvalidDesignError, match=r"^n_not_mentioned must be at most 2\*\*53"):
         SimulationDesign(n_not_mentioned=10**19)
     assert SimulationDesign(n_mentioned=2**53, n_not_mentioned=2**53).n_mentioned == 2**53
+    # the whole message, for totals and seeds that are not ints or are out of range
+    bad = [
+        (dict(n_mentioned=0), "^n_mentioned must be a positive integer, got 0$"),
+        (dict(n_not_mentioned=0), "^n_not_mentioned must be a positive integer, got 0$"),
+        (dict(n_mentioned=12.5), r"^n_mentioned must be a positive integer, got 12\.5$"),
+        (dict(n_not_mentioned=20.5), r"^n_not_mentioned must be a positive integer, got 20\.5$"),
+        (dict(n_mentioned=True), "^n_mentioned must be a positive integer, got True$"),
+        (dict(seed=-1), "^seed must be a 64-bit unsigned integer, got -1$"),
+        (dict(seed=2**70), f"^seed must be a 64-bit unsigned integer, got {2**70}$"),
+        (dict(seed=1.0), r"^seed must be a 64-bit unsigned integer, got 1\.0$"),
+        # a psi that is not an int or a float, or lies beyond the float range
+        (dict(psi=True), "^psi must be a real number, got True$"),
+        (dict(psi=Fraction(2)), r"^psi must be a real number, got Fraction\(2, 1\)$"),
+        (dict(psi=Decimal("2")), r"^psi must be a real number, got Decimal\('2'\)$"),
+        (dict(psi="2"), "^psi must be a real number, got '2'$"),
+        (dict(psi=2**1100), f"^psi must be finite, got {2**1100}$"),
+    ]
+    for fields, message in bad:
+        with pytest.raises(InvalidDesignError, match=message):
+            SimulationDesign(**fields)
     # p2 = p1/psi underflows to 0 at the least p1 the design can draw
     for p1_high in (5e-324, 0.5):
         with pytest.raises(InvalidDesignError, match="p2"):
@@ -111,13 +132,10 @@ def test_design_stores_its_real_fields_as_floats():
     # the library writes the bytes the CLI, whose flags parse to float, writes
     design = dict(k=3, datasets_per_rep=50, reps=1)
     want = coverage_study(SimulationDesign(**design, psi=2.0))
-    ladder = ((0.2, 0.3), 10, 20, (1, 2), 1)
-    want_ladder = convergence_check(2.0, *ladder, replicates=50)
     for psi in (np.float64(2.0), 2):
         got = coverage_study(SimulationDesign(**design, psi=psi))
         assert type(got.design.psi) is float
         assert (got.to_csv(), got.to_json()) == (want.to_csv(), want.to_json())
-        assert convergence_check(psi, *ladder, replicates=50) == want_ladder
     p1s = SimulationDesign(p1_low=np.float64(0.25), p1_high=1)
     assert (type(p1s.p1_low), type(p1s.p1_high)) == (float, float)
 
@@ -144,8 +162,8 @@ def test_design_allows_degenerate_p1_interval():
 
 def test_draw_p1_within_bounds_and_deterministic():
     design = small_design()
-    draws = draw_p1(design, np.random.default_rng(3))
-    again = draw_p1(design, np.random.default_rng(3))
+    draws = _draw_p1(design, 3)
+    again = _draw_p1(design, 3)
     assert draws.shape == (design.k,)
     assert np.all(draws >= design.p1_low) and np.all(draws <= design.p1_high)
     assert np.array_equal(draws, again)
@@ -153,7 +171,7 @@ def test_draw_p1_within_bounds_and_deterministic():
 
 def test_draw_p1_degenerate_interval():
     design = small_design(p1_low=0.1, p1_high=0.1)
-    assert np.all(draw_p1(design, np.random.default_rng(0)) == 0.1)
+    assert np.all(_draw_p1(design, 0) == 0.1)
 
 
 def test_streamed_draws_fix_column_totals():
@@ -188,17 +206,9 @@ def test_streamed_draws_reject_invalid_p2_before_sampling(monkeypatch):
         small_design(p1_high=1.5)
     with pytest.raises(InvalidDesignError, match="p2"):
         small_design(psi=0.5, p1_low=0.01, p1_high=0.9)
-    # convergence_check checks the p1 vector it is handed the same way
-    bad = [
-        ((1.0, (0.1, 1.5)), "p1"),
-        ((0.5, (0.1, 0.9)), "p2"),
-        ((2.0, (5e-324, 0.5)), "p2"),
-        ((1.0, ()), r"expected a non-empty vector of p1 values"),
-        ((1.0, np.full((2, 2), 0.1)), r"expected a non-empty vector of p1 values"),
-    ]
-    for (psi, p1s), message in bad:
-        with pytest.raises(InvalidDesignError, match=message):
-            convergence_check(psi, p1s, 10, 10, (1,), 1, replicates=2)
+    # the convergence study checks its scales before it draws a count
+    with pytest.raises(InvalidDesignError, match="scales"):
+        convergence_study(small_design(), (), replicates=2)
 
 
 class CountingGenerator:
@@ -463,6 +473,100 @@ def test_exact_coverage_of_the_gr_and_rbg_intervals(n1, n2, psi, p1s, gr, rbg):
         assert quoted in readme_notes()
 
 
+# ----------------------------------------------------- exact sparse moments
+
+def test_exact_sparse_combine_steps_are_linear_in_the_terms_and_homogeneous_in_r_and_s():
+    # what makes a variance sum(N_i) / R**2 at R = theta S, with N_i = theta**2 combine(theta, 1, *terms_i)
+    rng = np.random.default_rng(5)
+    for key, entry in _LOG_VARIANCES.items():
+        for _ in range(20):
+            rt, st, scale, weight = rng.uniform(0.1, 10.0, size=4)
+            one, two = rng.uniform(0.0, 10.0, size=(2, entry.count))
+            value = entry.combine(rt, st, *one)
+            assert entry.combine(rt, st, *(one + weight * two)) == pytest.approx(
+                value + weight * entry.combine(rt, st, *two), rel=1e-12
+            ), key
+            assert entry.combine(scale * rt, scale * st, *one) == pytest.approx(value / scale**2, rel=1e-12), key
+
+
+def own_target_moments(kind, method, n1, n2, p1, p2):
+    """The stratum's :func:`stratum_moments` at its own target E[R_i] / E[S_i]."""
+    first = stratum_moments(kind, method, n1, n2, p1, p2, 1.0)
+    return stratum_moments(kind, method, n1, n2, p1, p2, first.mean_r / first.mean_s)
+
+
+def test_exact_sparse_ratios_per_stratum():
+    # E[N_i] / Var(U_i) on 200 strata, each at its own target: GR on MHCR
+    # and RBG on MHOR are exact, GR on MHRR is not, SKM is below 1 and BH above
+    rng = np.random.default_rng(2024)
+    strata = zip(rng.integers(1, 41, size=200), rng.integers(1, 81, size=200), *rng.uniform(0.005, 0.995, size=(2, 200)))
+    ratios = {key: [] for key in _LOG_VARIANCES}
+    for n1, n2, p1, p2 in strata:
+        for key in ratios:
+            moments = own_target_moments(*key, int(n1), int(n2), p1, p2)
+            assert abs(moments.mean_u) <= 1e-12 * math.sqrt(moments.var_u)
+            ratios[key].append(float(moments.mean_n / moments.var_u))
+    ratios = {key: np.array(values) for key, values in ratios.items()}
+    for key in ((IndicatorKind.MHCR, VarianceMethod.GR), (IndicatorKind.MHOR, VarianceMethod.RBG)):
+        assert np.abs(ratios[key] - 1.0).max() <= 1e-12, key
+    assert np.abs(ratios[IndicatorKind.MHRR, VarianceMethod.GR] - 1.0).max() > 1e-3
+    assert (ratios[IndicatorKind.MHQ, VarianceMethod.SKM] < 1.0).all()
+    assert (ratios[IndicatorKind.MHQ, VarianceMethod.BH] > 1.0).all()
+
+
+@pytest.mark.parametrize(
+    "n1, n2, psi, p1s",
+    [
+        (3, 12, 1.0, (0.2, 0.3, 0.4)),
+        (5, 20, 1.0, (0.3,)),
+        (3, 9, 1.0, (0.1, 0.2)),
+        (8, 20, 1.0, (0.35, 0.35)),
+        (4, 20, 2.0, (0.3, 0.5)),
+    ],
+)
+def test_exact_sparse_moments_match_the_enumeration(n1, n2, psi, p1s):
+    # the moments that factor over strata, summed, against the enumeration's weighted means over datasets
+    a, b, weight, _ = enumeration(n1, n2, psi, p1s)
+    a, b = a.T.astype(float), b.T.astype(float)
+    p1s = np.array(p1s)
+
+    def mean(values: np.ndarray) -> float:
+        return math.fsum(weight * values)
+
+    for kind, method in _LOG_VARIANCES:
+        sums, terms = table_terms(kind, method, a, b, n1 - a, n2 - b)
+        theta = sparse_bias(kind, method, n1, n2, psi, p1s).theta
+        moments = stratum_moments(kind, method, n1, n2, p1s, p1s / psi, theta)
+        for got, term in zip(moments.terms, terms):
+            assert math.fsum(got) == pytest.approx(mean(term.sum(axis=-1)), rel=1e-12), (kind, method)
+        assert math.fsum(moments.mean_r) == pytest.approx(mean(sums.rt), rel=1e-12)
+        assert math.fsum(moments.mean_s) == pytest.approx(mean(sums.st), rel=1e-12)
+        u = sums.rt - theta * sums.st
+        assert math.fsum(moments.var_u) == pytest.approx(mean((u - mean(u)) ** 2), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n1, n2, k, psi, skm, bh, theta",
+    [
+        (10, 100, 300, 1.0, -0.0525, 0.1395, 1.0),
+        (5, 50, 1000, 1.0, -0.1067, 0.1436, 1.0),
+        (2, 20, 3000, 1.0, -0.2850, 0.1504, 1.0),
+        (10, 100, 300, 10.0, -0.0339, 0.0872, 10.0103),
+        (5, 50, 1000, 10.0, -0.0680, 0.1003, 10.0207),
+        (2, 20, 3000, 10.0, -0.1737, 0.1358, 10.0495),
+    ],
+)
+def test_exact_sparse_bias_of_skm_and_bh_on_the_sparse_rungs(n1, n2, k, psi, skm, bh, theta):
+    # the SD bias of the two MHq variances as the strata grow, at the studies' p1 ~ U(0.01, 0.2)
+    p1s = np.random.default_rng(42).uniform(0.01, 0.2, size=k)
+    got_skm = sparse_bias(IndicatorKind.MHQ, VarianceMethod.SKM, n1, n2, psi, p1s)
+    got_bh = sparse_bias(IndicatorKind.MHQ, VarianceMethod.BH, n1, n2, psi, p1s)
+    assert got_skm.sd_bias == pytest.approx(skm, rel=0, abs=1e-3)
+    assert got_bh.sd_bias == pytest.approx(bh, rel=0, abs=1e-3)
+    # MHq's target is psi at psi = 1, exactly: given a+b, a is hypergeometric
+    assert got_skm.theta == got_bh.theta == pytest.approx(theta, rel=0, abs=1e-12 if psi == 1.0 else 1e-4)
+
+
 def test_coverage_and_bias_studies_match_exact_enumeration():
     # k = 2, n = (8, 20), p1 = 0.35 in both strata (equal bounds draw exactly
     # 0.35), psi = 1: each study value lies within 4 Monte Carlo SEs of its
@@ -610,7 +714,6 @@ def test_every_study_rejects_a_thread_count_that_is_not_a_positive_int(threads):
         lambda: bias_study(design, threads=threads),
         lambda: coverage_study(design, threads=threads),
         lambda: convergence_study(design, scales=(1, 2), replicates=50, threads=threads),
-        lambda: convergence_check(1.0, (0.1, 0.2), 10, 20, (1, 2), 1, replicates=50, threads=threads),
     )
     for run in runs:
         with pytest.raises(InvalidDesignError, match="^threads must be a positive integer, got "):
@@ -704,15 +807,8 @@ def test_summary_write_creates_csv_and_json(tmp_path):
 # ---------------------------------------------------------------- convergence
 
 def test_convergence_check_improves_with_scale():
-    records = convergence_check(
-        psi=2.0,
-        p1s=(0.2, 0.3, 0.4, 0.5),
-        n_mentioned=100,
-        n_not_mentioned=1000,
-        scales=(1, 25),
-        seed=12,
-        replicates=600,
-    )
+    design = SimulationDesign(k=4, n_mentioned=100, n_not_mentioned=1000, psi=2.0, p1_low=0.2, p1_high=0.5, seed=12)
+    records = _convergence_ladder(design, np.array([0.2, 0.3, 0.4, 0.5]), scales=(1, 25), replicates=600, threads=1)
     assert [r.scale for r in records] == [1, 25]
     assert records[1].mean_abs_dev < records[0].mean_abs_dev
     assert all(r.replicates == 600 for r in records)
@@ -720,15 +816,8 @@ def test_convergence_check_improves_with_scale():
 
 
 def test_convergence_check_centers_on_psi():
-    records = convergence_check(
-        psi=1.0,
-        p1s=(0.1, 0.1, 0.1, 0.1),
-        n_mentioned=1000,
-        n_not_mentioned=10_000,
-        scales=(10,),
-        seed=4,
-        replicates=500,
-    )
+    design = SimulationDesign(k=4, n_mentioned=1000, n_not_mentioned=10_000, psi=1.0, p1_low=0.1, p1_high=0.1, seed=4)
+    records = _convergence_ladder(design, np.full(4, 0.1), scales=(10,), replicates=500, threads=1)
     assert records[0].mean_abs_dev < 0.05
 
 
@@ -751,7 +840,7 @@ def test_convergence_json_describes_the_run():
     # the stated derivation reproduces the records: p1 from (seed,), counts per (scale, stratum)
     rng = np.random.default_rng(np.random.SeedSequence((design.seed,)))
     p1s = rng.uniform(design.p1_low, design.p1_high, size=design.k)
-    again = convergence_check(design.psi, p1s, design.n_mentioned, design.n_not_mentioned, (1, 5), design.seed, 200)
+    again = _convergence_ladder(design, p1s, (1, 5), 200, 1)
     assert again == summary.records
 
 
@@ -805,58 +894,31 @@ def test_convergence_study_writes_the_same_bytes_for_any_thread_count(monkeypatc
 
 
 def test_convergence_check_validation():
-    for psi in (0.0, math.inf):
-        with pytest.raises(InvalidDesignError, match="psi must be positive and finite"):
-            convergence_check(psi, (0.1,), 10, 10, (1,), 0)
-    # p2 = p1/psi underflows to 0, which no binomial draw can use
-    with pytest.raises(InvalidDesignError, match="p2"):
-        convergence_check(1e305, (1e-20,), 10, 10, (1,), 0)
-    with pytest.raises(InvalidDesignError, match="p1"):
-        convergence_check(1.0, (), 10, 10, (1,), 0)
+    # the ladder's own checks, which the study makes after its design's
+    design = small_design(k=1, n_mentioned=10, n_not_mentioned=10, p1_low=0.1, p1_high=0.1, seed=0)
+
+    def study(scales=(1,), replicates=20, **fields):
+        return convergence_study(replace(design, **fields), scales, replicates=replicates)
+
     with pytest.raises(InvalidDesignError, match="scales"):
-        convergence_check(1.0, (0.1,), 10, 10, (), 0)
-    with pytest.raises(InvalidDesignError, match="p2"):
-        convergence_check(0.05, (0.5,), 10, 10, (1,), 0)
+        study(())
     with pytest.raises(InvalidDesignError, match="replicates"):
-        convergence_check(1.0, (0.1,), 10, 10, (1,), 0, replicates=1)
-    with pytest.raises(InvalidDesignError, match="^n_not_mentioned must be a positive integer, got 0$"):
-        convergence_check(1.0, (0.1,), 10, 0, (1,), 0)
-    with pytest.raises(InvalidDesignError, match="^n_mentioned must be a positive integer, got 0$"):
-        convergence_check(1.0, (0.1,), n_mentioned=0, n_not_mentioned=10, scales=(1,), seed=0)
-    with pytest.raises(InvalidDesignError, match=r"^n_mentioned \* scale must be at most 2\*\*53"):
-        convergence_check(1.0, (0.1,), 10, 10, (1, 10**16), 0)
-    with pytest.raises(InvalidDesignError, match=r"^n_not_mentioned \* scale must be at most 2\*\*53"):
-        convergence_check(1.0, (0.1,), 1, 2**10, (2**44,), 0)
-    # each of these used to be accepted, or to fail outside InvalidDesignError
-    bad = [
-        # fractional totals, drawn as float16 counts
-        ((1.0, (0.5, 0.6, 0.7), 12.5, 20.5, (1, 2), 1), r"^n_mentioned must be a positive integer, got 12\.5$"),
-        ((1.0, (0.1,), 10, 20.5, (1,), 1), r"^n_not_mentioned must be a positive integer, got 20\.5$"),
-        # fractional scales, labelled and drawn as their integer parts
-        ((1.0, (0.5, 0.6, 0.7), 12, 20, (1.5, 2.9), 1), r"^scales\[0\] must be a positive integer, got 1\.5$"),
-        ((1.0, (0.1,), True, 10, (1,), 1), "^n_mentioned must be a positive integer, got True$"),
-        ((1.0, (0.1,), 10, 10, (2, True), 1), r"^scales\[1\] must be a positive integer, got True$"),
-        ((1.0, (0.1,), 10, 10, (1,), -1), "^seed must be a 64-bit unsigned integer, got -1$"),
-        ((1.0, (0.1,), 10, 10, (1,), 2**70), f"^seed must be a 64-bit unsigned integer, got {2**70}$"),
-        ((1.0, (0.1,), 10, 10, (1,), 1.0), r"^seed must be a 64-bit unsigned integer, got 1\.0$"),
-        # a repeated scale, drawn again on the same streams as an identical record
-        ((1.0, (0.1,), 10, 10, (5, 5), 1), r"^scales\[1\] repeats scale 5 of scales\[0\]$"),
-        ((1.0, (0.1,), 10, 10, (1, 2, 3, 2), 1), r"^scales\[3\] repeats scale 2 of scales\[1\]$"),
-        # a psi that is not an int or a float, or lies beyond the float range
-        ((True, (0.1,), 10, 10, (1,), 1), "^psi must be a real number, got True$"),
-        ((Fraction(2), (0.1,), 10, 10, (1,), 1), r"^psi must be a real number, got Fraction\(2, 1\)$"),
-        ((Decimal("2"), (0.1,), 10, 10, (1,), 1), r"^psi must be a real number, got Decimal\('2'\)$"),
-        (("2", (0.1,), 10, 10, (1,), 1), "^psi must be a real number, got '2'$"),
-        ((2**1100, (0.1,), 10, 10, (1,), 1), f"^psi must be finite, got {2**1100}$"),
-        # p1 values that are not an int or a float
-        ((2.0, ("0.2", 0.3), 10, 20, (1,), 1), r"^p1s\[0\] must be a real number"),
-        ((2.0, (True, 0.3), 10, 20, (1,), 1), r"^p1s\[0\] must be a real number"),
-        ((2.0, (Fraction(1, 5), 0.3), 10, 20, (1,), 1), r"^p1s\[0\] must be a real number"),
-        ((2.0, (Decimal("0.2"), 0.3), 10, 20, (1,), 1), r"^p1s\[0\] must be a real number"),
-        ((2.0, np.array([0.2, 0.3], dtype=np.float32), 10, 20, (1,), 1), r"^p1s\[0\] must be a real number"),
-    ]
-    for args, message in bad:
-        with pytest.raises(InvalidDesignError, match=message):
-            convergence_check(*args, replicates=20)
+        study(replicates=1)
     with pytest.raises(InvalidDesignError, match=r"^replicates must be a positive integer, got 20\.0$"):
-        convergence_check(1.0, (0.1,), 10, 10, (1,), 0, replicates=20.0)
+        study(replicates=20.0)
+    with pytest.raises(InvalidDesignError, match=r"^n_mentioned \* scale must be at most 2\*\*53"):
+        study((1, 10**16))
+    with pytest.raises(InvalidDesignError, match=r"^n_not_mentioned \* scale must be at most 2\*\*53"):
+        study((2**44,), n_mentioned=1, n_not_mentioned=2**10)
+    # each of these used to be accepted
+    bad = [
+        # fractional scales, labelled and drawn as their integer parts
+        ((1.5, 2.9), r"^scales\[0\] must be a positive integer, got 1\.5$"),
+        ((2, True), r"^scales\[1\] must be a positive integer, got True$"),
+        # a repeated scale, drawn again on the same streams as an identical record
+        ((5, 5), r"^scales\[1\] repeats scale 5 of scales\[0\]$"),
+        ((1, 2, 3, 2), r"^scales\[3\] repeats scale 2 of scales\[1\]$"),
+    ]
+    for scales, message in bad:
+        with pytest.raises(InvalidDesignError, match=message):
+            study(scales)

@@ -17,7 +17,6 @@ from sparsemh import (
     VarianceMethod,
     confidence_interval,
     estimate_indicator,
-    katz_var_log_rr,
     mhq,
     stratum_ratios,
     transpose,
@@ -32,7 +31,7 @@ from sparsemh import (
 from sparsemh.estimators import _cells, _Sums, _weighted_sums
 from sparsemh.variance import _rbg_log_variance, _skm_log_variance, _skm_terms
 
-from conftest import make_dataset
+from conftest import katz_var_log_rr, make_dataset
 
 # frozen from rational arithmetic on the three informative small-world strata
 VAR_SKM_T3 = 0.04906759372350476
