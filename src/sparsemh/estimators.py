@@ -10,11 +10,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .tables import StratifiedDataset, StratumTable
+
+# Per-stratum values become Python objects, and a report's text, this many strata at a time.
+STRATA_PER_CHUNK = 2048
 
 
 class UndefinedIndicatorError(ValueError):
@@ -128,7 +132,9 @@ def stratum_ratios(t: StratumTable) -> StratumRatios:
 
 
 def _fsum(x: np.ndarray) -> float:
-    return math.fsum(x.tolist())
+    """The correctly rounded sum of the 1-D array ``x``, listed :data:`STRATA_PER_CHUNK` values at a time."""
+    chunks = (x[lo:lo + STRATA_PER_CHUNK].tolist() for lo in range(0, len(x), STRATA_PER_CHUNK))
+    return math.fsum(chain.from_iterable(chunks))
 
 
 def _mh_value(kind: IndicatorKind, r: np.ndarray, den: float) -> float:
@@ -185,14 +191,14 @@ def stratum_weights(ds: StratifiedDataset, kind: IndicatorKind) -> tuple[float, 
     MHq.
     """
     raw = _weighted_sums(kind, *_cells(ds)).s
-    return _normalized(kind, raw, _fsum(raw))
+    return tuple((raw / _weight_total(kind, raw)).tolist())
 
 
-def _normalized(kind: IndicatorKind, raw: np.ndarray, total: float) -> tuple[float, ...]:
-    """The raw stratum weights S_i of ``kind`` divided by their fsum ``total``."""
-    if total == 0.0:
+def _weight_total(kind: IndicatorKind, raw: np.ndarray) -> float:
+    """The fsum of the raw stratum weights S_i of ``kind``: the divisor of its normalized weights."""
+    if (total := _fsum(raw)) == 0.0:
         raise UndefinedIndicatorError(f"{kind.value} weights undefined: every raw stratum weight is zero")
-    return tuple((raw / total).tolist())
+    return total
 
 
 def world_comparison_row(t: StratumTable) -> float:

@@ -23,8 +23,10 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode
 from typing import TextIO
 
+import numpy as np
+
 from . import __version__
-from .estimators import IndicatorKind, _cells, _fsum, _normalized, _weighted_sums, ratio_columns
+from .estimators import STRATA_PER_CHUNK, IndicatorKind, _cells, _weight_total, _weighted_sums, ratio_columns
 # not called here; kept importable because perfbench/spans.py wraps them here
 from .estimators import stratum_ratios, stratum_weights, world_comparison_row  # noqa: F401
 from .tables import StratifiedDataset, filter_informative
@@ -32,9 +34,6 @@ from .variance import _DEFAULT_METHOD, _LOG_VARIANCES, IndicatorEstimate, Varian
 
 _REPORT_ORDER = (IndicatorKind.MHRR, IndicatorKind.MHCR, IndicatorKind.MHOR, IndicatorKind.MHQ)
 
-# Renderers make a report's text in chunks of at most this many strata, so
-# that a writer never builds the whole text as one string or one byte copy.
-STRATA_PER_CHUNK = 2048
 # Chunks are written this many characters at a time. Encoding a slice copies
 # it, and a copy below glibc's default mmap threshold (128 KiB) reuses heap
 # memory, where a copy of a whole chunk would map fresh pages every time.
@@ -47,16 +46,15 @@ class AnalysisReport:
 
     Per-stratum rows cover the dataset in input order, including strata that
     were excluded from estimation; estimates and weights are computed on the
-    retained strata only. ``ratios`` is the dataset's :func:`~sparsemh.estimators.ratio_columns`.
-    The renderers print ``ratios`` and ``weights`` in their order.
+    retained strata only. ``weights`` holds each indicator's read-only raw stratum weights S_i and their fsum.
+    The renderers print each chunk's :func:`~sparsemh.estimators.ratio_columns` and S_i / fsum in their order.
     """
 
     source: str
     level: float
     dataset: StratifiedDataset
     filtered: StratifiedDataset
-    ratios: dict[str, list[float | None]]
-    weights: dict[IndicatorKind, tuple[float, ...]]
+    weights: dict[IndicatorKind, tuple[np.ndarray, float]]
     estimates: tuple[IndicatorEstimate, ...]
 
 
@@ -87,13 +85,12 @@ def build_report(
         raise ValueError(f"unknown MHq variance method {unknown[0]!r}: choose from {', '.join(named)}")
     filtered = filter_informative(ds)
 
-    ratios = ratio_columns(ds.counts)
-
     cells = _cells(filtered)
     # each kind's sums, and the fsum of its S_i: the weights' divisor and the value's denominator
     sums = {kind: _weighted_sums(kind, *cells) for kind in _REPORT_ORDER}
-    dens = {kind: _fsum(kind_sums.s) for kind, kind_sums in sums.items()}
-    weights = {kind: _normalized(kind, sums[kind].s, dens[kind]) for kind in _REPORT_ORDER}
+    dens = {kind: _weight_total(kind, kind_sums.s) for kind, kind_sums in sums.items()}
+    for kind_sums in sums.values():
+        kind_sums.s.flags.writeable = False
 
     # keys in order, so a method named twice, or the default named, is reported once
     pairs = dict.fromkeys((kind, _DEFAULT_METHOD[kind]) for kind in _REPORT_ORDER)
@@ -107,16 +104,9 @@ def build_report(
         level=level,
         dataset=ds,
         filtered=filtered,
-        ratios=ratios,
-        weights=weights,
+        weights={kind: (sums[kind].s, dens[kind]) for kind in _REPORT_ORDER},
         estimates=estimates,
     )
-
-
-def _stratum_rows(report: AnalysisReport, lo: int, hi: int):
-    """(label, cells, *ratios) per stratum lo..hi-1, in input order."""
-    columns = (column[lo:hi] for column in report.ratios.values())
-    return zip(report.dataset.labels[lo:hi], report.dataset.counts[lo:hi].tolist(), *columns)
 
 
 def _fmt(value: float | None) -> str:
@@ -132,13 +122,15 @@ def text_chunks(report: AnalysisReport) -> Iterator[str]:
         f"strata: {k} read, {len(report.filtered)} used, {len(excluded)} excluded\n"
         "\nper-stratum ratios:\n"
         f"{'stratum':<12} {'a':>6} {'b':>6} {'c':>6} {'d':>6} {'n':>7} "
-        + " ".join(f"{name:>10}" for name in report.ratios) + "\n"
+        + " ".join(f"{name:>10}" for name in ratio_columns(report.dataset.counts[:0])) + "\n"
     )
     for lo in range(0, k, STRATA_PER_CHUNK):
+        counts = report.dataset.counts[lo:lo + STRATA_PER_CHUNK]
+        rows = zip(report.dataset.labels[lo:lo + STRATA_PER_CHUNK], counts.tolist(), *ratio_columns(counts).values())
         yield "".join(
             f"{label:<12} {a:>6} {b:>6} {c:>6} {d:>6} {a + b + c + d:>7} "
             + " ".join(f"{_fmt(r):>10}" for r in ratios) + "\n"
-            for label, (a, b, c, d), *ratios in _stratum_rows(report, lo, lo + STRATA_PER_CHUNK)
+            for label, (a, b, c, d), *ratios in rows
         )
     for lo in range(0, len(excluded), STRATA_PER_CHUNK):
         yield "\n" * (not lo) + "".join(
@@ -157,10 +149,10 @@ def text_chunks(report: AnalysisReport) -> Iterator[str]:
     yield "\n".join(lines)
 
     labels = report.filtered.labels
-    for kind, weights in report.weights.items():
+    for kind, (raw, total) in report.weights.items():
         for lo in range(0, len(labels), STRATA_PER_CHUNK):
             hi = lo + STRATA_PER_CHUNK
-            pairs = ", ".join(f"{label}={w:.3f}" for label, w in zip(labels[lo:hi], weights[lo:hi]))
+            pairs = ", ".join(f"{label}={w:.3f}" for label, w in zip(labels[lo:hi], (raw[lo:hi] / total).tolist()))
             yield (", " if lo else f"{kind.value:<5} ") + pairs
         yield "\n"
 
@@ -219,9 +211,10 @@ def _strata_chunk(report: AnalysisReport, lo: int, hi: int, excluded: dict, tail
     chunk is written.
     """
     labels = report.dataset.labels[lo:hi]
-    tables = list(zip(*report.dataset.counts[lo:hi].T.tolist(), map(excluded.get, labels)))
-    columns = [(f"\n      {_encode(name)}: ", column) for name, column in report.ratios.items()]
-    for i, table in enumerate(tables, lo):
+    counts = report.dataset.counts[lo:hi]
+    tables = list(zip(*counts.T.tolist(), map(excluded.get, labels)))
+    columns = [(f"\n      {_encode(name)}: ", column) for name, column in ratio_columns(counts).items()]
+    for i, table in enumerate(tables):
         if table in tails:
             continue
         a, b, c, d, reason = table
@@ -247,14 +240,14 @@ def _strata_chunk(report: AnalysisReport, lo: int, hi: int, excluded: dict, tail
 def _weights_json(report: AnalysisReport, memo: _FloatText) -> Iterator[str]:
     labels = report.filtered.labels
     sep = "{"
-    for kind, weights in report.weights.items():
+    for kind, (raw, total) in report.weights.items():
         for lo in range(0, len(labels), STRATA_PER_CHUNK):
             hi = lo + STRATA_PER_CHUNK
             block = [",\n      ", "", ": ", ""] * len(labels[lo:hi])
             if not lo:
                 block[0] = f'{sep}\n    "{kind.value}": {{\n      '
             block[1::4] = map(_encode, labels[lo:hi])
-            block[3::4] = map(memo.__getitem__, weights[lo:hi])
+            block[3::4] = map(memo.__getitem__, (raw[lo:hi] / total).tolist())
             yield "".join(block)
         sep = "\n    },"
     yield "\n    }\n  }"

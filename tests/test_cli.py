@@ -471,6 +471,29 @@ def test_writing_a_report_holds_no_whole_copy_of_it(tmp_path):
     assert peak < length / 2
 
 
+def test_a_report_holds_its_counts_and_weight_arrays_not_per_stratum_objects():
+    # the desk design at K = 20,000: the filtered counts and labels take 40
+    # bytes a stratum and the four S_i arrays 32; the renderers compute each
+    # chunk's ratios and normalized weights, so the report holds no list of them
+    k = 20_000
+    rng = np.random.default_rng(20_000)
+    p1 = rng.uniform(0.01, 0.2, size=k)
+    a, b = rng.binomial(100, p1), rng.binomial(1000, p1)
+    while (empty := a + b == 0).any():  # an empty row is rejected by MHCR's GR variance
+        a[empty], b[empty] = rng.binomial(100, p1[empty]), rng.binomial(1000, p1[empty])
+    cells = zip(a.tolist(), b.tolist(), (100 - a).tolist(), (1000 - b).tolist())
+    ds = parse_csv("stratum,a,b,c,d\n" + "".join("s%d,%d,%d,%d,%d\n" % (i + 1, *t) for i, t in enumerate(cells)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = build_report(ds)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(report.filtered) == k
+    assert held <= 128 * k
+
+
 def test_write_in_place_refuses_one_str(tmp_path):
     target = tmp_path / "report.txt"
     with pytest.raises(TypeError):

@@ -341,14 +341,16 @@ def test_render_json_matches_json_dumps_and_the_report(ds, methods):
     excluded = {t.label: reason for t, reason in report.filtered.excluded}
     assert parsed["excluded"] == [{"stratum": label, "reason": r} for label, r in excluded.items()]
     assert len(parsed["strata"]) == len(ds)
+    columns = ratio_columns(ds.counts)
     for i, (row, label, (a, b, c, d)) in enumerate(zip(parsed["strata"], ds.labels, ds.counts.tolist())):
         assert row == {
             "stratum": label, "a": a, "b": b, "c": c, "d": d, "n": a + b + c + d,
-            **{name: column[i] for name, column in report.ratios.items()},
+            **{name: column[i] for name, column in columns.items()},
             "excluded": label in excluded, "exclusion_reason": excluded.get(label),
         }
     assert list(parsed["weights"]) == [kind.value for kind in report.weights]
-    for kind, weights in report.weights.items():
+    for kind in report.weights:
+        weights = stratum_weights(report.filtered, kind)
         assert list(parsed["weights"][kind.value].items()) == list(zip(report.filtered.labels, weights))
     assert [(e["kind"], e["method"], e["value"], e["log_variance"], e["ci_low"], e["ci_high"], e["level"])
             for e in parsed["indicators"]] == [
@@ -392,20 +394,27 @@ def test_build_report_equals_the_public_functions_bit_for_bit(ds, methods):
         return
     report = build_report(ds, methods=methods)
     assert report.filtered == filtered
-    assert {name: hexed(column) for name, column in report.ratios.items()} == {
-        name: hexed(column) for name, column in ratio_columns(ds.counts).items()
+    # the report holds each kind's raw S_i and their fsum; the renderers divide them per chunk
+    assert {kind: hexed((raw / total).tolist()) for kind, (raw, total) in report.weights.items()} == {
+        kind: hexed(w) for kind, w in weights.items()
     }
-    assert {kind: hexed(w) for kind, w in report.weights.items()} == {kind: hexed(w) for kind, w in weights.items()}
+    for raw, total in report.weights.values():
+        assert raw.dtype == np.float64 and not raw.flags.writeable and total == math.fsum(raw.tolist())
     assert list(map(estimate_bits, report.estimates)) == list(map(estimate_bits, estimates))
 
 
-def reference_render_json(report) -> str:
-    """The report as one ``json.dumps(..., indent=2)`` of the whole structure."""
+def reference_render_json(report, columns=None) -> str:
+    """The report as one ``json.dumps(..., indent=2)`` of the whole structure.
+
+    The per-stratum ``columns`` default to the dataset's :func:`ratio_columns`,
+    and the weights are :func:`stratum_weights` in the order of the report's.
+    """
+    columns = ratio_columns(report.dataset.counts) if columns is None else columns
     excluded = {t.label: reason for t, reason in report.filtered.excluded}
     strata = [
         {
             "stratum": label, "a": a, "b": b, "c": c, "d": d, "n": a + b + c + d,
-            **{name: column[i] for name, column in report.ratios.items()},
+            **{name: column[i] for name, column in columns.items()},
             "excluded": label in excluded, "exclusion_reason": excluded.get(label),
         }
         for i, (label, (a, b, c, d)) in enumerate(zip(report.dataset.labels, report.dataset.counts.tolist()))
@@ -424,7 +433,10 @@ def reference_render_json(report) -> str:
         "level": report.level,
         "strata": strata,
         "excluded": [{"stratum": label, "reason": reason} for label, reason in excluded.items()],
-        "weights": {kind.value: dict(zip(report.filtered.labels, w)) for kind, w in report.weights.items()},
+        "weights": {
+            kind.value: dict(zip(report.filtered.labels, stratum_weights(report.filtered, kind)))
+            for kind in report.weights
+        },
         "indicators": indicators,
         "meta": {"package": "sparsemh", "version": __version__, "generated_at": "2026-01-01T00:00:00+00:00"},
     }, indent=2)
@@ -471,11 +483,12 @@ def test_render_json_equals_one_indented_json_dumps(report):
         assert render_json(report) == reference_render_json(report)
 
 
-def reference_render_text(report) -> str:
-    """The text report as one list of lines, joined once."""
+def reference_render_text(report, columns=None) -> str:
+    """The text report as one list of lines, joined once, from the same references as :func:`reference_render_json`."""
     def fmt(value):
         return "undefined" if value is None else f"{value:.2f}"
 
+    columns = ratio_columns(report.dataset.counts) if columns is None else columns
     excluded = {t.label: reason for t, reason in report.filtered.excluded}
     lines = [
         f"dataset: {report.source}",
@@ -483,10 +496,10 @@ def reference_render_text(report) -> str:
         "",
         "per-stratum ratios:",
         f"{'stratum':<12} {'a':>6} {'b':>6} {'c':>6} {'d':>6} {'n':>7} "
-        + " ".join(f"{name:>10}" for name in report.ratios),
+        + " ".join(f"{name:>10}" for name in columns),
     ]
     for i, (label, (a, b, c, d)) in enumerate(zip(report.dataset.labels, report.dataset.counts.tolist())):
-        ratios = " ".join(f"{fmt(column[i]):>10}" for column in report.ratios.values())
+        ratios = " ".join(f"{fmt(column[i]):>10}" for column in columns.values())
         lines.append(f"{label:<12} {a:>6} {b:>6} {c:>6} {d:>6} {a + b + c + d:>7} {ratios}")
     if excluded:
         lines += [""] + [f"excluded: {label} ({reason})" for label, reason in excluded.items()]
@@ -498,7 +511,8 @@ def reference_render_text(report) -> str:
             f"[{est.ci_low:.2f}, {est.ci_high:.2f}]  variance method: {est.method.value}{note}"
         )
     lines += ["", "normalized stratum weights:"]
-    for kind, weights in report.weights.items():
+    for kind in report.weights:
+        weights = stratum_weights(report.filtered, kind)
         pairs = ", ".join(f"{label}={w:.3f}" for label, w in zip(report.filtered.labels, weights))
         lines.append(f"{kind.value:<5} {pairs}")
     return "\n".join(lines) + "\n"
@@ -516,13 +530,16 @@ def test_chunks_of_any_size_join_to_the_reference_report(report, size):
 @PROPERTY
 @given(reports_with_any_finite_estimates())
 def test_renderers_follow_the_order_of_the_reports_ratios_and_weights(report):
-    # the names and order a renderer prints are the report's, not a list of its own
-    report = dataclasses.replace(
-        report, ratios=dict(reversed(report.ratios.items())), weights=dict(reversed(report.weights.items()))
-    )
-    with mock.patch.dict("os.environ", {"SOURCE_DATE_EPOCH": "1767225600"}):
-        assert render_json(report) == "".join(json_chunks(report)) == reference_render_json(report)
-        assert "".join(text_chunks(report)) == reference_render_text(report)
+    # the names and order a renderer prints are ratio_columns' and the report's, not a list of its own
+    def reversed_columns(counts):
+        return dict(reversed(ratio_columns(counts).items()))
+
+    report = dataclasses.replace(report, weights=dict(reversed(report.weights.items())))
+    columns = reversed_columns(report.dataset.counts)
+    with mock.patch.dict("os.environ", {"SOURCE_DATE_EPOCH": "1767225600"}), \
+            mock.patch("sparsemh.report.ratio_columns", reversed_columns):
+        assert render_json(report) == "".join(json_chunks(report)) == reference_render_json(report, columns)
+        assert "".join(text_chunks(report)) == reference_render_text(report, columns)
 
 
 def chunk_boundary_dataset(k: int) -> StratifiedDataset:

@@ -442,6 +442,38 @@ def test_exact_coverage_of_tiny_designs(n1, n2, p1s, want):
     assert exact.bh_coverage >= exact.skm_coverage and exact.bh_width >= exact.skm_width
 
 
+@pytest.mark.parametrize("n1, n2, psi, p1", [(4, 20, 2.0, 0.3), (3, 9, 1.0, 0.2)])  # README's n, and a sparse design
+def test_exact_study_at_one_stratum_equals_an_independent_sum_over_its_tables(n1, n2, psi, p1):
+    # At k = 1, MHq is the column risk ratio a n2 / (b n1), defined when a > 0
+    # and b > 0; SKM is Katz's c/(a n1) + d/(b n2), and BH adds 2/n1 + 2/n2.
+    # Each table's probability is a Fraction pmf at the float p1 and p2, and
+    # its logs and interval half-widths are taken in mpmath.
+    import mpmath
+
+    with mpmath.workdps(40):
+        q1, q2 = Fraction(p1), Fraction(p1 / psi)
+        z, log_psi = mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf("0.95")), mpmath.log(psi)
+        undefined, covered, log_sum = Fraction(0), {"skm": Fraction(0), "bh": Fraction(0)}, mpmath.mpf(0)
+        for a in range(n1 + 1):
+            for b in range(n2 + 1):
+                p = math.comb(n1, a) * q1**a * (1 - q1) ** (n1 - a) * math.comb(n2, b) * q2**b * (1 - q2) ** (n2 - b)
+                if a == 0 or b == 0:
+                    undefined += p
+                    continue
+                ln_mhq = mpmath.log(mpmath.mpf(a * n2) / (b * n1))
+                katz = Fraction(n1 - a, a * n1) + Fraction(n2 - b, b * n2)
+                for method, var in (("skm", katz), ("bh", katz + Fraction(2, n1) + Fraction(2, n2))):
+                    if abs(ln_mhq - log_psi) <= z * mpmath.sqrt(mpmath.mpf(var.numerator) / var.denominator):
+                        covered[method] += p
+                log_sum += p.numerator * ln_mhq / p.denominator
+        defined = 1 - undefined
+        mean = log_sum / (mpmath.mpf(defined.numerator) / defined.denominator)
+        want = (undefined, covered["skm"] / defined, covered["bh"] / defined, mean)
+    exact = exact_study(n1, n2, psi, (p1,))
+    got = (exact.undefined, exact.skm_coverage, exact.bh_coverage, exact.mean)
+    assert got == pytest.approx(tuple(map(float, want)), rel=0, abs=1e-12)
+
+
 @pytest.mark.parametrize(
     "n1, n2, psi, p1s, gr, rbg",
     [
