@@ -15,6 +15,7 @@ the ``SOURCE_DATE_EPOCH`` check) runs before the first chunk is made.
 from __future__ import annotations
 
 import datetime
+import itertools
 import math
 import os
 import stat
@@ -200,7 +201,7 @@ def _strata_json(report: AnalysisReport, memo: _FloatText) -> Iterator[str]:
     excluded = {t.label: reason for t, reason in report.filtered.excluded}
     for lo in range(0, len(report.dataset), STRATA_PER_CHUNK):
         yield _strata_chunk(report, lo, lo + STRATA_PER_CHUNK, excluded, tails, memo)
-    yield "\n  ]"
+    yield '\n  ],\n  "excluded": '
 
 
 def _strata_chunk(report: AnalysisReport, lo: int, hi: int, excluded: dict, tails: dict, memo: _FloatText) -> str:
@@ -250,7 +251,7 @@ def _weights_json(report: AnalysisReport, memo: _FloatText) -> Iterator[str]:
             block[3::4] = map(memo.__getitem__, (raw[lo:hi] / total).tolist())
             yield "".join(block)
         sep = "\n    },"
-    yield "\n    }\n  }"
+    yield '\n    }\n  },\n  "indicators": '
 
 
 def _excluded_json(report: AnalysisReport) -> Iterator[str]:
@@ -261,7 +262,7 @@ def _excluded_json(report: AnalysisReport) -> Iterator[str]:
       "stratum": {_encode(table.label)},
       "reason": {_encode(reason)}
     }}''' for table, reason in excluded[lo:lo + STRATA_PER_CHUNK])
-    yield "\n  ]" if excluded else "[]"
+    yield ("\n  ]" if excluded else "[]") + ',\n  "weights": '
 
 
 def _indicators_json(report: AnalysisReport, memo: _FloatText) -> str:
@@ -293,22 +294,17 @@ def _meta_json() -> str:
 def json_chunks(report: AnalysisReport) -> Iterator[str]:
     """The text of :func:`render_json`, in order, in chunks of at most :data:`STRATA_PER_CHUNK` strata.
 
-    The time stamp is read before the first chunk is made, so a bad
-    ``SOURCE_DATE_EPOCH`` raises from this call, and making the chunks
-    raises nothing.
+    This call reads the time stamp, so a bad ``SOURCE_DATE_EPOCH`` raises
+    here, and makes the head and the tail (indicators and meta); the chunks
+    of the strata, excluded and weights sections are made as they are read,
+    and raise nothing. Each part ends with the key of the next.
     """
-    return _json_chunks(report, _meta_json())
-
-
-def _json_chunks(report: AnalysisReport, meta: str) -> Iterator[str]:
+    meta = _meta_json()
     memo = _FloatText()  # one per report: later chunks reuse the text of earlier ones' floats
-    yield f'{{\n  "source": {_encode(report.source)},\n  "level": {memo[report.level]},\n  "strata": '
-    yield from _strata_json(report, memo)
-    yield ',\n  "excluded": '
-    yield from _excluded_json(report)
-    yield ',\n  "weights": '
-    yield from _weights_json(report, memo)
-    yield f',\n  "indicators": {_indicators_json(report, memo)},\n  "meta": {meta}\n}}'
+    head = f'{{\n  "source": {_encode(report.source)},\n  "level": {memo[report.level]},\n  "strata": '
+    tail = f'{_indicators_json(report, memo)},\n  "meta": {meta}\n}}'
+    sections = _strata_json(report, memo), _excluded_json(report), _weights_json(report, memo)
+    return itertools.chain((head,), *sections, (tail,))
 
 
 def render_json(report: AnalysisReport) -> str:

@@ -674,17 +674,20 @@ def coverage_study(design: SimulationDesign, threads: int = 1) -> StudySummary:
     return _rep_study("coverage", _coverage_rep, design, threads)
 
 
-def _convergence_ladder(
-    design: SimulationDesign, p1s: np.ndarray, scales: Sequence[int], replicates: int, threads: int
-) -> tuple[ConvergenceRecord, ...]:
-    """Mean |MHq - psi| at the p1 vector ``p1s`` when the design's sample sizes are multiplied by each scale.
+def convergence_study(
+    design: SimulationDesign, scales: Sequence[int], replicates: int = 1000, threads: int = 1
+) -> StudySummary:
+    """Mean |MHq - psi| at one p1 draw from ``design`` when its sample sizes are multiplied by each scale.
 
-    psi, the sample sizes and the seed are the design's; its p1 bounds must
-    hold ``p1s``, so that p2_i = p1_i / psi is a probability and psi the
-    common column risk ratio being estimated. Stratum i's counts at scale s
-    come from ``SeedSequence((seed, s, i))``, so each scale's record depends
-    on the seed and that scale alone, and the scales run on up to
-    ``threads`` threads with the same result.
+    Uses the design's k, sample sizes, psi, p1 bounds and seed; its reps and
+    datasets_per_rep do not apply. ``scales`` must be distinct positive
+    integers that keep each column total times a scale at most 2**53, and
+    ``replicates`` an integer of at least 2; these and ``threads`` are
+    checked before p1 is drawn. The p1 vector comes from
+    ``SeedSequence((seed,))``, and stratum i's counts at scale s from
+    ``SeedSequence((seed, s, i))``, so each scale's record depends on the
+    seed and that scale alone, and the scales run on up to ``threads``
+    threads with the same result.
     """
     _check_positive_ints(replicates=replicates)
     if replicates < 2:
@@ -701,6 +704,8 @@ def _convergence_ladder(
     _check_column_totals(**{
         "n_mentioned * scale": n_mentioned * max(scales), "n_not_mentioned * scale": n_not_mentioned * max(scales),
     })
+    _check_positive_ints(threads=threads)
+    p1s = _draw_p1(design)
 
     def scale_record(index: int) -> ConvergenceRecord:
         scale = scales[index]
@@ -716,20 +721,7 @@ def _convergence_ladder(
             replicates=int(deviations.size),
         )
 
-    return tuple(_run_reps(scale_record, len(scales), threads))
-
-
-def convergence_study(
-    design: SimulationDesign, scales: Sequence[int], replicates: int = 1000, threads: int = 1
-) -> StudySummary:
-    """Mean |MHq - psi| along the ladder of ``scales`` at one p1 draw from ``design``, on the streams described above.
-
-    Uses the design's k, sample sizes, psi, p1 bounds and seed; its reps and
-    datasets_per_rep do not apply. ``scales`` must be distinct positive
-    integers that keep each column total times a scale at most 2**53, and
-    ``replicates`` an integer of at least 2.
-    """
-    records = _convergence_ladder(design, _draw_p1(design), scales, replicates, threads)
+    records = tuple(_run_reps(scale_record, len(scales), threads))
     return StudySummary(
         study="convergence",
         design=design,

@@ -19,6 +19,7 @@ from sparsemh import (
     StratumTable,
     bias_study,
     confidence_interval,
+    convergence_study,
     coverage_study,
     mh_col_risk_ratio,
     mh_odds_ratio,
@@ -34,9 +35,10 @@ from sparsemh import (
     var_skm_log_mhq_true,
     BinomialParams,
 )
+from sparsemh import simulation
 from sparsemh.cli import main
 from sparsemh.estimators import INDICATOR_FN, ratio_columns
-from sparsemh.simulation import _convergence_ladder, _draw_count_matrices_streamed, _ln_mhq_from_counts
+from sparsemh.simulation import _draw_count_matrices_streamed, _ln_mhq_from_counts
 
 from conftest import RATIO_COLUMN, katz_var_log_rr, make_dataset
 
@@ -230,10 +232,11 @@ def test_criterion_07_width_comparison(coverage_summaries):
     report(7, "width comparison", not failures, failures[0] if failures else "; ".join(details))
 
 
-def test_criterion_08_convergence():
+def test_criterion_08_convergence(monkeypatch):
     psi = 2.0
     design = SimulationDesign(k=4, n_mentioned=100, n_not_mentioned=1000, psi=psi, p1_low=0.2, p1_high=0.5, seed=4242)
-    records = _convergence_ladder(design, np.array([0.2, 0.3, 0.4, 0.5]), scales=(1, 10, 100), replicates=1000, threads=1)
+    monkeypatch.setattr(simulation, "_draw_p1", lambda design: np.array([0.2, 0.3, 0.4, 0.5]))
+    records = convergence_study(design, scales=(1, 10, 100), replicates=1000).records
     failures = []
     for prev, curr in zip(records, records[1:]):
         slack = 2 * math.sqrt(prev.mc_se**2 + curr.mc_se**2)

@@ -33,7 +33,6 @@ from sparsemh.simulation import (
     LOOKUP_CELLS_PER_POINT,
     CoverageRecord,
     _bias_rep,
-    _convergence_ladder,
     _coverage_blocks,
     _coverage_rep,
     _draw_count_matrices_streamed,
@@ -198,7 +197,7 @@ def test_streamed_draws_degenerate_probability():
 
 def test_streamed_draws_reject_invalid_p2_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
-        raise AssertionError("counts were drawn before the p1 vector was validated")
+        raise AssertionError("drew before the design and the study's arguments were validated")
 
     monkeypatch.setattr(simulation, "_draw_count_matrices_streamed", no_sampling)
     # a design checks its p1 range against psi when it is built, before any rep draws
@@ -206,9 +205,12 @@ def test_streamed_draws_reject_invalid_p2_before_sampling(monkeypatch):
         small_design(p1_high=1.5)
     with pytest.raises(InvalidDesignError, match="p2"):
         small_design(psi=0.5, p1_low=0.01, p1_high=0.9)
-    # the convergence study checks its scales before it draws a count
+    # the convergence study checks its scales and thread count before it draws p1 or a count
+    monkeypatch.setattr(simulation, "_draw_p1", no_sampling)
     with pytest.raises(InvalidDesignError, match="scales"):
         convergence_study(small_design(), (), replicates=2)
+    with pytest.raises(InvalidDesignError, match="threads"):
+        convergence_study(small_design(), (1,), replicates=2, threads=0)
 
 
 class CountingGenerator:
@@ -599,6 +601,15 @@ def test_exact_sparse_bias_of_skm_and_bh_on_the_sparse_rungs(n1, n2, k, psi, skm
     assert got_skm.theta == got_bh.theta == pytest.approx(theta, rel=0, abs=1e-12 if psi == 1.0 else 1e-4)
 
 
+def test_exact_sparse_ladder_is_the_one_readme_quotes():
+    # README's sparse-data ladder at psi = 1 is SKM's exact many-strata SD bias on each rung
+    for k, n1, n2 in ((30, 100, 1000), (300, 10, 100), (1000, 5, 50), (3000, 2, 20)):
+        p1s = np.random.default_rng(42).uniform(0.01, 0.2, size=k)
+        bias = sparse_bias(IndicatorKind.MHQ, VarianceMethod.SKM, n1, n2, 1.0, p1s).sd_bias
+        quoted = f"{bias:.1%}".replace("-", "\N{MINUS SIGN}")
+        assert f"{quoted} at {k} × ({n1}, {n2})" in readme_notes()
+
+
 def test_coverage_and_bias_studies_match_exact_enumeration():
     # k = 2, n = (8, 20), p1 = 0.35 in both strata (equal bounds draw exactly
     # 0.35), psi = 1: each study value lies within 4 Monte Carlo SEs of its
@@ -628,19 +639,29 @@ def test_coverage_and_bias_studies_match_exact_enumeration():
     assert abs(bias_record.true_sd - sigma) <= 4 * math.sqrt((exact.mu4 - sigma**4) / defined) / (2 * sigma)
 
 
-def test_drawn_sparse_design_agrees_with_exact_enumeration():
-    # k = 2, n = (3, 9), p1 = (0.1, 0.2), psi = 1: the undefined fraction and
-    # the SKM coverage of 20,000 drawn datasets lie within 4 Monte Carlo SEs
-    # of the exact values
-    n1, n2, p1s, count = 3, 9, np.array([0.1, 0.2]), 20_000
-    exact_undefined, exact_skm, _ = exact_study(n1, n2, 1.0, tuple(p1s))[:3]
-    a, b = _draw_count_matrices_streamed(p1s, p1s, n1, n2, count, 42, 0)
+@pytest.mark.parametrize(
+    "n1, n2, p1s, psi",
+    [
+        (3, 9, (0.1, 0.2), 1.0),  # sparse: P(undefined) > 10%
+        (3, 12, (0.2, 0.3, 0.4), 1.0),  # the Baseline's k = 3
+        (4, 20, (0.3, 0.5), 2.0),  # README's design
+        (8, 20, (0.35, 0.35), 1.0),  # the studies' design
+    ],
+    ids=["3-9", "3-12", "4-20", "8-20"],
+)
+def test_drawn_sparse_design_agrees_with_exact_enumeration(n1, n2, p1s, psi):
+    # the undefined fraction and the SKM coverage of ln psi of 20,000
+    # datasets drawn at p2 = p1 / psi lie within 4 Monte Carlo SEs of the
+    # exact values
+    p1s, count, log_psi = np.array(p1s), 20_000, math.log(psi)
+    exact_undefined, exact_skm, _ = exact_study(n1, n2, psi, tuple(p1s))[:3]
+    a, b = _draw_count_matrices_streamed(p1s, p1s / psi, n1, n2, count, 42, 0)
     *arrays, drops = zip(*_coverage_blocks(a, b, float(n1), float(n2)))
     ln_mhq, skm, _ = map(np.concatenate, arrays)
     undefined = sum(drops) / count
     assert abs(undefined - exact_undefined) <= 4 * math.sqrt(exact_undefined * (1 - exact_undefined) / count)
     half = NormalDist().inv_cdf(0.975) * np.sqrt(skm)
-    covered = float(((ln_mhq - half <= 0.0) & (0.0 <= ln_mhq + half)).mean())
+    covered = float(((ln_mhq - half <= log_psi) & (log_psi <= ln_mhq + half)).mean())
     assert abs(covered - exact_skm) <= 4 * math.sqrt(exact_skm * (1 - exact_skm) / ln_mhq.size)
 
 
@@ -838,9 +859,10 @@ def test_summary_write_creates_csv_and_json(tmp_path):
 
 # ---------------------------------------------------------------- convergence
 
-def test_convergence_check_improves_with_scale():
+def test_convergence_check_improves_with_scale(monkeypatch):
     design = SimulationDesign(k=4, n_mentioned=100, n_not_mentioned=1000, psi=2.0, p1_low=0.2, p1_high=0.5, seed=12)
-    records = _convergence_ladder(design, np.array([0.2, 0.3, 0.4, 0.5]), scales=(1, 25), replicates=600, threads=1)
+    monkeypatch.setattr(simulation, "_draw_p1", lambda design: np.array([0.2, 0.3, 0.4, 0.5]))
+    records = convergence_study(design, scales=(1, 25), replicates=600).records
     assert [r.scale for r in records] == [1, 25]
     assert records[1].mean_abs_dev < records[0].mean_abs_dev
     assert all(r.replicates == 600 for r in records)
@@ -848,12 +870,13 @@ def test_convergence_check_improves_with_scale():
 
 
 def test_convergence_check_centers_on_psi():
+    # equal p1 bounds: p1 is 0.1 in every stratum
     design = SimulationDesign(k=4, n_mentioned=1000, n_not_mentioned=10_000, psi=1.0, p1_low=0.1, p1_high=0.1, seed=4)
-    records = _convergence_ladder(design, np.full(4, 0.1), scales=(10,), replicates=500, threads=1)
+    records = convergence_study(design, scales=(10,), replicates=500).records
     assert records[0].mean_abs_dev < 0.05
 
 
-def test_convergence_json_describes_the_run():
+def test_convergence_json_describes_the_run(monkeypatch):
     design = small_design(k=4, psi=2.0, p1_low=0.2, p1_high=0.5, seed=3)
     summary = convergence_study(design, scales=(1, 5), replicates=200)
     payload = json.loads(summary.to_json())
@@ -872,8 +895,8 @@ def test_convergence_json_describes_the_run():
     # the stated derivation reproduces the records: p1 from (seed,), counts per (scale, stratum)
     rng = np.random.default_rng(np.random.SeedSequence((design.seed,)))
     p1s = rng.uniform(design.p1_low, design.p1_high, size=design.k)
-    again = _convergence_ladder(design, p1s, (1, 5), 200, 1)
-    assert again == summary.records
+    monkeypatch.setattr(simulation, "_draw_p1", lambda design: p1s)
+    assert convergence_study(design, scales=(1, 5), replicates=200).records == summary.records
 
 
 def test_documented_streams_rebuild_a_bias_repetition_and_a_convergence_scale():
