@@ -28,8 +28,8 @@ _EXPORTS = {
         "parse_csv", "parse_json",
     ),
     "variance": (
-        "IndicatorEstimate", "VarianceMethod", "confidence_interval", "estimate_indicator", "var_bh_log_mhq",
-        "var_gr_log_mhcr", "var_gr_log_mhrr", "var_rbg_log_mhor", "var_skm_log_mhq",
+        "IndicatorEstimate", "VarianceMethod", "confidence_interval", "estimate_indicator", "var_gr_log_mhcr",
+        "var_gr_log_mhrr", "var_rbg_log_mhor", "var_skm_log_mhq",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -68,10 +68,6 @@ class _Sums(NamedTuple):
     def of(cls, t, r, s) -> "_Sums":
         return cls(t, r, s, r.sum(axis=-1), s.sum(axis=-1))
 
-    def rows(self, index) -> "_Sums":
-        """The sums of the datasets picked by ``index`` (a boolean mask) on the first axis."""
-        return _Sums(*(x[index] for x in self))
-
 
 def _weighted_sums(kind: IndicatorKind, a, b, c, d) -> _Sums:
     """The sums of ``kind`` over float cells a, b, c, d (last axis indexes strata)."""

@@ -583,11 +583,12 @@ def _coverage_blocks(a: np.ndarray, b: np.ndarray, n1: float, n2: float):
     if lookup is None:
         for a_rows, b_rows in _blocks(a, b, np.float64):
             ln_mhq, defined, dropped, sums = _ln_mhq_from_counts(a_rows, b_rows, n1, n2)
-            if dropped:
-                a_rows, b_rows, sums = a_rows[defined], b_rows[defined], sums.rows(defined)
-            skm_var = _skm_log_variance(a_rows, b_rows, n1 - a_rows, n2 - b_rows, sums)
-            # BH: RBG on the group-vs-world tables (a, b // n1, n2)
-            yield ln_mhq, skm_var, _rbg_log_variance(a_rows, b_rows, n1, n2, sums), dropped
+            # row by row, over every dataset: an undefined one divides by its zero total and is then dropped
+            with np.errstate(divide="ignore", invalid="ignore"):
+                skm_var = _skm_log_variance(a_rows, b_rows, n1 - a_rows, n2 - b_rows, sums)
+                # BH: RBG on the group-vs-world tables (a, b // n1, n2)
+                bh_var = _rbg_log_variance(a_rows, b_rows, n1, n2, sums)
+            yield ln_mhq, skm_var[defined], bh_var[defined], dropped
         return
     table, a0, base = lookup
     # each row of a gathered term is one dataset, as in the data forms' matrices

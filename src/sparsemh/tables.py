@@ -171,12 +171,12 @@ def parse_csv(text: str | bytes) -> StratifiedDataset:
     naming the line (and field, where applicable) for malformed rows,
     out-of-range counts, duplicate labels, or an empty body.
     """
-    header, _, body = _csv_text(text).partition("\n")
+    text = _csv_text(text)
+    header, *lines = text.split("\n")
     if header == ",".join(_CSV_HEADER):
-        lines = body.split("\n")
-        if lines[-1] == "":
+        if lines[-1:] == [""]:
             lines.pop()
-        labels = _CANONICAL_ROW.findall(body)
+        labels = _CANONICAL_ROW.findall(text, len(header) + 1)  # the body's rows
         if lines and len(labels) == len(lines):
             counts = np.loadtxt(lines, dtype=np.int64, delimiter=",", usecols=(1, 2, 3, 4), ndmin=2, comments=None)
             if counts.max() <= MAX_COUNT and counts.any(axis=1).all() and len(set(labels)) == len(labels):
@@ -184,9 +184,9 @@ def parse_csv(text: str | bytes) -> StratifiedDataset:
     return _parse_csv_lines(text)
 
 
-def _parse_csv_lines(text: str | bytes) -> StratifiedDataset:
-    """:func:`parse_csv` one line at a time: every text it accepts, and each error message."""
-    lines = _csv_text(text).split("\n")
+def _parse_csv_lines(text: str) -> StratifiedDataset:
+    """:func:`parse_csv` one line at a time, on its :func:`_csv_text`: every text it accepts, and each error message."""
+    lines = text.split("\n")
 
     rows: list[tuple[int, str]] = [(i, line) for i, line in enumerate(lines, start=1) if line.strip()]
     if not rows:

@@ -176,15 +176,15 @@ _rbg_log_variance = _LOG_VARIANCES[IndicatorKind.MHOR, VarianceMethod.RBG]
 def _log_variance(kind: IndicatorKind, method: VarianceMethod, labels, a, b, c, d, sums: _Sums) -> float:
     """``method``'s log variance of ``kind`` from a dataset's labels and float cells and ``kind``'s sums.
 
-    Raises as the public ``var_*`` function does, under its name: first for a
-    stratum with an empty column, then for a zero total. MHCR's GR variance
-    is MHRR's on the transposed tables, so it rejects a stratum with an empty
-    row as one with an empty column.
+    Raises under the name ``var_<method>_log_<kind>``, BH's included though
+    it has no such function: first for a stratum with an empty column, then
+    for a zero total. MHCR's GR variance is MHRR's on the transposed tables,
+    so it rejects a stratum with an empty row as one with an empty column.
     """
     entry = _LOG_VARIANCES[kind, method]
     if kind is IndicatorKind.MHCR:
         kind, b, c = IndicatorKind.MHRR, c, b
-    op = f"var_{method.value}_log_{kind.value}".lower()  # the public function the messages name
+    op = f"var_{method.value}_log_{kind.value}".lower()  # the name the messages give
     col1 = a + c
     col2 = b + d
     if not (col1.all() and col2.all()):
@@ -215,16 +215,6 @@ def var_skm_log_mhq(ds: StratifiedDataset) -> float:
     return _data_form(ds, IndicatorKind.MHQ, VarianceMethod.SKM)
 
 
-def var_bh_log_mhq(ds: StratifiedDataset) -> float:
-    """Group-vs-world variance reconstruction for ln(MHq) (overestimates).
-
-    Applies the pooled log-odds-ratio variance to the group-vs-world layout
-    of each stratum (rows a, b and a+c, b+d). Kept for comparison studies;
-    prefer :func:`var_skm_log_mhq` for inference.
-    """
-    return _data_form(ds, IndicatorKind.MHQ, VarianceMethod.BH)
-
-
 def var_gr_log_mhrr(ds: StratifiedDataset) -> float:
     """Sparse-data variance estimate of ln(MHRR)."""
     return _data_form(ds, IndicatorKind.MHRR, VarianceMethod.GR)
@@ -252,7 +242,6 @@ _VARIANCE_FN = {
     (IndicatorKind.MHCR, VarianceMethod.GR): var_gr_log_mhcr,
     (IndicatorKind.MHOR, VarianceMethod.RBG): var_rbg_log_mhor,
     (IndicatorKind.MHQ, VarianceMethod.SKM): var_skm_log_mhq,
-    (IndicatorKind.MHQ, VarianceMethod.BH): var_bh_log_mhq,
 }
 
 

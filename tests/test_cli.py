@@ -894,7 +894,7 @@ def test_simulation_names_resolve_on_first_use():
         "convergence_study", "coverage_study", "estimate_indicator",
         "filter_informative", "mh_col_risk_ratio", "mh_odds_ratio",
         "mh_row_risk_ratio", "mhq", "parse_csv", "parse_json", "stratum_ratios", "stratum_weights",
-        "transpose", "var_bh_log_mhq", "var_bh_log_mhq_true", "var_gr_log_mhcr", "var_gr_log_mhrr",
+        "transpose", "var_bh_log_mhq_true", "var_gr_log_mhcr", "var_gr_log_mhrr",
         "var_rbg_log_mhor", "var_skm_log_mhq", "var_skm_log_mhq_true", "world_comparison_row",
     ]
     for module, names in sparsemh._EXPORTS.items():

@@ -23,8 +23,8 @@ from sparsemh import (
     bias_study,
     convergence_study,
     coverage_study,
+    estimate_indicator,
     mhq,
-    var_bh_log_mhq,
     var_skm_log_mhq,
     var_skm_log_mhq_true,
 )
@@ -395,7 +395,7 @@ def test_batched_kernels_match_scalar_functions():
         assert ln_mhq[row] == pytest.approx(math.log(mhq(ds)), rel=1e-12)
         # the variances are the same terms and combine steps on the same operands
         assert skm[row] == var_skm_log_mhq(ds)
-        assert bh[row] == var_bh_log_mhq(ds)
+        assert bh[row] == estimate_indicator(ds, IndicatorKind.MHQ, method=VarianceMethod.BH).log_variance
 
 
 def test_exact_coverage_of_the_readme_design_is_the_quoted_0_958():

@@ -20,7 +20,6 @@ from sparsemh import (
     mhq,
     stratum_ratios,
     transpose,
-    var_bh_log_mhq,
     var_bh_log_mhq_true,
     var_gr_log_mhcr,
     var_gr_log_mhrr,
@@ -175,7 +174,8 @@ def test_var_skm_requires_filtered_input():
 
 def test_var_bh_single_table_reduction():
     ds = make_dataset((26, 7, 18, 13))
-    assert var_bh_log_mhq(ds) == pytest.approx(0.25404595404595404, rel=1e-12)
+    bh = estimate_indicator(ds, IndicatorKind.MHQ, method=VarianceMethod.BH).log_variance
+    assert bh == pytest.approx(0.25404595404595404, rel=1e-12)
 
 
 def test_var_bh_exceeds_skm_by_column_terms_single_table():
@@ -184,19 +184,21 @@ def test_var_bh_exceeds_skm_by_column_terms_single_table():
         a, b, c, d = (int(x) for x in rng.integers(1, 50, size=4))
         ds = make_dataset((a, b, c, d))
         expected_gap = 2 / (a + c) + 2 / (b + d)
-        assert var_bh_log_mhq(ds) - var_skm_log_mhq(ds) == pytest.approx(expected_gap, rel=1e-12)
+        bh = estimate_indicator(ds, IndicatorKind.MHQ, method=VarianceMethod.BH).log_variance
+        assert bh - var_skm_log_mhq(ds) == pytest.approx(expected_gap, rel=1e-12)
 
 
 def test_var_bh_exceeds_skm_on_smallworld(smallworld_filtered):
-    assert var_bh_log_mhq(smallworld_filtered) == pytest.approx(VAR_BH_T3, rel=1e-12)
-    assert var_bh_log_mhq(smallworld_filtered) > var_skm_log_mhq(smallworld_filtered)
+    bh = estimate_indicator(smallworld_filtered, IndicatorKind.MHQ, method=VarianceMethod.BH).log_variance
+    assert bh == pytest.approx(VAR_BH_T3, rel=1e-12)
+    assert bh > var_skm_log_mhq(smallworld_filtered)
 
 
 def test_var_bh_strictly_exceeds_skm_randomized():
     rng = np.random.default_rng(19)
     for _ in range(60):
         ds = random_positive_dataset(rng, int(rng.integers(1, 8)))
-        assert var_bh_log_mhq(ds) > var_skm_log_mhq(ds)
+        assert estimate_indicator(ds, IndicatorKind.MHQ, method=VarianceMethod.BH).log_variance > var_skm_log_mhq(ds)
 
 
 # ---------------------------------------------------- GR / RBG / Katz forms
@@ -272,11 +274,14 @@ def test_katz_vanishes_for_huge_balanced_tables():
 
 
 def test_scale_consistency_all_estimators():
+    def var_bh(ds):
+        return estimate_indicator(ds, IndicatorKind.MHQ, method=VarianceMethod.BH).log_variance
+
     rng = np.random.default_rng(31)
     base = random_positive_dataset(rng, 3, high=20)
     for m in (2, 5):
         repeated = make_dataset(*(row for row in base.counts.tolist() for _ in range(m)))
-        for fn in (var_skm_log_mhq, var_bh_log_mhq, var_gr_log_mhrr, var_gr_log_mhcr, var_rbg_log_mhor):
+        for fn in (var_skm_log_mhq, var_bh, var_gr_log_mhrr, var_gr_log_mhcr, var_rbg_log_mhor):
             assert fn(repeated) == pytest.approx(fn(base) / m, rel=1e-8)
 
 
@@ -418,7 +423,8 @@ def test_parameter_form_is_plugin_of_data_form():
             for a, b, c, d in ds.counts.tolist()
         ]
         assert var_skm_log_mhq_true(params) == pytest.approx(var_skm_log_mhq(ds), rel=1e-10)
-        assert var_bh_log_mhq_true(params) == pytest.approx(var_bh_log_mhq(ds), rel=1e-10)
+        bh = estimate_indicator(ds, IndicatorKind.MHQ, method=VarianceMethod.BH).log_variance
+        assert var_bh_log_mhq_true(params) == pytest.approx(bh, rel=1e-10)
 
 
 def test_var_bh_true_exceeds_var_skm_true_on_grid():
