@@ -281,7 +281,7 @@ def var_bh_log_mhq_true(params: Sequence[BinomialParams]) -> float:
     return float(_rbg_log_variance(*world, _weighted_sums(IndicatorKind.MHOR, *world)))
 
 
-def _draw_p1(design: SimulationDesign, *key: int) -> np.ndarray:
+def _rep_p1s(design: SimulationDesign, *key: int) -> np.ndarray:
     """One Uniform(p1_low, p1_high) draw per stratum (half-open interval), from ``SeedSequence((seed, *key))``."""
     rng = np.random.default_rng(np.random.SeedSequence((design.seed, *key)))
     return rng.uniform(design.p1_low, design.p1_high, size=design.k)
@@ -489,10 +489,6 @@ class StudySummary:
 # --------------------------------------------------------------------------
 # studies
 
-def _rep_p1s(design: SimulationDesign, rep: int) -> np.ndarray:
-    return _draw_p1(design, rep)
-
-
 def _rep_counts(design: SimulationDesign, rep: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Repetition ``rep``'s p1 vector and its stratum-major (k, datasets) counts, on the documented streams."""
     p1s = _rep_p1s(design, rep)
@@ -649,14 +645,17 @@ def _run_reps(work: Callable[[int], object], reps: int, threads: int) -> list:
         return list(pool.map(work, range(reps)))
 
 
-def _rep_study(study: str, rep_fn: Callable, design: SimulationDesign, threads: int) -> StudySummary:
-    """The summary of ``rep_fn(design, rep)``, a (record, dropped) pair, over the design's repetitions."""
-    results = _run_reps(functools.partial(rep_fn, design), design.reps, threads)
+def _rep_study(
+    study: str, rep_fn: Callable, design: SimulationDesign, threads: int, reps: int | None = None, replicates: int = 0
+) -> StudySummary:
+    """The summary of ``rep_fn(design, rep)``, a (record, dropped) pair, for ``reps`` reps (the design's by default)."""
+    results = _run_reps(functools.partial(rep_fn, design), design.reps if reps is None else reps, threads)
     return StudySummary(
         study=study,
         design=design,
         records=tuple(record for record, _ in results),
         dropped_total=sum(dropped for _, dropped in results),
+        replicates=replicates,
     )
 
 
@@ -701,32 +700,26 @@ def convergence_study(
     for j, s in enumerate(scales):
         if first.setdefault(s, j) != j:
             raise InvalidDesignError(f"scales[{j}] repeats scale {s} of scales[{first[s]}]")
-    psi, n_mentioned, n_not_mentioned = design.psi, design.n_mentioned, design.n_not_mentioned
     _check_column_totals(**{
-        "n_mentioned * scale": n_mentioned * max(scales), "n_not_mentioned * scale": n_not_mentioned * max(scales),
+        "n_mentioned * scale": design.n_mentioned * max(scales),
+        "n_not_mentioned * scale": design.n_not_mentioned * max(scales),
     })
     _check_positive_ints(threads=threads)
-    p1s = _draw_p1(design)
+    p1s = _rep_p1s(design)
 
-    def scale_record(index: int) -> ConvergenceRecord:
-        scale = scales[index]
-        n1, n2 = n_mentioned * scale, n_not_mentioned * scale
+    def scale_record(design: SimulationDesign, index: int) -> tuple[ConvergenceRecord, int]:
+        scale, psi = scales[index], design.psi
+        n1, n2 = design.n_mentioned * scale, design.n_not_mentioned * scale
         a, b = _draw_count_matrices_streamed(p1s, p1s / psi, n1, n2, replicates, design.seed, scale)
         blocks = (_ln_mhq_from_counts(*rows, n1, n2) for rows in _blocks(a, b, np.float64))
-        (ratios,), _ = _gathered(((sums.rt[d] / sums.st[d], dropped) for _, d, dropped, sums in blocks), replicates)
-        deviations = np.abs(ratios - psi)
-        return ConvergenceRecord(
+        (mhq,), dropped = _gathered(((sums.rt[d] / sums.st[d], dropped) for _, d, dropped, sums in blocks), replicates)
+        deviations = np.abs(mhq - psi)
+        record = ConvergenceRecord(
             scale=scale,
             mean_abs_dev=float(deviations.mean()),
             mc_se=float(deviations.std(ddof=1) / math.sqrt(deviations.size)),
             replicates=int(deviations.size),
         )
+        return record, dropped
 
-    records = tuple(_run_reps(scale_record, len(scales), threads))
-    return StudySummary(
-        study="convergence",
-        design=design,
-        records=records,
-        dropped_total=sum(replicates - r.replicates for r in records),
-        replicates=replicates,
-    )
+    return _rep_study("convergence", scale_record, design, threads, reps=len(scales), replicates=replicates)

@@ -237,7 +237,7 @@ def test_criterion_07_width_comparison(coverage_summaries):
 def test_criterion_08_convergence(monkeypatch):
     psi = 2.0
     design = SimulationDesign(k=4, n_mentioned=100, n_not_mentioned=1000, psi=psi, p1_low=0.2, p1_high=0.5, seed=4242)
-    monkeypatch.setattr(simulation, "_draw_p1", lambda design: np.array([0.2, 0.3, 0.4, 0.5]))
+    monkeypatch.setattr(simulation, "_rep_p1s", lambda design: np.array([0.2, 0.3, 0.4, 0.5]))
     records = convergence_study(design, scales=(1, 10, 100), replicates=1000).records
     failures = []
     for prev, curr in zip(records, records[1:]):

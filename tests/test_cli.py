@@ -849,7 +849,7 @@ def test_simulate_non_finite_psi_is_rejected_before_any_draw(capsys, tmp_path, m
     def no_draws(*args, **kwargs):
         raise AssertionError("drew before the design was validated")
 
-    monkeypatch.setattr(simulation, "_draw_p1", no_draws)
+    monkeypatch.setattr(simulation, "_rep_p1s", no_draws)
     monkeypatch.setattr(simulation, "_draw_count_matrices_streamed", no_draws)
     code, out, err = run(capsys, "simulate", "convergence", "--psi", psi, "--out", str(tmp_path / "inf"))
     assert code == 4 and out == ""

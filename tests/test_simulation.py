@@ -36,7 +36,6 @@ from sparsemh.simulation import (
     _coverage_blocks,
     _coverage_rep,
     _draw_count_matrices_streamed,
-    _draw_p1,
     _gathered,
     _ln_mhq_from_counts,
     _rep_counts,
@@ -161,8 +160,8 @@ def test_design_allows_degenerate_p1_interval():
 
 def test_draw_p1_within_bounds_and_deterministic():
     design = small_design()
-    draws = _draw_p1(design, 3)
-    again = _draw_p1(design, 3)
+    draws = _rep_p1s(design, 3)
+    again = _rep_p1s(design, 3)
     assert draws.shape == (design.k,)
     assert np.all(draws >= design.p1_low) and np.all(draws <= design.p1_high)
     assert np.array_equal(draws, again)
@@ -170,7 +169,7 @@ def test_draw_p1_within_bounds_and_deterministic():
 
 def test_draw_p1_degenerate_interval():
     design = small_design(p1_low=0.1, p1_high=0.1)
-    assert np.all(_draw_p1(design, 0) == 0.1)
+    assert np.all(_rep_p1s(design, 0) == 0.1)
 
 
 def test_streamed_draws_fix_column_totals():
@@ -206,7 +205,7 @@ def test_streamed_draws_reject_invalid_p2_before_sampling(monkeypatch):
     with pytest.raises(InvalidDesignError, match="p2"):
         small_design(psi=0.5, p1_low=0.01, p1_high=0.9)
     # the convergence study checks its scales and thread count before it draws p1 or a count
-    monkeypatch.setattr(simulation, "_draw_p1", no_sampling)
+    monkeypatch.setattr(simulation, "_rep_p1s", no_sampling)
     with pytest.raises(InvalidDesignError, match="scales"):
         convergence_study(small_design(), (), replicates=2)
     with pytest.raises(InvalidDesignError, match="threads"):
@@ -330,6 +329,25 @@ def streamed_sd(design: SimulationDesign, p1s: np.ndarray) -> float:
     a, b = streamed_counts(design, p1s)
     ln_mhq = _ln_mhq_from_counts(a.T.astype(float), b.T.astype(float), design.n_mentioned, design.n_not_mentioned)[0]
     return float(ln_mhq.std(ddof=1))
+
+
+def test_rep_p1s_is_the_only_p1_draw(monkeypatch):
+    # the traced name draws every study's p1 vector: patched, it feeds a repetition's counts and the convergence scales
+    design = small_design(k=4, reps=2, datasets_per_rep=100)
+    held = replace(design, p1_low=0.3, p1_high=0.3)  # its own draw is the vector patched in below
+    counts = [_rep_counts(held, rep) for rep in range(2)]
+    ladder = convergence_study(held, scales=(1, 2), replicates=100).records
+    calls = []
+
+    def fixed_draw(design, *key):
+        calls.append(key)
+        return np.full(design.k, 0.3)
+
+    monkeypatch.setattr(simulation, "_rep_p1s", fixed_draw)
+    for rep in range(2):
+        assert all(np.array_equal(got, want) for got, want in zip(_rep_counts(design, rep), counts[rep]))
+    assert convergence_study(design, scales=(1, 2), replicates=100).records == ladder
+    assert calls == [(0,), (1,), ()]
 
 
 def test_ground_truth_sd_zero_for_degenerate_draws():
@@ -861,7 +879,7 @@ def test_summary_write_creates_csv_and_json(tmp_path):
 
 def test_convergence_check_improves_with_scale(monkeypatch):
     design = SimulationDesign(k=4, n_mentioned=100, n_not_mentioned=1000, psi=2.0, p1_low=0.2, p1_high=0.5, seed=12)
-    monkeypatch.setattr(simulation, "_draw_p1", lambda design: np.array([0.2, 0.3, 0.4, 0.5]))
+    monkeypatch.setattr(simulation, "_rep_p1s", lambda design: np.array([0.2, 0.3, 0.4, 0.5]))
     records = convergence_study(design, scales=(1, 25), replicates=600).records
     assert [r.scale for r in records] == [1, 25]
     assert records[1].mean_abs_dev < records[0].mean_abs_dev
@@ -895,8 +913,17 @@ def test_convergence_json_describes_the_run(monkeypatch):
     # the stated derivation reproduces the records: p1 from (seed,), counts per (scale, stratum)
     rng = np.random.default_rng(np.random.SeedSequence((design.seed,)))
     p1s = rng.uniform(design.p1_low, design.p1_high, size=design.k)
-    monkeypatch.setattr(simulation, "_draw_p1", lambda design: p1s)
+    monkeypatch.setattr(simulation, "_rep_p1s", lambda design: p1s)
     assert convergence_study(design, scales=(1, 5), replicates=200).records == summary.records
+
+
+def test_convergence_dropped_total_sums_the_scales_drops():
+    # P(a = 0) = 0.15**3, about 0.34% of the datasets at scale 1 and 1e-5 at scale 2: some drop, under the 1% bound
+    design = SimulationDesign(k=1, n_mentioned=3, n_not_mentioned=20, psi=1.0, p1_low=0.85, p1_high=0.85)
+    summary = convergence_study(design, scales=(1, 2), replicates=2000)
+    assert summary.dropped_total > 0
+    assert summary.dropped_total == sum(2000 - r.replicates for r in summary.records)
+    assert convergence_study(design, scales=(1, 2), replicates=2000, threads=2).records == summary.records
 
 
 def test_documented_streams_rebuild_a_bias_repetition_and_a_convergence_scale():
