@@ -41,14 +41,14 @@ The coverage and width studies avoid that copy where they can. Their
 column totals are fixed, so every per-stratum term they add up over strata,
 MHq's R and S and then the terms of each variance they take from the
 variance table (SKM, then BH), is a function of the counts (a, b) alone. A
-repetition computes those terms once per (a, b) point its strata's count
-ranges cover (see _term_table) and looks up each cell's. A block's terms
-are summed over strata from (rows, k) arrays in C order, the order of the
-data forms' matrices, and each variance's own combine step takes R, S and
-its terms' totals, so every bit is the data forms'. When there are more
-points than an eighth of the repetition's cells (LOOKUP_CELLS_PER_POINT),
-as with large column totals, looking up stops paying, and each block
-converts its counts to float64 and runs the SKM and BH data forms instead.
+repetition computes those terms once per point of the box its counts span
+(see _term_table) and looks up each cell's. A block's terms are summed over
+strata from (rows, k) arrays in C order, the order of the data forms'
+matrices, and each variance's own combine step takes R, S and its terms'
+totals, so every bit is the data forms'. When the box has more points than
+a sixth of the repetition's cells (LOOKUP_CELLS_PER_POINT), as with large
+column totals, looking up stops paying, and each block converts its counts
+to float64 and runs the SKM and BH data forms instead.
 
 Every count is the value the installed numpy's ``Generator.binomial`` draws
 from the stream, and the stream is left where ``binomial`` leaves it; a numpy
@@ -107,11 +107,11 @@ CONVERGENCE_STREAM_DERIVATION = (
 BLOCK_CELLS = 2**13
 
 # The coverage terms are looked up only while a repetition has at least this
-# many cells per point of its term table. Timing _coverage_rep with the
-# lookup against the data-form kernels at k = 10, 30 and 100 (2-core Xeon
-# VM), the lookup stopped winning at 2 to 5 cells per point; at 8 it won by
-# 5-10%, and its table (64 bytes per point) holds at most 8 bytes per cell.
-LOOKUP_CELLS_PER_POINT = 8
+# many cells per point of its term table. Timed both ways at psi = 0.2 (2-core
+# Xeon VM, min of 9), the lookup took 8.7 vs 13.5 ms at 6.2 cells per point
+# (k = 10), 5.7 vs 8.3 at 5.8 (k = 100) and 4.9 vs 5.8 at 3.6 (k = 30); at 6
+# its table (64 bytes per point) holds at most 64/6, about 10.7 bytes a cell.
+LOOKUP_CELLS_PER_POINT = 6
 
 # The variances of ln(MHq) that the coverage study takes, in its records' order.
 _COVERAGE = tuple(_LOG_VARIANCES[IndicatorKind.MHQ, method] for method in (VarianceMethod.SKM, VarianceMethod.BH))
@@ -529,41 +529,26 @@ def _coverage_terms(a, b, n1: float, n2: float) -> tuple[np.ndarray, ...]:
 
 
 def _term_table(a: np.ndarray, b: np.ndarray, n1: float, n2: float, max_points: int):
-    """The :func:`_coverage_terms` of every (a, b) the strata's count ranges cover; None past ``max_points``.
+    """The :func:`_coverage_terms` of every point of the box [a.min, a.max] x [b.min, b.max]; None past ``max_points``.
 
-    For each value of a, the points run from the least to the greatest b of
-    the strata whose range of a holds that value, and the runs lie end to
-    end (at psi = 0.2 on the desk design, a third fewer than the whole box).
-    Returns the float64 (terms, points) table, a.min and ``base``: the
-    terms of (a, b) are column base[a - a.min] + b.
+    Returns the float64 (terms, points) table, a.min, b.min and the box's
+    width: the terms of (a, b) are column (a - a.min) * width + b - b.min.
     """
-    a_low, a_high, b_low, b_high = (f(x, axis=1).tolist() for x in (a, b) for f in (np.min, np.max))
-    a0 = min(a_low)
-    height = max(a_high) - a0 + 1
-    if height > max_points:
+    a0, b0 = int(a.min()), int(b.min())
+    width = int(b.max()) - b0 + 1
+    points = (int(a.max()) - a0 + 1) * width
+    if points > max_points:
         return None
-    low = np.full(height, max(b_high))
-    high = np.full(height, -1)
-    for i in range(len(a_low)):
-        held = slice(a_low[i] - a0, a_high[i] - a0 + 1)  # the values of a stratum i's range holds
-        low[held] = np.minimum(low[held], b_low[i])
-        high[held] = np.maximum(high[held], b_high[i])
-    widths = np.maximum(high - low + 1, 0)  # 0 for a value no stratum's range holds
-    ends = np.cumsum(widths)
-    if ends[-1] > max_points:
-        return None
-    base = ends - widths - low
-    table = np.empty((2 + sum(entry.count for entry in _COVERAGE), ends[-1]))
+    table = np.empty((2 + sum(entry.count for entry in _COVERAGE), points))
     # a quarter block of points at a time: _coverage_terms holds about a
     # dozen arrays of that many values alive, 200 KiB against 760 KiB
     step = max(1, BLOCK_CELLS // 4)
-    for start in range(0, ends[-1], step):
-        columns = np.arange(start, min(start + step, ends[-1]))
-        rows = np.searchsorted(ends, columns, side="right")
-        terms = _coverage_terms((rows + a0).astype(np.float64), (columns - base[rows]).astype(np.float64), n1, n2)
+    for start in range(0, points, step):
+        rows, columns = np.divmod(np.arange(start, min(start + step, points)), width)
+        terms = _coverage_terms((rows + a0).astype(np.float64), (columns + b0).astype(np.float64), n1, n2)
         for out, term in zip(table[:, start:start + step], terms):
             out[...] = term
-    return table, a0, base
+    return table, a0, b0, width
 
 
 def _coverage_blocks(a: np.ndarray, b: np.ndarray, n1: float, n2: float):
@@ -586,12 +571,14 @@ def _coverage_blocks(a: np.ndarray, b: np.ndarray, n1: float, n2: float):
                 bh_var = _rbg_log_variance(a_rows, b_rows, n1, n2, sums)
             yield ln_mhq, skm_var[defined], bh_var[defined], dropped
         return
-    table, a0, base = lookup
+    table, a0, b0, width = lookup
     # each row of a gathered term is one dataset, as in the data forms' matrices
     for index, b_rows in _blocks(a, b, np.intp):
+        # a0 is subtracted first: a * width can pass 2**63 when a nears 2**53
         index -= a0
-        index = base.take(index)
+        index *= width
         index += b_rows
+        index -= b0
         # one term at a time: gathering all at once would hold BLOCK_CELLS values per term
         totals = np.empty((len(table), len(index)))
         for row, out in zip(table, totals):

@@ -819,8 +819,10 @@ def test_coverage_kernels_equal_the_array_total_form_bit_for_bit(draws, block_ce
 @given(coverage_draws(), st.integers(1, 64), st.sampled_from([0, 2**16]))
 @example(LARGE_DRAWS, 64, 0)
 @example(LARGE_DRAWS, 64, 2**16)
-# disjoint ranges of a, [0, 1] and [8, 9]: the values 2 to 7 get no points
+# disjoint ranges of a, [0, 1] and [8, 9]: the box's points at a = 2 to 7 are tabulated and never read
 @example((np.array([[0.0, 9.0], [1.0, 8.0]]), np.array([[2.0, 0.0], [1.0, 3.0]]), 10, 10), 1, 2**16)
+# a near 2**53 and a box 1,501 wide: a * width would pass 2**63
+@example((np.array([[2.0**53 - 1], [2.0**53]]), np.array([[1500.0], [0.0]]), 2**53, 5000), 64, 2**16)
 # the fallback on a block whose first dataset has a = 0 in every stratum, so MHq's numerator is zero
 @example((np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([[3.0, 1.0], [0.0, 4.0]]), 4, 1000), 64, 0)
 def test_coverage_lookup_and_fallback_equal_the_array_total_form_bit_for_bit(draws, block_cells, max_points):
@@ -830,7 +832,7 @@ def test_coverage_lookup_and_fallback_equal_the_array_total_form_bit_for_bit(dra
     tables = []
 
     def term_table(a, b, n1, n2, _):
-        # the guard, moved: nothing is tabulated at 0, and at 2**16 at least every box that small is
+        # the guard, moved: nothing is tabulated at 0, and at 2**16 every box that small is
         tables.append(real_term_table(a, b, n1, n2, max_points))
         return tables[-1]
 
@@ -840,8 +842,7 @@ def test_coverage_lookup_and_fallback_equal_the_array_total_form_bit_for_bit(dra
         got = joined(simulation._coverage_blocks(*stratum_major(a, b, n1, n2), float(n1), float(n2)))
 
     assert len(tables) == 1
-    if max_points == 0 or box <= max_points:
-        assert (tables[0] is None) == (max_points == 0)
+    assert (tables[0] is None) == (box > max_points)
     assert_same_estimates(got, array_total_estimates(a, b, n1, n2))
 
 

@@ -806,6 +806,14 @@ def test_coverage_study_records():
     assert parallel == summary
 
 
+def test_the_widest_desk_boxes_are_looked_up():
+    # at psi = 0.2 these desk repetitions span boxes of 37,880 to 40,530
+    # points: more than an eighth of their 300,000 cells, within a sixth
+    for seed, rep in ((7, 13), (7, 14), (11, 1), (11, 3), (42, 11), (42, 12), (42, 17), (42, 18)):
+        _, a, b = _rep_counts(SimulationDesign(psi=0.2, seed=seed), rep)
+        assert _term_table(a, b, 100.0, 1000.0, a.size // LOOKUP_CELLS_PER_POINT) is not None, (seed, rep)
+
+
 @pytest.mark.parametrize(
     "design, lookup",
     [
