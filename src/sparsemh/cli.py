@@ -148,13 +148,13 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
         # The source path and the labels are the only text that the
         # destination's encoding may refuse (JSON and CSV output is ASCII):
         # refuse it here, before the first byte, not part-way through.
-        if args.out:
+        if args.out is not None:
             encoding, errors = "utf-8", "strict"
         else:
             encoding, errors = getattr(sys.stdout, "encoding", None), getattr(sys.stdout, "errors", None)
         if encoding:  # a text buffer such as io.StringIO takes any str
             "\n".join((report.source, *ds.labels)).encode(encoding, errors or "strict")
-    if args.out:
+    if args.out is not None:  # an --out of '' names no file: opening it is the I/O error
         write_in_place(args.out, chunks)
     else:
         write_chunks(sys.stdout, chunks)
@@ -183,6 +183,8 @@ def _digest(summary) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
+    if args.out is not None and os.path.basename(args.out) in ("", ".", ".."):
+        raise ValueError(f"--out must end in a file name prefix, got {args.out!r}")
     # imported here, so that analyze never loads the simulation or its thread pool
     from .simulation import (
         SimulationDesign,

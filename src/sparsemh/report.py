@@ -33,8 +33,6 @@ from .estimators import stratum_ratios, stratum_weights, world_comparison_row  #
 from .tables import StratifiedDataset, filter_informative
 from .variance import _DEFAULT_METHOD, _LOG_VARIANCES, IndicatorEstimate, VarianceMethod, _estimate
 
-_REPORT_ORDER = (IndicatorKind.MHRR, IndicatorKind.MHCR, IndicatorKind.MHOR, IndicatorKind.MHQ)
-
 # Chunks are written this many characters at a time. Encoding a slice copies
 # it, and a copy below glibc's default mmap threshold (128 KiB) reuses heap
 # memory, where a copy of a whole chunk would map fresh pages every time.
@@ -75,7 +73,7 @@ def build_report(
     Each indicator's terms are computed once on the retained strata and
     shared by its weights, point value and variances; the results and errors
     are those of :func:`~sparsemh.estimators.stratum_weights` and
-    :func:`~sparsemh.variance.estimate_indicator`, raised in report order.
+    :func:`~sparsemh.variance.estimate_indicator`, raised in :class:`IndicatorKind` order.
     ``methods`` names the extra MHq variance methods to report after each
     kind's default (its first in the variance table), in table order; a
     method whose table entry has a caveat is flagged as deprecated.
@@ -88,13 +86,13 @@ def build_report(
 
     cells = _cells(filtered)
     # each kind's sums, and the fsum of its S_i: the weights' divisor and the value's denominator
-    sums = {kind: _weighted_sums(kind, *cells) for kind in _REPORT_ORDER}
+    sums = {kind: _weighted_sums(kind, *cells) for kind in IndicatorKind}
     dens = {kind: _weight_total(kind, kind_sums.s) for kind, kind_sums in sums.items()}
     for kind_sums in sums.values():
         kind_sums.s.flags.writeable = False
 
     # keys in order, so a method named twice, or the default named, is reported once
-    pairs = dict.fromkeys((kind, _DEFAULT_METHOD[kind]) for kind in _REPORT_ORDER)
+    pairs = dict.fromkeys((kind, _DEFAULT_METHOD[kind]) for kind in IndicatorKind)
     pairs |= dict.fromkeys((IndicatorKind.MHQ, method) for name, method in named.items() if name in methods)
     estimates = tuple(
         _estimate(kind, method, level, filtered.labels, cells, sums[kind], dens[kind]) for kind, method in pairs
@@ -105,7 +103,7 @@ def build_report(
         level=level,
         dataset=ds,
         filtered=filtered,
-        weights={kind: (sums[kind].s, dens[kind]) for kind in _REPORT_ORDER},
+        weights={kind: (sums[kind].s, dens[kind]) for kind in IndicatorKind},
         estimates=estimates,
     )
 

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
 import re
 import shlex
 from pathlib import Path
+
+import pytest
+
+import sparsemh.cli
+from sparsemh.datasets import smallworld_path
 
 ROOT = Path(__file__).parents[1]
 
@@ -26,3 +32,14 @@ def test_every_k_selector_in_the_workflow_names_a_test():
         for selector in argv[argv.index("-k") + 1].split(" or "):
             assert any(selector.lower() in name for name in names), (selector, line.strip())
     assert selections == workflow.count(" -k ") > 0
+
+
+def test_the_console_script_and_its_smallworld_are_packaged():
+    # the workflow's console step runs the installed sparsemh on the packaged smallworld
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, name = project["project"]["scripts"]["sparsemh"].partition(":")
+    assert getattr(importlib.import_module(module), name) is sparsemh.cli.main
+    package = Path(sparsemh.__file__).resolve().parent
+    globs = project["tool"]["setuptools"]["package-data"]["sparsemh"]
+    assert smallworld_path() in {path for glob in globs for path in package.glob(glob)}

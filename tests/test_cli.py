@@ -163,11 +163,14 @@ def test_analyze_input_format_flag(capsys, tmp_path, smallworld, name, body, fla
         assert out == "" and err.startswith("error: invalid JSON") and err.count("\n") == 1
 
 
-def test_analyze_bh_method_is_opt_in_and_annotated(capsys, tmp_path):
+def test_analyze_bh_method_is_opt_in_and_annotated(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1767225600")
     path = str(write_smallworld(tmp_path))
     _, default_out, _ = run(capsys, "analyze", path, "--format", "json")
     kinds = [(i["kind"], i["method"]) for i in json.loads(default_out)["indicators"]]
     assert ("MHq", "BH") not in kinds
+    # the default is the variance table's first MHq method, skm: naming it adds nothing
+    assert run(capsys, "analyze", path, "--format", "json", "--methods", "skm") == (0, default_out, "")
 
     code, out, _ = run(capsys, "analyze", path, "--methods", "skm,bh", "--format", "json")
     assert code == 0
@@ -177,6 +180,8 @@ def test_analyze_bh_method_is_opt_in_and_annotated(capsys, tmp_path):
 
     _, text_out, _ = run(capsys, "analyze", path, "--methods", "skm,bh")
     assert "deprecated: overestimates variance" in text_out
+    header, *rows = run(capsys, "analyze", path, "--methods", "skm,bh", "--format", "csv")[1].splitlines()
+    assert rows[-1].startswith("MHq,BH,") and rows[-1].count(",") == header.count(",")
 
 
 def test_build_report_takes_every_mhq_method_of_the_variance_table(smallworld, monkeypatch):
@@ -246,6 +251,9 @@ def test_analyze_no_informative_strata_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 3
     assert "no informative strata" in err
+    # b = 0 in every stratum leaves MHCR, and so MHq, undefined
+    path.write_text("stratum,a,b,c,d\ns1,3,0,5,7\ns2,2,0,1,4\n", encoding="utf-8")
+    assert run(capsys, "analyze", str(path)) == (3, "", "error: MHCR weights undefined: every raw stratum weight is zero\n")
 
 
 def test_analyze_parse_error_exit_code(capsys, tmp_path):
@@ -329,6 +337,9 @@ def test_analyze_invalid_flag_values(capsys, tmp_path):
     path = str(write_smallworld(tmp_path))
     code, _, err = run(capsys, "analyze", path, "--methods", "bayes")
     assert code == 4 and "bayes" in err
+    assert run(capsys, "analyze", path, "--methods", "nope") == (
+        4, "", "error: unknown MHq variance method 'nope': choose from skm, bh\n"
+    )
     code, _, err = run(capsys, "analyze", path, "--level", "1.5")
     assert code == 4 and "level" in err
 
@@ -552,6 +563,24 @@ def test_analyze_out_directory_is_an_io_error(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    ("command", "out"),
+    [("analyze", ""), ("simulate", ""), ("simulate", "."), ("simulate", ".."), ("simulate", "sub/")],
+    ids=["analyze-empty", "simulate-empty", "simulate-dot", "simulate-dotdot", "simulate-trailing-slash"],
+)
+def test_analyze_or_simulate_out_that_names_no_file_is_an_error(capsys, tmp_path, monkeypatch, command, out):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before --out was checked")
+
+    monkeypatch.setattr(simulation, "_rep_p1s", no_draws)
+    monkeypatch.chdir(tmp_path)
+    argv = [str(write_smallworld(tmp_path))] if command == "analyze" else ["bias", "--k", "3", "--reps", "1"]
+    code, stdout, err = run(capsys, command, *argv, "--out", out)
+    assert (code, stdout) == (5 if command == "analyze" else 4, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert [path.name for path in tmp_path.iterdir()] == (["smallworld.csv"] if command == "analyze" else [])
+
+
 @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root may write read-only files")
 def test_analyze_out_read_only_file_is_an_io_error(capsys, tmp_path):
     target = tmp_path / "report.txt"
@@ -717,6 +746,11 @@ def test_simulate_invalid_design_exit_code(capsys, tmp_path):
     )
     assert code == 4
     assert "p1_high" in err or "p2" in err
+    argv = ("--k", "3", "--datasets", "50", "--reps", "1", "--p1-low", "5e-324", "--p1-high", "5e-324", "--psi", "2")
+    code, out, err = run(capsys, "simulate", "bias", *argv, "--out", str(tmp_path / "underflow"))
+    assert (code, out) == (4, "")
+    assert err == "error: psi=2.0 with p1_low=5e-324 would make p2 = p1/psi underflow to 0\n"
+    assert not (tmp_path / "underflow.csv").exists()
 
 
 def test_simulate_excessive_drop_exit_code(capsys, tmp_path):
@@ -758,14 +792,33 @@ def test_simulate_invalid_threads_env_exit_code(capsys, tmp_path, monkeypatch, v
     assert err == f"error: SPARSEMH_THREADS must be a positive integer, got {value!r}\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_threads_env_default(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("SPARSEMH_THREADS", "2")
-    code, _, _ = run(capsys, *simulate_args("bias", tmp_path / "env"))
-    assert code == 0
-    monkeypatch.setenv("SPARSEMH_THREADS", "1")
-    code, _, _ = run(capsys, *simulate_args("bias", tmp_path / "env1"))
-    assert code == 0
-    assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "env1.csv").read_bytes()
+    # SPARSEMH_THREADS=2, SPARSEMH_THREADS=1 and --threads 1 write the same
+    # bytes. Each study ignores the others' flags. The wide design's counts
+    # spread past the term lookup, so its coverage runs the data-form kernels;
+    # the drop design leaves MHq undefined in 2 of its 2,000 datasets
+    argvs = [simulate_args(study, Path(study), "--scales", "1,2", "--replicates", "50")
+             for study in ("bias", "coverage", "width", "convergence")]
+    argvs += [
+        ["simulate", "coverage", "--k", "3", "--n-mentioned", "100000", "--n-not-mentioned", "1000000",
+         "--datasets", "50", "--reps", "2", "--out", "wide"],
+        ["simulate", "coverage", "--k", "2", "--n-mentioned", "4", "--n-not-mentioned", "1000",
+         "--p1-low", "0.5", "--p1-high", "0.6", "--datasets", "1000", "--reps", "2", "--out", "drop"],
+    ]
+    written = []
+    for variant, (env, flags) in enumerate((("2", ()), ("1", ()), (None, ("--threads", "1")))):
+        (tmp_path / str(variant)).mkdir()
+        monkeypatch.chdir(tmp_path / str(variant))
+        if env:
+            monkeypatch.setenv("SPARSEMH_THREADS", env)
+        else:
+            monkeypatch.delenv("SPARSEMH_THREADS")
+        assert [run(capsys, *argv, *flags)[0] for argv in argvs] == [0] * len(argvs)
+        written.append({path.name: path.read_bytes() for path in Path.cwd().iterdir()})
+    assert written[0] == written[1] == written[2] and len(written[0]) == 2 * len(argvs)
+    assert written[0]["width.csv"] == written[0]["coverage.csv"]
+    assert json.loads(written[0]["drop.json"])["dropped_total"] == 2
 
 
 @pytest.mark.parametrize(

@@ -45,7 +45,6 @@ from sparsemh import (
 )
 from sparsemh.estimators import INDICATOR_FN, _Sums, _weighted_sums, ratio_columns
 from sparsemh.report import (
-    _REPORT_ORDER,
     STRATA_PER_CHUNK,
     _FloatText,
     build_report,
@@ -365,8 +364,8 @@ def test_render_json_matches_json_dumps_and_the_report(ds, methods):
 def public_report(ds, methods):
     """What ``build_report(ds, methods=methods)`` holds, from the public functions, called in its order."""
     filtered = filter_informative(ds)
-    weights = {kind: stratum_weights(filtered, kind) for kind in _REPORT_ORDER}
-    pairs = [(kind, None) for kind in _REPORT_ORDER] + [(IndicatorKind.MHQ, VarianceMethod.BH)] * ("bh" in methods)
+    weights = {kind: stratum_weights(filtered, kind) for kind in IndicatorKind}
+    pairs = [(kind, None) for kind in IndicatorKind] + [(IndicatorKind.MHQ, VarianceMethod.BH)] * ("bh" in methods)
     return filtered, weights, [estimate_indicator(filtered, kind, method=method) for kind, method in pairs]
 
 
