@@ -216,11 +216,7 @@ def world_comparison_row(t: StratumTable) -> float:
 def transpose(ds: StratifiedDataset) -> StratifiedDataset:
     """Swap the group axis with the mention axis in every stratum.
 
-    Exclusion diagnostics are carried along with their tables transposed;
-    the recorded reasons still describe the original orientation.
+    The (label, reason) pairs of excluded strata pass through unchanged;
+    the reasons still describe the original orientation.
     """
-    return StratifiedDataset._from_counts(
-        ds.labels,
-        ds.counts[:, [0, 2, 1, 3]],
-        tuple((t.transposed(), reason) for t, reason in ds.excluded),
-    )
+    return StratifiedDataset._from_counts(ds.labels, ds.counts[:, [0, 2, 1, 3]], ds.excluded)

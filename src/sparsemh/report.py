@@ -133,7 +133,7 @@ def text_chunks(report: AnalysisReport) -> Iterator[str]:
         )
     for lo in range(0, len(excluded), STRATA_PER_CHUNK):
         yield "\n" * (not lo) + "".join(
-            f"excluded: {table.label} ({reason})\n" for table, reason in excluded[lo:lo + STRATA_PER_CHUNK]
+            f"excluded: {label} ({reason})\n" for label, reason in excluded[lo:lo + STRATA_PER_CHUNK]
         )
 
     lines = ["", f"indicators ({report.level * 100:.15g}% confidence intervals):"]
@@ -196,7 +196,7 @@ def _strata_json(report: AnalysisReport, memo: _FloatText) -> Iterator[str]:
     # sparse data repeat a few tables, so each distinct one is written once.
     # The tails are dropped when the strata are done, before the weights.
     tails = {}
-    excluded = {t.label: reason for t, reason in report.filtered.excluded}
+    excluded = dict(report.filtered.excluded)
     for lo in range(0, len(report.dataset), STRATA_PER_CHUNK):
         yield _strata_chunk(report, lo, lo + STRATA_PER_CHUNK, excluded, tails, memo)
     yield '\n  ],\n  "excluded": '
@@ -257,9 +257,9 @@ def _excluded_json(report: AnalysisReport) -> Iterator[str]:
     for lo in range(0, len(excluded), STRATA_PER_CHUNK):
         yield ("," if lo else "[") + ",".join(f'''
     {{
-      "stratum": {_encode(table.label)},
+      "stratum": {_encode(label)},
       "reason": {_encode(reason)}
-    }}''' for table, reason in excluded[lo:lo + STRATA_PER_CHUNK])
+    }}''' for label, reason in excluded[lo:lo + STRATA_PER_CHUNK])
     yield ("\n  ]" if excluded else "[]") + ',\n  "weights": '
 
 

@@ -9,7 +9,7 @@ group G / not in G) with mention status (mentioned / not mentioned):
 
 Counts are non-negative integers of at most :data:`MAX_COUNT`; a dataset is
 an ordered collection of labelled strata, held as one (k, 4) count array,
-plus diagnostics for strata excluded from estimation.
+plus the (label, reason) pairs of strata excluded from estimation.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import numbers
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable
 
@@ -88,22 +88,19 @@ class StratumTable:
     def cells(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
-    def transposed(self) -> "StratumTable":
-        """Swap the group axis with the mention axis (b and c trade places)."""
-        return replace(self, b=self.c, c=self.b)
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class StratifiedDataset:
-    """Ordered strata plus (table, reason) diagnostics for excluded strata.
+    """Ordered strata plus the (label, reason) pairs of excluded strata.
 
     The strata are held as their ``labels`` and one read-only (k, 4) int64
-    ``counts`` array whose columns are a, b, c, d.
+    ``counts`` array whose columns are a, b, c, d. An excluded stratum's
+    counts are not kept here; they stay in the dataset it was filtered from.
     """
 
     labels: tuple[str, ...]
     counts: np.ndarray
-    excluded: tuple[tuple[StratumTable, str], ...]
+    excluded: tuple[tuple[str, str], ...]
 
     def __init__(self, strata: Iterable[StratumTable]) -> None:
         strata = tuple(strata)
@@ -271,7 +268,7 @@ def parse_json(text: str | bytes) -> StratifiedDataset:
 
 
 def filter_informative(ds: StratifiedDataset) -> StratifiedDataset:
-    """Move strata with an empty mentioned or not-mentioned column to ``excluded``.
+    """Drop strata with an empty mentioned or not-mentioned column, adding their (label, reason) pairs to ``excluded``.
 
     Such strata carry no information about the association and would put 0/0
     terms into the variance components, so they are excluded before any
@@ -282,7 +279,7 @@ def filter_informative(ds: StratifiedDataset) -> StratifiedDataset:
     to any indicator's sums; one with c+d = 0 adds nothing to MHRR or MHOR
     but keeps its raw weight b*(a+c)/n in MHCR and b*(a+c)/(a+b+n) in MHq.
     MHCR's GR variance rejects both, as an empty column of the transposed
-    table. Idempotent.
+    table. The dropped strata's counts stay in ``ds``. Idempotent.
     """
     a, b, c, d = ds.counts.T
     no_mentioned = a + c == 0
@@ -292,10 +289,7 @@ def filter_informative(ds: StratifiedDataset) -> StratifiedDataset:
             "no informative strata: every stratum has an empty mentioned or not-mentioned column"
         )
     dropped = tuple(
-        (
-            StratumTable(ds.labels[i], *ds.counts[i].tolist()),
-            EXCLUDED_NO_MENTIONED if no_mentioned[i] else EXCLUDED_NO_NOT_MENTIONED,
-        )
+        (ds.labels[i], EXCLUDED_NO_MENTIONED if no_mentioned[i] else EXCLUDED_NO_NOT_MENTIONED)
         for i in np.flatnonzero(~keep).tolist()
     )
     labels = tuple(compress(ds.labels, keep.tolist()))

@@ -60,6 +60,11 @@ def make_dataset(*cells: tuple[int, int, int, int]) -> StratifiedDataset:
     )
 
 
+def random_positive_dataset(rng, k, high=30):
+    """k strata whose four counts are drawn from ``rng`` in 1..high-1."""
+    return make_dataset(*(tuple(int(x) for x in rng.integers(1, high, size=4)) for _ in range(k)))
+
+
 # Mostly zeros: empty rows (a+b = 0 or c+d = 0), b = 0, strata excluded for
 # an empty column and single strata are all common, and each exit of analyze
 # (a report, an undefined indicator, the empty-row rejection) is frequent.

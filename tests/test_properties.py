@@ -54,7 +54,7 @@ from sparsemh.report import (
     text_chunks,
 )
 from sparsemh.simulation import ExcessiveDropError, bias_study, coverage_study
-from sparsemh.tables import EXCLUDED_NO_NOT_MENTIONED, MAX_COUNT, _csv_text, _parse_csv_lines
+from sparsemh.tables import EXCLUDED_NO_MENTIONED, EXCLUDED_NO_NOT_MENTIONED, MAX_COUNT, _csv_text, _parse_csv_lines
 from sparsemh.variance import _LOG_VARIANCES, _log_variance, _rbg_log_variance, _skm_log_variance
 
 from conftest import (
@@ -204,6 +204,10 @@ def test_filter_informative_is_idempotent_and_keeps_point_estimates(ds):
     assert filtered.labels == tuple(
         label for label, (a, b, c, d) in zip(ds.labels, ds.counts.tolist()) if a + c and b + d
     )
+    assert filtered.excluded == tuple(
+        (label, EXCLUDED_NO_NOT_MENTIONED if a + c else EXCLUDED_NO_MENTIONED)
+        for label, (a, b, c, d) in zip(ds.labels, ds.counts.tolist()) if not (a + c and b + d)
+    )
     assert filter_informative(filtered) == filtered
     kinds = [IndicatorKind.MHCR, IndicatorKind.MHOR, IndicatorKind.MHQ]
     # a stratum with no unmentioned articles (b = d = 0) adds a*c/n to both
@@ -337,7 +341,7 @@ def test_render_json_matches_json_dumps_and_the_report(ds, methods):
     assert text == json.dumps(parsed, indent=2)
 
     assert parsed["source"] == report.source and parsed["level"] == report.level
-    excluded = {t.label: reason for t, reason in report.filtered.excluded}
+    excluded = dict(report.filtered.excluded)
     assert parsed["excluded"] == [{"stratum": label, "reason": r} for label, r in excluded.items()]
     assert len(parsed["strata"]) == len(ds)
     columns = ratio_columns(ds.counts)
@@ -409,7 +413,7 @@ def reference_render_json(report, columns=None) -> str:
     and the weights are :func:`stratum_weights` in the order of the report's.
     """
     columns = ratio_columns(report.dataset.counts) if columns is None else columns
-    excluded = {t.label: reason for t, reason in report.filtered.excluded}
+    excluded = dict(report.filtered.excluded)
     strata = [
         {
             "stratum": label, "a": a, "b": b, "c": c, "d": d, "n": a + b + c + d,
@@ -488,7 +492,7 @@ def reference_render_text(report, columns=None) -> str:
         return "undefined" if value is None else f"{value:.2f}"
 
     columns = ratio_columns(report.dataset.counts) if columns is None else columns
-    excluded = {t.label: reason for t, reason in report.filtered.excluded}
+    excluded = dict(report.filtered.excluded)
     lines = [
         f"dataset: {report.source}",
         f"strata: {len(report.dataset)} read, {len(report.filtered)} used, {len(excluded)} excluded",

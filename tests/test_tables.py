@@ -17,16 +17,9 @@ from sparsemh import (
 from sparsemh import tables
 from sparsemh.tables import EXCLUDED_NO_MENTIONED, EXCLUDED_NO_NOT_MENTIONED, MAX_COUNT
 
-from conftest import csv_text, json_text, make_dataset
+from conftest import json_text, make_dataset
 
 TABLE3_CSV = "stratum,a,b,c,d\ncat1,26,7,18,13\ncat2,15,7,15,9\ncat3,3,3,13,9\ncat4,0,10,0,10\n"
-
-
-def random_table(rng, label="t", low=0, high=30) -> StratumTable:
-    while True:
-        a, b, c, d = (int(x) for x in rng.integers(low, high, size=4))
-        if a + b + c + d > 0:
-            return StratumTable(label, a, b, c, d)
 
 
 # ---------------------------------------------------------------- StratumTable
@@ -37,12 +30,6 @@ def test_table_accessors():
     assert t.a + t.c == 44
     assert t.b + t.d == 20
     assert t.cells() == (26, 7, 18, 13)
-
-
-def test_table_transposed_swaps_b_and_c():
-    t = StratumTable("x", 1, 2, 3, 4)
-    assert t.transposed() == StratumTable("x", 1, 3, 2, 4)
-    assert t.transposed().transposed() == t
 
 
 def test_table_normalizes_numpy_integer_counts():
@@ -151,14 +138,6 @@ def test_parse_csv_structural_errors():
         parse_csv("stratum,a,b,c,d\ncat1,0,0,0,0\n")
 
 
-def test_csv_round_trip_randomized():
-    rng = np.random.default_rng(101)
-    for _ in range(50):
-        k = int(rng.integers(1, 6))
-        ds = StratifiedDataset(tuple(random_table(rng, f"s{i}") for i in range(k)))
-        assert parse_csv(csv_text(ds)) == ds
-
-
 # --------------------------------------------------------------------- JSON
 
 def test_parse_json_matches_csv():
@@ -208,10 +187,7 @@ def test_json_round_trip():
 def test_filter_informative_on_table3():
     ds = filter_informative(parse_csv(TABLE3_CSV))
     assert ds.labels == ("cat1", "cat2", "cat3")
-    assert len(ds.excluded) == 1
-    dropped, reason = ds.excluded[0]
-    assert dropped.label == "cat4"
-    assert reason == EXCLUDED_NO_MENTIONED
+    assert ds.excluded == (("cat4", EXCLUDED_NO_MENTIONED),)
 
 
 def test_filter_informative_keeps_healthy_single_stratum():
@@ -242,17 +218,3 @@ def test_filter_informative_retains_empty_rows():
     # an empty *row* (a+b=0 or c+d=0) is kept: both columns still have data
     ds = make_dataset((0, 0, 5, 5), (5, 5, 0, 0))
     assert filter_informative(ds).labels == ("s1", "s2")
-
-
-def test_filtered_strata_have_positive_columns_randomized():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        k = int(rng.integers(1, 7))
-        ds = StratifiedDataset(tuple(random_table(rng, f"s{i}", high=4) for i in range(k)))
-        try:
-            filtered = filter_informative(ds)
-        except NoInformativeStrataError:
-            continue
-        for a, b, c, d in filtered.counts.tolist():
-            assert a + c >= 1
-            assert b + d >= 1

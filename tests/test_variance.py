@@ -30,7 +30,7 @@ from sparsemh import (
 from sparsemh.estimators import _cells, _Sums, _weighted_sums
 from sparsemh.variance import _rbg_log_variance, _skm_log_variance, _skm_terms
 
-from conftest import katz_var_log_rr, make_dataset
+from conftest import katz_var_log_rr, make_dataset, random_positive_dataset
 
 # frozen from rational arithmetic on the three informative small-world strata
 VAR_SKM_T3 = 0.04906759372350476
@@ -40,10 +40,6 @@ VAR_GR_CR_T3 = 0.049933701950622855
 VAR_RBG_T3 = 0.1399221804880643
 KATZ_COL_26 = 0.10859140859140859   # 1/26 - 1/44 + 1/7 - 1/20
 KATZ_ROW_26 = 0.03145599919793468   # 1/26 - 1/33 + 1/18 - 1/31
-
-
-def random_positive_dataset(rng, k, high=30):
-    return make_dataset(*(tuple(int(x) for x in rng.integers(1, high, size=4)) for _ in range(k)))
 
 
 # ----------------------------------------------------------------- components
@@ -136,14 +132,6 @@ def test_var_skm_consistent_with_published_interval(smallworld_filtered):
     assert math.sqrt(var_skm_log_mhq(smallworld_filtered)) == pytest.approx(implied_sd, abs=2e-3)
 
 
-def test_var_skm_single_stratum_equals_katz_column():
-    rng = np.random.default_rng(13)
-    for _ in range(60):
-        t = StratumTable("t", *(int(x) for x in rng.integers(1, 50, size=4)))
-        ds = make_dataset(t.cells())
-        assert var_skm_log_mhq(ds) == pytest.approx(katz_var_log_rr(t, "column"), rel=1e-12)
-
-
 def test_var_skm_duplicated_stratum_halves_variance():
     one = make_dataset((26, 7, 18, 13))
     two = make_dataset((26, 7, 18, 13), (26, 7, 18, 13))
@@ -176,16 +164,6 @@ def test_var_bh_single_table_reduction():
     ds = make_dataset((26, 7, 18, 13))
     bh = estimate_indicator(ds, IndicatorKind.MHQ, method=VarianceMethod.BH).log_variance
     assert bh == pytest.approx(0.25404595404595404, rel=1e-12)
-
-
-def test_var_bh_exceeds_skm_by_column_terms_single_table():
-    rng = np.random.default_rng(17)
-    for _ in range(60):
-        a, b, c, d = (int(x) for x in rng.integers(1, 50, size=4))
-        ds = make_dataset((a, b, c, d))
-        expected_gap = 2 / (a + c) + 2 / (b + d)
-        bh = estimate_indicator(ds, IndicatorKind.MHQ, method=VarianceMethod.BH).log_variance
-        assert bh - var_skm_log_mhq(ds) == pytest.approx(expected_gap, rel=1e-12)
 
 
 def test_var_bh_exceeds_skm_on_smallworld(smallworld_filtered):
